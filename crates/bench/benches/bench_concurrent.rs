@@ -1,6 +1,7 @@
-//! Parallel-ingestion trajectory: shared-atomic `ConcurrentMonitor` vs
-//! replicated `ShardedMonitor` on the grid substrates, across thread
-//! counts, with machine-readable results written to
+//! Parallel-ingestion trajectory: `ConcurrentMonitor`'s `Auto` strategy
+//! (shared-atomic grids) vs its `Replicated` strategy (one full replica
+//! per worker) on the grid substrates, across thread counts, with
+//! machine-readable results written to
 //! `BENCH_concurrent.json` at the workspace root.
 //!
 //! ```text
@@ -8,12 +9,12 @@
 //! cargo bench --bench bench_concurrent -- --quick # CI smoke
 //! ```
 //!
-//! Both pipelines race the same prototype — the CountMin (`F_1`) and
+//! Both strategies race the same prototype — the CountMin (`F_1`) and
 //! CountSketch (`F_2`) heavy-hitter substrates, the two that
 //! `ParallelStrategy::Auto` routes to shared-atomic grids — over the
 //! standard 400k-element Zipf workload. Throughput rows are measured;
-//! the memory rows are structural: the sharded pipeline forks one full
-//! monitor replica per worker (`threads x` the prototype's sketch
+//! the memory rows are structural: the replicated strategy forks one
+//! full replica per worker (`threads x` the prototype's sketch
 //! bytes), while the shared-atomic grids are a single allocation the
 //! size of the prototype's, whatever the thread count (`AtomicU64`
 //! cells are layout-identical to the plain grids' `u64`s). The
@@ -24,9 +25,7 @@
 use std::sync::Arc;
 
 use sss_bench::{schema, BenchGroup};
-use sss_core::{
-    ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, ShardedConfig, ShardedMonitor,
-};
+use sss_core::{ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, ParallelStrategy};
 use sss_stream::{StreamGen, ZipfStream};
 
 const P: f64 = 0.25;
@@ -55,34 +54,30 @@ fn main() {
     let proto_bytes = grid_proto().space_bytes();
 
     // ns/elem is normalised by the *dispatched* stream length: both
-    // pipelines sample internally, so this is end-to-end ingest cost.
+    // strategies sample internally, so this is end-to-end ingest cost.
     let mut g = BenchGroup::new("parallel_ingestion", n);
     let mut rows: Vec<(usize, f64, f64)> = Vec::new();
     for &t in thread_counts {
-        let conc_label = format!("concurrent_t{t}");
-        let shard_label = format!("sharded_t{t}");
-        g.bench(&conc_label, || {
+        let run = |strategy: ParallelStrategy| {
             let mut cfg = ConcurrentConfig::new(t);
             cfg.dispatch_chunk = DISPATCH_CHUNK;
+            cfg.strategy = strategy;
             let mut cm = ConcurrentMonitor::launch(&grid_proto(), SAMPLER_SEED, cfg);
             cm.ingest_shared(&stream);
             cm.finish().samples_seen()
-        });
-        g.bench(&shard_label, || {
-            let mut cfg = ShardedConfig::new(t);
-            cfg.dispatch_chunk = DISPATCH_CHUNK;
-            let mut sm = ShardedMonitor::launch(&grid_proto(), SAMPLER_SEED, cfg);
-            sm.ingest_shared(&stream);
-            sm.finish().samples_seen()
-        });
-        rows.push((t, g.median_of(&conc_label), g.median_of(&shard_label)));
+        };
+        let conc_label = format!("concurrent_t{t}");
+        let repl_label = format!("replicated_t{t}");
+        g.bench(&conc_label, || run(ParallelStrategy::Auto));
+        g.bench(&repl_label, || run(ParallelStrategy::Replicated));
+        rows.push((t, g.median_of(&conc_label), g.median_of(&repl_label)));
     }
 
     let conc_t1 = rows[0].1;
-    println!("\nthreads  concurrent ns/e  sharded ns/e  conc speedup vs t1  sketch bytes (conc / sharded)");
-    for &(t, c, s) in &rows {
+    println!("\nthreads  concurrent ns/e  replicated ns/e  conc speedup vs t1  sketch bytes (conc / replicated)");
+    for &(t, c, r) in &rows {
         println!(
-            "{t:>7}  {c:>15.2}  {s:>12.2}  {:>18.2}  {proto_bytes} / {}",
+            "{t:>7}  {c:>15.2}  {r:>15.2}  {:>18.2}  {proto_bytes} / {}",
             conc_t1 / c,
             proto_bytes * t
         );
@@ -91,7 +86,7 @@ fn main() {
     // Acceptance: >= 3x over single-thread at 8 threads — a statement
     // about cores, so only enforceable where 8 cores exist. The memory
     // side needs no cores: shared grids are one prototype-sized
-    // allocation at every thread count, vs the sharded pipeline's
+    // allocation at every thread count, vs the replicated strategy's
     // threads x replicas.
     let speedup_at_8 = rows
         .iter()
@@ -121,20 +116,20 @@ fn main() {
     json.push_str(&format!("  \"hardware_threads\": {hw},\n"));
     json.push_str(&format!(
         "  \"hardware_note\": \"measured on a {hw}-hardware-thread host: thread counts above \
-         {hw} time-slice one core, so the throughput curves are flat by construction and the \
-         3x-at-8-threads target is not enforceable here; the memory column is structural and \
-         host-independent\",\n"
+         {hw} time-slice the same cores, so the throughput curves flatten past {hw} threads by \
+         construction and the 3x-at-8-threads target is not enforceable here; the memory column \
+         is structural and host-independent\",\n"
     ));
     json.push_str(&format!(
         "  \"grid_monitor_sketch_bytes\": {proto_bytes},\n"
     ));
     json.push_str("  \"scaling\": [\n");
-    for (i, &(t, c, s)) in rows.iter().enumerate() {
+    for (i, &(t, c, r)) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"threads\": {t}, \"concurrent_ns_per_elem\": {c:.2}, \
-             \"sharded_ns_per_elem\": {s:.2}, \"concurrent_speedup_vs_t1\": {:.2}, \
-             \"concurrent_sketch_bytes\": {proto_bytes}, \"sharded_sketch_bytes\": {}, \
-             \"memory_ratio_sharded_over_concurrent\": {t}}}{}\n",
+             \"replicated_ns_per_elem\": {r:.2}, \"concurrent_speedup_vs_t1\": {:.2}, \
+             \"concurrent_sketch_bytes\": {proto_bytes}, \"replicated_sketch_bytes\": {}, \
+             \"memory_ratio_replicated_over_concurrent\": {t}}}{}\n",
             conc_t1 / c,
             proto_bytes * t,
             if i + 1 == rows.len() { "" } else { "," }

@@ -3,7 +3,7 @@
 //! batched (row/copy-major) paths alongside the per-item ones.
 
 use sss_bench::BenchGroup;
-use sss_sketch::{AmsF2, CountMin, CountSketch, HyperLogLog, KmvSketch, MisraGries, SpaceSaving};
+use sss_sketch::{AmsF2, CountMin, CountSketch, KmvSketch, MisraGries, SpaceSaving};
 use sss_stream::{StreamGen, ZipfStream};
 
 const N: u64 = 100_000;
@@ -82,13 +82,5 @@ fn main() {
             kmv.update(x);
         }
         kmv.estimate()
-    });
-
-    g.bench("hll_p12", || {
-        let mut hll = HyperLogLog::new(12, 7);
-        for &x in &stream {
-            hll.update(x);
-        }
-        hll.estimate()
     });
 }

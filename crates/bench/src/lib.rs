@@ -34,8 +34,10 @@ pub mod schema {
     pub const INGEST: u32 = 1;
     /// `BENCH_obs.json` (written by `bench_obs`).
     pub const OBS: u32 = 1;
-    /// `BENCH_concurrent.json` (written by `bench_concurrent`).
-    pub const CONCURRENT: u32 = 1;
+    /// `BENCH_concurrent.json` (written by `bench_concurrent`). v2
+    /// renames the `sharded_*` control columns to `replicated_*`: the
+    /// control arm is now `ParallelStrategy::Replicated`.
+    pub const CONCURRENT: u32 = 2;
 }
 
 pub use stats::{mean, quantile, std_dev, Summary};

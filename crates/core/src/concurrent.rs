@@ -1,44 +1,61 @@
-//! Lock-free multi-threaded ingestion into **one** shared sketch state.
+//! Multi-threaded ingestion: N workers, **one** shared sketch state.
 //!
-//! [`crate::sharded::ShardedMonitor`] scales cores by replicating the
-//! whole monitor per worker and folding through the merge algebra —
-//! correct for everything, but sketch memory grows N× with thread count
-//! and `finish()` pays N merges. A [`ConcurrentMonitor`] takes the other
-//! route wherever the substrate allows it: the fixed-geometry counter
-//! grids (CountMin, CountSketch, AMS tug-of-war) become the
-//! shared-atomic variants of [`sss_sketch::atomic`], and every worker
-//! thread ingests into the *same* cells with relaxed `fetch_add`s. One
-//! grid, regardless of thread count.
+//! The single-threaded [`Monitor`] consumes one Bernoulli-sampled stream.
+//! At production rates the bottleneck is ingestion itself, so a
+//! [`ConcurrentMonitor`] partitions the raw stream across worker threads
+//! — each Bernoulli-sampling its own slice — which is exactly the
+//! paper's model of `N` independent Bernoulli processes over disjoint
+//! slices of `P`, run across threads instead of sites.
 //!
-//! Not every estimator is a commutative counter grid, so each registered
-//! slot is routed to the cheapest strategy that preserves its answer:
+//! ```text
+//!            raw chunks (round-robin, bounded queues)
+//!   ingest ──┬──────────► worker 0: sample(p, seed₀) ─┐  shared-atomic grids
+//!            ├──────────► worker 1: sample(p, seed₁) ─┼─► key-sharded parts   ─► fold ─► Monitor
+//!            └──────────► worker N−1: sample(p, seedₙ) ┘  replicated locals
+//! ```
+//!
+//! Where the substrate allows it, workers do not replicate state: the
+//! fixed-geometry counter grids (CountMin, CountSketch, AMS tug-of-war)
+//! become the shared-atomic variants of [`sss_sketch::atomic`], and
+//! every worker ingests into the *same* cells with relaxed `fetch_add`s.
+//! One grid, regardless of thread count. Not every estimator is a
+//! commutative counter grid, so each registered slot is routed to the
+//! cheapest strategy that preserves its answer:
 //!
 //! | Strategy | Slots | Why it is sound |
 //! |---|---|---|
 //! | shared-atomic | `F_1`/`F_2` heavy hitters, Rusu–Dobra `F_2` | cell-wise integer adds commute; any interleaving quiesces to the sequential grid bit for bit |
 //! | key-sharded | `F_0`, `F_k` (exact and sketched), naive baselines | items are partitioned by key hash, so each part owns a disjoint sub-multiset and the existing merge is exact (disjoint maps, bottom-k union, linear sketches) |
-//! | replicated | entropy, adaptive, unknown slots | entropy is *not* key-shardable (`H = Σ wᵢHᵢ + H(w)` loses the cross-partition term); thread-local replicas merge exactly like `ShardedMonitor` shards |
+//! | replicated | entropy, adaptive, unknown slots | entropy is *not* key-shardable (`H = Σ wᵢHᵢ + H(w)` loses the cross-partition term); thread-local replicas merge through `Monitor::merge`'s algebra |
 //!
-//! **Quiesce-then-snapshot.** The shared state is only convertible after
-//! every writer thread is joined: [`ConcurrentMonitor::finish`] drops
-//! the queues, joins the workers (the happens-before edge that makes the
-//! final relaxed loads well-defined), converts each shared-atomic grid
-//! back to its plain estimator, merges the key-sharded parts and
-//! replicated locals, and returns an ordinary [`Monitor`] — codec,
-//! delta, transport and window layers work on it unchanged.
+//! [`ParallelStrategy::Replicated`] forces the last row onto every slot:
+//! N full replicas merged at the end, the control arm for benchmarks and
+//! equivalence tests.
+//!
+//! **One fold, two callers.** Each worker keeps its replicated locals
+//! behind its own mutex and holds it for the whole of every sampled
+//! batch. [`ConcurrentMonitor::snapshot`] locks every worker mutex in
+//! ascending order — pausing all writers at batch boundaries — and folds
+//! the shared state into a plain [`Monitor`]: grids convert back to
+//! their plain estimators, key-shard parts and replicated locals merge.
+//! [`ConcurrentMonitor::finish`] joins the workers and runs the same
+//! fold. The lock order is always worker mutexes (ascending) before
+//! key-shard part mutexes, so a snapshot is a consistent cut: every
+//! slot reflects the same set of completed batches.
 //!
 //! **Seeding.** Shared-atomic and key-sharded slots keep the prototype's
 //! hash seeds (the grids *are* the prototype's grids; key-shard parts
 //! must agree with each other to merge). Replicated slots follow
 //! [`Monitor::fork_shard`]'s seed schedule exactly — worker `i` derives
 //! per-entry seeds from `SplitMix64::new(split_seed(builder_seed, i))`
-//! in registration order — so a `Replicated`-forced run is
-//! distributionally identical to a `ShardedMonitor` over the same
-//! worker partition.
+//! in registration order — and worker `i` samples with
+//! `split_seed(sampler_seed, i)`, so survival decisions across workers
+//! are independent.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use sss_codec::WireCodec;
@@ -50,7 +67,14 @@ use sss_stream::{BernoulliSampler, Item};
 use crate::baselines::RusuDobraF2;
 use crate::heavy_hitters::{SampledF1HeavyHitters, SampledF2HeavyHitters};
 use crate::monitor::{DynEstimator, Monitor};
-use crate::sharded::Job;
+
+/// Chunks a worker's queue holds before `ingest` blocks (backpressure
+/// instead of unbounded buffering).
+const QUEUE_DEPTH: usize = 4;
+/// Survivors per worker-side sampled batch: amortises the per-batch slot
+/// dispatch (and the worker-mutex acquire) without growing the survivor
+/// buffer past L1.
+const SAMPLE_BATCH: usize = 4096;
 
 /// How a [`ConcurrentMonitor`] maps estimator slots onto threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,28 +84,18 @@ pub enum ParallelStrategy {
     /// a key partition merges exactly, replicated otherwise.
     #[default]
     Auto,
-    /// Like `Auto` — named for configs that want to state the intent
-    /// explicitly; reserved as the anchor if `Auto` ever learns to
-    /// measure and adapt.
-    SharedAtomic,
-    /// Force every slot onto thread-local replicas (the
-    /// `ShardedMonitor` memory/merge profile, without its dispatch
-    /// layer) — the control arm for benchmarks and equivalence tests.
+    /// Force every slot onto thread-local replicas: worker `i` holds
+    /// `fork_shard(i)`-seeded estimators, merged ascending at the fold.
     Replicated,
 }
 
-/// Tuning knobs for a [`ConcurrentMonitor`]; mirrors
-/// [`crate::sharded::ShardedConfig`] where the knobs coincide.
+/// Tuning knobs for a [`ConcurrentMonitor`].
 #[derive(Debug, Clone)]
 pub struct ConcurrentConfig {
     /// Number of ingest threads (≥ 1).
     pub threads: usize,
-    /// Bounded depth of each thread's chunk queue (backpressure).
-    pub queue_depth: usize,
-    /// Raw elements per dispatched chunk for unchunked slices.
+    /// Raw elements per dispatched chunk.
     pub dispatch_chunk: usize,
-    /// Batch size of the worker-side sampled feed.
-    pub sample_batch: usize,
     /// Slot-to-thread mapping policy.
     pub strategy: ParallelStrategy,
 }
@@ -92,10 +106,24 @@ impl ConcurrentConfig {
         assert!(threads >= 1, "need at least one ingest thread");
         Self {
             threads,
-            queue_depth: 4,
             dispatch_chunk: 1 << 16,
-            sample_batch: 4096,
             strategy: ParallelStrategy::Auto,
+        }
+    }
+}
+
+/// A chunk of the raw stream travelling to a worker: either owned, or a
+/// zero-copy range of a shared buffer.
+enum Job {
+    Owned(Vec<Item>),
+    Shared(Arc<Vec<Item>>, Range<usize>),
+}
+
+impl Job {
+    fn as_slice(&self) -> &[Item] {
+        match self {
+            Job::Owned(v) => v,
+            Job::Shared(data, r) => &data[r.clone()],
         }
     }
 }
@@ -132,14 +160,28 @@ enum SlotState {
     /// group a batch by part first, so each lock is taken at most once
     /// per batch.
     KeySharded(Vec<Mutex<Box<dyn DynEstimator>>>),
-    /// Thread-local replicas (held by the workers, merged at quiesce).
+    /// Thread-local replicas (in each worker's [`WorkerLocals`]).
     Replicated,
 }
+
+/// A worker's thread-local replicas, in registration order: `None` for
+/// slots served entirely by shared state.
+type WorkerLocals = Vec<Option<Box<dyn DynEstimator>>>;
 
 struct Shared {
     slots: Vec<SlotState>,
     /// Sampled elements ingested across all workers.
     samples: AtomicU64,
+    /// One per worker, index-aligned: its replicated locals. The worker
+    /// holds its mutex for the whole of each sampled batch, so holding
+    /// all of them pauses every writer at a batch boundary.
+    workers: Vec<Mutex<WorkerLocals>>,
+}
+
+/// Lock a worker or part mutex. Poison means a worker panicked mid-batch
+/// and left that state half-updated, so nothing may fold it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("a concurrent worker panicked mid-batch")
 }
 
 /// Route one prototype slot to its ingestion strategy.
@@ -155,7 +197,7 @@ fn route_slot(est: &dyn DynEstimator, strategy: ParallelStrategy, parts: usize) 
                 .expect("HH_F1 tag on a non-F1 slot");
             // A conservative-update CountMin cannot go shared-atomic
             // (order-dependent) *or* merge; replicate and let the merge
-            // report the incompatibility, as ShardedMonitor would.
+            // report the incompatibility.
             match AtomicCmHeavyHitters::from_plain(hh.inner()) {
                 Some(atomic) => SlotState::Cm(atomic),
                 None => SlotState::Replicated,
@@ -188,12 +230,9 @@ fn route_slot(est: &dyn DynEstimator, strategy: ParallelStrategy, parts: usize) 
     }
 }
 
-/// A worker's thread-local replicas at join time, in registration
-/// order: `None` for slots served entirely by shared state.
-type WorkerLocals = Vec<Option<Box<dyn DynEstimator>>>;
-
-/// The shared-state pipeline: raw (unsampled) stream in, one quiesced
-/// [`Monitor`] out.
+/// The parallel ingestion pipeline: raw (unsampled) stream in, one plain
+/// [`Monitor`] out — mid-run via [`ConcurrentMonitor::snapshot`], or
+/// final via [`ConcurrentMonitor::finish`].
 ///
 /// ```no_run
 /// use sss_core::{ConcurrentConfig, ConcurrentMonitor, MonitorBuilder, Statistic};
@@ -207,9 +246,10 @@ type WorkerLocals = Vec<Option<Box<dyn DynEstimator>>>;
 /// ```
 pub struct ConcurrentMonitor {
     txs: Vec<SyncSender<Job>>,
-    handles: Vec<JoinHandle<WorkerLocals>>,
+    handles: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
-    dispatched: Arc<AtomicU64>,
+    dispatched: u64,
+    /// Pristine base every fold starts from.
     prototype: Monitor,
     cfg: ConcurrentConfig,
     next_worker: usize,
@@ -220,52 +260,59 @@ impl ConcurrentMonitor {
     /// (pre-ingestion); its grids become the shared state.
     ///
     /// # Panics
-    /// If the prototype has already ingested samples.
+    /// If the prototype has already ingested samples (its state would be
+    /// counted once per replica on the fold).
     pub fn launch(prototype: &Monitor, sampler_seed: u64, cfg: ConcurrentConfig) -> Self {
         assert!(
             prototype.samples_seen() == 0,
             "concurrent launch requires a pristine prototype monitor"
         );
+        // Re-validate: the config fields are public, so
+        // ConcurrentConfig::new's own assert can be bypassed by mutation.
         assert!(cfg.threads >= 1, "need at least one ingest thread");
+        let slots: Vec<SlotState> = prototype
+            .entries()
+            .iter()
+            .map(|e| route_slot(e.est.as_ref(), cfg.strategy, cfg.threads))
+            .collect();
+        let workers = (0..cfg.threads)
+            .map(|i| {
+                // Replicated slots follow fork_shard's schedule: one
+                // derived seed per entry in registration order (all
+                // slots advance the schedule so alignment is
+                // seed-for-seed, only the replicated ones clone).
+                let mut seeds = SplitMix64::new(split_seed(prototype.builder_seed(), i as u64));
+                let locals: WorkerLocals = prototype
+                    .entries()
+                    .iter()
+                    .zip(&slots)
+                    .map(|(e, slot)| {
+                        let seed = seeds.derive();
+                        matches!(slot, SlotState::Replicated).then(|| {
+                            let mut local = e.est.clone_box();
+                            local.reseed_shard_local_dyn(seed);
+                            local
+                        })
+                    })
+                    .collect();
+                Mutex::new(locals)
+            })
+            .collect();
         let shared = Arc::new(Shared {
-            slots: prototype
-                .entries()
-                .iter()
-                .map(|e| route_slot(e.est.as_ref(), cfg.strategy, cfg.threads))
-                .collect(),
+            slots,
             samples: AtomicU64::new(0),
+            workers,
         });
-        let dispatched = Arc::new(AtomicU64::new(0));
         let mut txs = Vec::with_capacity(cfg.threads);
         let mut handles = Vec::with_capacity(cfg.threads);
         for i in 0..cfg.threads {
-            let (tx, rx) = sync_channel::<Job>(cfg.queue_depth);
-            // Replicated slots follow fork_shard's schedule: one derived
-            // seed per entry in registration order (all slots advance
-            // the schedule so alignment is seed-for-seed, only the
-            // replicated ones actually clone).
-            let mut seeds = SplitMix64::new(split_seed(prototype.builder_seed(), i as u64));
-            let locals: WorkerLocals = prototype
-                .entries()
-                .iter()
-                .zip(shared.slots.iter())
-                .map(|(e, slot)| {
-                    let seed = seeds.derive();
-                    if matches!(slot, SlotState::Replicated) {
-                        let mut local = e.est.clone_box();
-                        local.reseed_shard_local_dyn(seed);
-                        Some(local)
-                    } else {
-                        None
-                    }
-                })
-                .collect();
+            let (tx, rx) = sync_channel::<Job>(QUEUE_DEPTH);
             let sampler = BernoulliSampler::new(prototype.p(), split_seed(sampler_seed, i as u64));
             let state = Arc::clone(&shared);
-            let cfg_w = cfg.clone();
+            let parts = cfg.threads;
             let handle = std::thread::Builder::new()
                 .name(format!("sss-conc-{i}"))
-                .spawn(move || worker_loop(i, locals, sampler, rx, &state, &cfg_w))
+                .spawn(move || worker_loop(i, sampler, rx, &state, parts))
                 .expect("spawn concurrent worker");
             txs.push(tx);
             handles.push(handle);
@@ -274,7 +321,7 @@ impl ConcurrentMonitor {
             txs,
             handles,
             shared,
-            dispatched,
+            dispatched: 0,
             prototype: prototype.clone(),
             cfg,
             next_worker: 0,
@@ -293,44 +340,45 @@ impl ConcurrentMonitor {
 
     /// Raw (pre-sampling) elements dispatched to workers so far.
     pub fn raw_dispatched(&self) -> u64 {
-        self.dispatched.load(Ordering::Relaxed)
+        self.dispatched
     }
 
     /// Sampled elements ingested into the shared state so far (racy
-    /// snapshot; trails dispatch by the in-flight queues).
+    /// read; trails dispatch by the in-flight queues).
     pub fn samples_ingested(&self) -> u64 {
         self.shared.samples.load(Ordering::Relaxed)
     }
 
     fn send(&mut self, job: Job) {
         let n = job.as_slice().len() as u64;
+        // Round-robin keeps worker loads *and distributions* aligned,
+        // which is what makes the length-weighted entropy merge of the
+        // replicated slots consistent with the single-threaded estimate.
         let worker = self.next_worker;
         self.next_worker = (self.next_worker + 1) % self.txs.len();
         self.txs[worker]
             .send(job)
             .expect("concurrent worker exited early (panicked?)");
-        self.dispatched.fetch_add(n, Ordering::Relaxed);
+        self.dispatched += n;
         let obs = sss_obs::global();
-        obs.inc(MetricId::ShardedJobsDispatchedTotal);
-        obs.gauge_add(MetricId::ShardedQueueDepth, 1);
+        obs.inc(MetricId::IngestJobsDispatchedTotal);
+        // Depth = dispatched − completed: `sync_channel` exposes no
+        // len, so occupancy is tracked from both ends of the queue.
+        obs.gauge_add(MetricId::IngestQueueDepth, 1);
     }
 
     /// Feed a slice of the **raw** stream (copied into
-    /// `dispatch_chunk`-sized jobs; blocks on full queues).
+    /// `dispatch_chunk`-sized jobs; blocks on full queues). For large
+    /// in-memory buffers prefer the zero-copy
+    /// [`ConcurrentMonitor::ingest_shared`].
     pub fn ingest(&mut self, raw: &[Item]) {
         for chunk in raw.chunks(self.cfg.dispatch_chunk.max(1)) {
             self.send(Job::Owned(chunk.to_vec()));
         }
     }
 
-    /// Feed an owned buffer as one job, no re-chunking.
-    pub fn ingest_vec(&mut self, raw: Vec<Item>) {
-        if !raw.is_empty() {
-            self.send(Job::Owned(raw));
-        }
-    }
-
-    /// Feed a shared buffer zero-copy (workers borrow ranges).
+    /// Feed a shared buffer zero-copy: workers borrow
+    /// `dispatch_chunk`-sized ranges of `data` round-robin.
     pub fn ingest_shared(&mut self, data: &Arc<Vec<Item>>) {
         let len = data.len();
         let step = self.cfg.dispatch_chunk.max(1);
@@ -342,9 +390,18 @@ impl ConcurrentMonitor {
         }
     }
 
-    /// Quiesce: drain the queues, join every writer thread, convert the
-    /// shared-atomic grids to their plain estimators, merge key-sharded
-    /// parts and replicated locals, and return the plain [`Monitor`].
+    /// A consistent mid-run view without stopping ingestion: pauses every
+    /// worker at its next batch boundary, folds the shared state into a
+    /// plain [`Monitor`] and lets the workers resume. Jobs still queued
+    /// are not in it — [`ConcurrentMonitor::finish`] gives the final
+    /// answer. `snapshot().checkpoint()` is what a site ships to a
+    /// collector mid-run.
+    pub fn snapshot(&self) -> Monitor {
+        fold(self.prototype.clone(), &self.shared, "snapshot")
+    }
+
+    /// Quiesce: drain the queues, join every worker, and fold the shared
+    /// state into the final plain [`Monitor`].
     pub fn finish(self) -> Monitor {
         let ConcurrentMonitor {
             txs,
@@ -353,95 +410,92 @@ impl ConcurrentMonitor {
             prototype,
             ..
         } = self;
-        drop(txs); // closes every queue; workers drain and return locals
-        let worker_locals: Vec<WorkerLocals> = handles
-            .into_iter()
-            .map(|h| h.join().expect("concurrent worker panicked"))
-            .collect();
+        drop(txs); // closes every queue; workers drain and return
+        for h in handles {
+            h.join().expect("concurrent worker panicked");
+        }
+        fold(prototype, &shared, "quiesce")
+    }
+}
 
-        let mut merged = prototype;
-        let mut merges = 0u64;
-        for (i, slot) in shared.slots.iter().enumerate() {
-            match slot {
-                SlotState::Cm(atomic) => {
-                    let entry = &mut merged.entries_mut()[i];
+/// The one conversion from shared state to a plain [`Monitor`], built on
+/// `base` (the pristine prototype): grids convert to their plain
+/// estimators, key-shard parts and replicated locals merge ascending.
+/// Holds every worker mutex (ascending) for the whole fold, then takes
+/// part mutexes, so the result is a consistent cut of completed batches.
+fn fold(mut base: Monitor, shared: &Shared, note: &'static str) -> Monitor {
+    let locals: Vec<MutexGuard<'_, WorkerLocals>> = shared.workers.iter().map(lock).collect();
+    let mut merges = 0u64;
+    for (i, slot) in shared.slots.iter().enumerate() {
+        let entry = &mut base.entries_mut()[i];
+        match slot {
+            SlotState::Cm(atomic) => entry
+                .est
+                .as_any_mut()
+                .downcast_mut::<SampledF1HeavyHitters>()
+                .expect("Cm slot type changed under fold")
+                .replace_inner(atomic.to_plain()),
+            SlotState::Cs(atomic) => entry
+                .est
+                .as_any_mut()
+                .downcast_mut::<SampledF2HeavyHitters>()
+                .expect("Cs slot type changed under fold")
+                .replace_inner(atomic.to_plain()),
+            SlotState::Ams { ams, n_sampled } => entry
+                .est
+                .as_any_mut()
+                .downcast_mut::<RusuDobraF2>()
+                .expect("Ams slot type changed under fold")
+                .install(ams.to_plain(), n_sampled.load(Ordering::Relaxed)),
+            SlotState::KeySharded(parts) => {
+                for part in parts {
                     entry
                         .est
-                        .as_any_mut()
-                        .downcast_mut::<SampledF1HeavyHitters>()
-                        .expect("Cm slot type changed under quiesce")
-                        .replace_inner(atomic.to_plain());
+                        .merge_dyn(lock(part).as_any(), &entry.label)
+                        .expect("key-shard parts share the prototype's config");
+                    merges += 1;
                 }
-                SlotState::Cs(atomic) => {
-                    let entry = &mut merged.entries_mut()[i];
+            }
+            SlotState::Replicated => {
+                for worker in &locals {
+                    let local = worker[i]
+                        .as_ref()
+                        .expect("replicated slot missing its worker local");
                     entry
                         .est
-                        .as_any_mut()
-                        .downcast_mut::<SampledF2HeavyHitters>()
-                        .expect("Cs slot type changed under quiesce")
-                        .replace_inner(atomic.to_plain());
-                }
-                SlotState::Ams { ams, n_sampled } => {
-                    let entry = &mut merged.entries_mut()[i];
-                    entry
-                        .est
-                        .as_any_mut()
-                        .downcast_mut::<RusuDobraF2>()
-                        .expect("Ams slot type changed under quiesce")
-                        .install(ams.to_plain(), n_sampled.load(Ordering::Relaxed));
-                }
-                SlotState::KeySharded(parts) => {
-                    for part in parts {
-                        let part = part.lock().unwrap_or_else(|p| p.into_inner());
-                        let entry = &mut merged.entries_mut()[i];
-                        entry
-                            .est
-                            .merge_dyn(part.as_any(), &entry.label)
-                            .expect("key-shard parts share the prototype's config");
-                        merges += 1;
-                    }
-                }
-                SlotState::Replicated => {
-                    for locals in &worker_locals {
-                        let local = locals[i]
-                            .as_ref()
-                            .expect("replicated slot missing its worker local");
-                        let entry = &mut merged.entries_mut()[i];
-                        entry
-                            .est
-                            .merge_dyn(local.as_any(), &entry.label)
-                            .expect("replicas share the prototype's config");
-                        merges += 1;
-                    }
+                        .merge_dyn(local.as_any(), &entry.label)
+                        .expect("replicas share the prototype's config");
+                    merges += 1;
                 }
             }
         }
-        merged.set_samples(shared.samples.load(Ordering::Relaxed));
-        let obs = sss_obs::global();
-        obs.add(MetricId::ShardedMergesTotal, merges);
-        if merges > 0 {
-            obs.event(sss_obs::EventKind::MergePerformed, merges, 0, "quiesce");
-        }
-        merged
     }
+    base.set_samples(shared.samples.load(Ordering::Relaxed));
+    drop(locals);
+    let obs = sss_obs::global();
+    obs.add(MetricId::IngestMergesTotal, merges);
+    if merges > 0 {
+        obs.event(sss_obs::EventKind::MergePerformed, merges, 0, note);
+    }
+    base
 }
 
 fn worker_loop(
     worker: usize,
-    mut locals: WorkerLocals,
     mut sampler: BernoulliSampler,
     rx: Receiver<Job>,
     shared: &Shared,
-    cfg: &ConcurrentConfig,
-) -> WorkerLocals {
+    parts: usize,
+) {
     let mut scratch = AtomicScratch::new();
     // Per-part grouping buffers for key-sharded slots, reused across
     // batches (one lock per non-empty part per batch, not per item).
-    let parts = cfg.threads;
     let mut buckets: Vec<Vec<u64>> = (0..parts).map(|_| Vec::new()).collect();
     while let Ok(job) = rx.recv() {
         let mut items = 0u64;
-        sampler.sample_batches(job.as_slice(), cfg.sample_batch, |batch| {
+        sampler.sample_batches(job.as_slice(), SAMPLE_BATCH, |batch| {
+            // Held for the whole batch: a snapshot sees all of it or none.
+            let mut locals = lock(&shared.workers[worker]);
             items += batch.len() as u64;
             let mut grouped = false;
             for (i, slot) in shared.slots.iter().enumerate() {
@@ -464,9 +518,7 @@ fn worker_loop(
                         }
                         for (part, bucket) in slot_parts.iter().zip(buckets.iter()) {
                             if !bucket.is_empty() {
-                                part.lock()
-                                    .unwrap_or_else(|p| p.into_inner())
-                                    .update_batch(bucket);
+                                lock(part).update_batch(bucket);
                             }
                         }
                     }
@@ -482,15 +534,14 @@ fn worker_loop(
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
         });
         let obs = sss_obs::global();
-        obs.inc(MetricId::ShardedJobsCompletedTotal);
-        obs.gauge_add(MetricId::ShardedQueueDepth, -1);
+        obs.inc(MetricId::IngestJobsCompletedTotal);
+        obs.gauge_add(MetricId::IngestQueueDepth, -1);
         obs.labeled_add(MetricId::IngestThreadItemsTotal, worker as u64, items);
         let retries = scratch.take_cas_retries();
         if retries > 0 {
             obs.add(MetricId::IngestCasRetriesTotal, retries);
         }
     }
-    locals
 }
 
 #[cfg(test)]
@@ -512,8 +563,7 @@ mod tests {
 
     /// Shared-atomic grids keep the prototype's seeds, so at p = 1 and
     /// any thread count the quiesced monitor's grid substrates must
-    /// match a sequential monitor bit for bit — stronger than the
-    /// sharded pipeline, whose forks reseed shard-local randomness.
+    /// match a sequential monitor bit for bit.
     #[test]
     fn grid_substrates_quiesce_bitwise_at_p_one() {
         let stream = Arc::new(ZipfStream::new(2_000, 1.2).generate(50_000, 3));
@@ -543,15 +593,19 @@ mod tests {
     }
 
     #[test]
-    fn replicated_strategy_matches_auto_totals() {
-        let stream = Arc::new(ZipfStream::new(1_000, 1.1).generate(30_000, 5));
-        let mut cfg = ConcurrentConfig::new(2);
-        cfg.strategy = ParallelStrategy::Replicated;
-        let mut cm = ConcurrentMonitor::launch(&proto(1.0), 9, cfg);
-        cm.ingest_shared(&stream);
-        let merged = cm.finish();
-        assert_eq!(merged.samples_seen(), stream.len() as u64);
-        assert!(merged.estimate(Statistic::F0).is_some());
+    fn copied_and_shared_ingest_paths_agree() {
+        let stream = ZipfStream::new(300, 1.0).generate(20_000, 6);
+        let mut a = ConcurrentMonitor::launch(&proto(1.0), 5, ConcurrentConfig::new(2));
+        a.ingest(&stream);
+        let mut b = ConcurrentMonitor::launch(&proto(1.0), 5, ConcurrentConfig::new(2));
+        b.ingest_shared(&Arc::new(stream.clone()));
+        assert_eq!(a.raw_dispatched(), b.raw_dispatched());
+        let (ma, mb) = (a.finish(), b.finish());
+        assert_eq!(ma.samples_seen(), mb.samples_seen());
+        assert_eq!(
+            ma.estimate(Statistic::F0).unwrap().value,
+            mb.estimate(Statistic::F0).unwrap().value,
+        );
     }
 
     #[test]
@@ -566,5 +620,13 @@ mod tests {
     #[should_panic(expected = "at least one ingest thread")]
     fn zero_threads_rejected() {
         let _ = ConcurrentConfig::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one ingest thread")]
+    fn mutated_zero_thread_config_rejected_at_launch() {
+        let mut cfg = ConcurrentConfig::new(1);
+        cfg.threads = 0;
+        let _ = ConcurrentMonitor::launch(&proto(0.5), 1, cfg);
     }
 }

@@ -60,7 +60,6 @@ pub mod heavy_hitters;
 pub mod monitor;
 pub mod numeric;
 pub mod params;
-pub mod sharded;
 pub mod stirling;
 
 pub use adaptive::{AdaptiveF2Estimator, TargetCollisionsPolicy};
@@ -83,4 +82,3 @@ pub use heavy_hitters::{
 };
 pub use monitor::{Monitor, MonitorBuilder};
 pub use params::ApproxParams;
-pub use sharded::{ShardedConfig, ShardedMonitor};

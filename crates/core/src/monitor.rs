@@ -33,7 +33,7 @@
 //! (`examples/distributed_collector.rs`). [`Monitor::try_merge`] is the
 //! fallible variant for summaries arriving from outside the process, and
 //! [`Monitor::fork_shard`] derives per-worker clones for the
-//! multi-threaded pipeline in [`crate::sharded`] (see
+//! multi-threaded pipeline in [`crate::concurrent`] (see
 //! `crates/core/src/README.md` for the architecture and the
 //! seed-splitting contract).
 
@@ -56,7 +56,7 @@ use crate::params::ApproxParams;
 /// downcasting (both sides must be the same concrete type).
 /// `Send + Sync + Clone` are required so monitors can be forked onto
 /// worker threads
-/// ([`crate::sharded::ShardedMonitor`]) and shared read-only by a
+/// ([`crate::concurrent::ConcurrentMonitor`]) and shared read-only by a
 /// collector server (`sss-transport`); `WireCodec` so monitors can be
 /// checkpointed and shipped ([`Monitor::checkpoint`]). Every estimator
 /// in the tree is plain data (no interior mutability), so the `Sync`

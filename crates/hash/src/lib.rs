@@ -12,8 +12,6 @@
 //!   prime `2^61 − 1`; the theoretical workhorse behind CountMin rows
 //!   (2-wise), AMS/CountSketch sign hashes (4-wise) and Indyk–Woodruff
 //!   subsampling levels (2-wise).
-//! * [`TabulationHash`] — simple tabulation hashing, a fast 3-wise
-//!   independent (and much stronger in practice) alternative.
 //!
 //! The crate is `no_std`-friendly in spirit (no I/O, no OS randomness): all
 //! seeding is explicit.
@@ -26,7 +24,6 @@ pub mod mix;
 pub mod poly;
 pub mod rng;
 pub mod sign;
-pub mod tabulation;
 
 pub use batch::{reduce_inputs, LANES};
 pub use map::{fp_hash_map, fp_hash_set, FpHashMap, FpHashSet};
@@ -34,4 +31,3 @@ pub use mix::{fingerprint64, reduce_range, to_unit_f64};
 pub use poly::{PairwiseHash, PolyHash, MERSENNE_PRIME_61};
 pub use rng::{split_seed, RngCore64, SplitMix64, Xoshiro256pp};
 pub use sign::FourWiseSign;
-pub use tabulation::TabulationHash;

@@ -1115,15 +1115,7 @@ pub fn check_wire_tags(
 /// `_`-separated component after the `sss_` namespace) — one per
 /// instrumented layer. Extending the instrumentation to a new layer
 /// means extending this list in the same change.
-const METRIC_SUBSYSTEMS: [&str; 7] = [
-    "ingest",
-    "sampler",
-    "sharded",
-    "codec",
-    "transport",
-    "window",
-    "obs",
-];
+const METRIC_SUBSYSTEMS: [&str; 6] = ["ingest", "sampler", "codec", "transport", "window", "obs"];
 
 /// Rule 7: every metric declared through a `metric_table!` invocation
 /// follows the naming conventions and is globally unique. Parsed from

@@ -9,8 +9,8 @@
 //! render surfaces and the wire export all follow from the table.
 //!
 //! Naming: `sss_<subsystem>_<what>[_<unit>][_total]` where subsystem is
-//! one of `ingest`, `sampler`, `sharded`, `codec`, `transport`,
-//! `window`, `obs`. Durations are `_nanos`, sizes `_bytes`, event-time
+//! one of `ingest`, `sampler`, `codec`, `transport`, `window`,
+//! `obs`. Durations are `_nanos`, sizes `_bytes`, event-time
 //! offsets `_ms`. Histograms carry no suffix convention — the kind
 //! column says what they are.
 
@@ -74,7 +74,7 @@ macro_rules! metric_table {
 }
 
 metric_table! {
-    // ── ingest: Monitor / ShardedMonitor update paths ────────────
+    // ── ingest: Monitor / ConcurrentMonitor update paths ─────────
     IngestItemsTotal => Counter "sss_ingest_items_total": "Sampled items ingested by Monitor update paths (scalar items flush every 1024)";
     IngestBatchesTotal => Counter "sss_ingest_batches_total": "Monitor::update_batch calls across all monitors";
     IngestBatchSize => Histogram "sss_ingest_batch_size": "Distribution of update_batch lengths in items";
@@ -86,11 +86,10 @@ metric_table! {
     // ── sampler: Bernoulli sub-sampling front end ────────────────
     SamplerRawItemsTotal => Counter "sss_sampler_raw_items_total": "Raw stream items offered to Bernoulli samplers";
     SamplerSurvivorsTotal => Counter "sss_sampler_survivors_total": "Items surviving sub-sampling";
-    // ── sharded: multi-threaded dispatch ─────────────────────────
-    ShardedJobsDispatchedTotal => Counter "sss_sharded_jobs_dispatched_total": "Raw-stream jobs handed to shard worker queues";
-    ShardedJobsCompletedTotal => Counter "sss_sharded_jobs_completed_total": "Jobs fully ingested by shard workers";
-    ShardedQueueDepth => Gauge "sss_sharded_queue_depth": "Jobs in flight across all shard queues (dispatched minus completed)";
-    ShardedMergesTotal => Counter "sss_sharded_merges_total": "Shard monitor merges folded into snapshots";
+    IngestJobsDispatchedTotal => Counter "sss_ingest_jobs_dispatched_total": "Raw-stream jobs handed to concurrent worker queues";
+    IngestJobsCompletedTotal => Counter "sss_ingest_jobs_completed_total": "Jobs fully ingested by concurrent workers";
+    IngestQueueDepth => Gauge "sss_ingest_queue_depth": "Jobs in flight across all worker queues (dispatched minus completed)";
+    IngestMergesTotal => Counter "sss_ingest_merges_total": "Key-shard part and replica merges folded into snapshots and finishes";
     // ── codec: encode/decode instrumented at call sites ──────────
     CodecEncodeBytesTotal => Counter "sss_codec_encode_bytes_total": "Bytes produced by checkpoint encodes";
     CodecEncodeNanos => Histogram "sss_codec_encode_nanos": "Checkpoint encode latency in nanoseconds";

@@ -389,7 +389,7 @@ mod tests {
         r.set_enabled(false);
         r.inc(MetricId::IngestItemsTotal);
         r.observe(MetricId::IngestBatchSize, 7);
-        r.gauge_add(MetricId::ShardedQueueDepth, 3);
+        r.gauge_add(MetricId::IngestQueueDepth, 3);
         r.labeled_add(MetricId::TransportSiteBytesInTotal, 1, 10);
         r.event(EventKind::AlertFired, 0, 0, "x");
         assert!(r.timer().is_none());
@@ -410,8 +410,8 @@ mod tests {
     #[test]
     fn gauge_goes_negative() {
         let r = Registry::new();
-        r.gauge_add(MetricId::ShardedQueueDepth, 2);
-        r.gauge_add(MetricId::ShardedQueueDepth, -5);
-        assert_eq!(r.gauge_value(MetricId::ShardedQueueDepth), -3);
+        r.gauge_add(MetricId::IngestQueueDepth, 2);
+        r.gauge_add(MetricId::IngestQueueDepth, -5);
+        assert_eq!(r.gauge_value(MetricId::IngestQueueDepth), -3);
     }
 }

@@ -22,7 +22,7 @@ fn concurrent_hammer_totals_are_exact() {
                 for i in 0..INCS {
                     reg.inc(MetricId::IngestItemsTotal);
                     reg.add(MetricId::TransportBytesInTotal, 3);
-                    reg.gauge_add(MetricId::ShardedQueueDepth, if i % 2 == 0 { 1 } else { -1 });
+                    reg.gauge_add(MetricId::IngestQueueDepth, if i % 2 == 0 { 1 } else { -1 });
                     reg.observe(MetricId::IngestBatchSize, i);
                     reg.labeled_add(MetricId::TransportSiteBytesInTotal, t as u64, 1);
                 }
@@ -37,7 +37,7 @@ fn concurrent_hammer_totals_are_exact() {
     assert_eq!(reg.value(MetricId::IngestItemsTotal), n);
     assert_eq!(reg.value(MetricId::TransportBytesInTotal), 3 * n);
     // INCS is even: each thread's +1/−1 pairs cancel exactly.
-    assert_eq!(reg.gauge_value(MetricId::ShardedQueueDepth), 0);
+    assert_eq!(reg.gauge_value(MetricId::IngestQueueDepth), 0);
     let snap = reg.snapshot();
     let hist = snap
         .hist("sss_ingest_batch_size")
@@ -86,7 +86,7 @@ fn histogram_boundaries_land_in_the_right_buckets() {
 fn busy_snapshot() -> MetricsSnapshot {
     let reg = Registry::new();
     reg.add(MetricId::IngestItemsTotal, 12345);
-    reg.gauge_add(MetricId::ShardedQueueDepth, -7);
+    reg.gauge_add(MetricId::IngestQueueDepth, -7);
     reg.observe(MetricId::CodecEncodeNanos, 1024);
     reg.observe(MetricId::CodecEncodeNanos, u64::MAX);
     reg.labeled_add(MetricId::TransportSiteBytesInTotal, 42, 9000);
@@ -100,7 +100,7 @@ fn metrics_snapshot_roundtrips() {
     let bytes = snap.encode_framed();
     let back = MetricsSnapshot::decode_framed(&bytes).expect("roundtrip");
     assert_eq!(back.counter("sss_ingest_items_total"), Some(12345));
-    assert_eq!(back.gauge("sss_sharded_queue_depth"), Some(-7));
+    assert_eq!(back.gauge("sss_ingest_queue_depth"), Some(-7));
     let h = back.hist("sss_codec_encode_nanos").expect("hist");
     assert_eq!(h.count(), 2);
     assert!(back

@@ -1,8 +1,8 @@
 //! Shared-atomic variants of the fixed-geometry grid substrates.
 //!
-//! `ShardedMonitor` scales cores by *replicating* sketch state per
-//! worker and folding through the merge algebra — memory grows N× with
-//! thread count. The types here take the other route (Confluo's
+//! Replicating sketch state per worker and folding through the merge
+//! algebra scales cores, but memory grows N× with thread count. The
+//! types here take the other route (Confluo's
 //! `substream_summary` shape): one shared counter grid whose cells many
 //! ingest threads update concurrently with relaxed atomic adds. This is
 //! sound for exactly the substrates whose merge is cell-wise integer
@@ -11,13 +11,14 @@
 //! quiesces to the same grid a sequential ingest of the same multiset
 //! would produce — bit for bit. No cross-cell invariant holds *during*
 //! ingestion, which is why conversion back to the plain types is only
-//! offered as a quiesce step (`to_plain`), after every writer thread has
-//! been joined: the join edge is the happens-before that makes the final
-//! relaxed loads well-defined.
+//! offered as a quiesce step (`to_plain`), once no writer is mid-update:
+//! every writer joined, or paused behind a lock it holds across each
+//! update. The join or the lock is the happens-before edge that makes
+//! the relaxed loads well-defined.
 //!
 //! Orderings are `Relaxed` throughout: each cell is an independent
 //! commutative accumulator, the estimators' guarantees never depend on
-//! cross-cell ordering, and the quiesce join provides the only
+//! cross-cell ordering, and the quiesce edge provides the only
 //! synchronization the conversion needs. The `atomic_ordering` lint rule
 //! pins this: a stronger ordering on these hot paths is a bug unless a
 //! pragma documents why.
@@ -145,8 +146,8 @@ impl AtomicCountMin {
         }
     }
 
-    /// Quiesce to a plain sketch. Callers must have joined every writer
-    /// thread first; the relaxed loads then read the final grid.
+    /// Quiesce to a plain sketch. Callers must have joined or paused
+    /// every writer first; the relaxed loads then read a settled grid.
     pub fn to_plain(&self) -> CountMin {
         CountMin::from_parts(
             self.width,
@@ -306,7 +307,7 @@ impl AtomicAmsF2 {
         }
     }
 
-    /// Quiesce to a plain sketch (writers must be joined).
+    /// Quiesce to a plain sketch (writers joined or paused).
     pub fn to_plain(&self) -> AmsF2 {
         AmsF2::from_parts(
             self.copies,

@@ -11,10 +11,8 @@
 //! | [`space_saving`] | Metwally et al. SpaceSaving | engineering alternative HH backend |
 //! | [`ams`] | Alon–Matias–Szegedy tug-of-war | `F_2(L)` for the Rusu–Dobra baseline |
 //! | [`kmv`] | bottom-k distinct sketch | the `(1/2, δ)` `F_0(L)` estimate of Algorithm 2 |
-//! | [`hll`] | HyperLogLog | engineering alternative `F_0` backend |
 //! | [`levelset`] | Indyk–Woodruff level sets | `C̃_ℓ(L)` for Algorithm 1 (Thm 2) |
 //! | [`entropy`] | CCM suffix-count estimator | multiplicative `H(g)` for Thm 5 |
-//! | [`reservoir`] | reservoir sampling (R/L, weighted) | related-work substrate; powers the entropy estimator |
 //! | [`topk`] | candidate heavy-hitter trackers | turning point-query sketches into `O(1/α)`-item reporters |
 //! | [`atomic`] | shared-atomic grid variants | lock-free multi-threaded ingestion into one sketch state |
 
@@ -27,12 +25,9 @@ pub mod countmin;
 pub mod countsketch;
 pub mod entropy;
 pub mod equiv;
-pub mod hll;
 pub mod kmv;
 pub mod levelset;
 pub mod misra_gries;
-pub mod priority;
-pub mod reservoir;
 pub mod space_saving;
 pub mod topk;
 
@@ -44,11 +39,8 @@ pub use atomic::{
 pub use countmin::CountMin;
 pub use countsketch::CountSketch;
 pub use entropy::EntropyEstimator;
-pub use hll::HyperLogLog;
 pub use kmv::{KmvSketch, MedianF0};
 pub use levelset::LevelSetEstimator;
 pub use misra_gries::MisraGries;
-pub use priority::{PrioritySample, PrioritySampler};
-pub use reservoir::{ReservoirSampler, WeightedReservoir};
 pub use space_saving::SpaceSaving;
 pub use topk::{CmHeavyHitters, CsHeavyHitters, MgHeavyHitters, TopKTracker};

@@ -7,8 +7,8 @@ use sss_hash::{RngCore64, Xoshiro256pp};
 use sss_sketch::equiv::assert_batch_equals_scalar;
 use sss_sketch::levelset::LevelSetConfig;
 use sss_sketch::{
-    AmsF2, CmHeavyHitters, CountMin, CountSketch, CsHeavyHitters, EntropyEstimator, HyperLogLog,
-    KmvSketch, LevelSetEstimator, MedianF0, MgHeavyHitters, MisraGries, SpaceSaving,
+    AmsF2, CmHeavyHitters, CountMin, CountSketch, CsHeavyHitters, EntropyEstimator, KmvSketch,
+    LevelSetEstimator, MedianF0, MgHeavyHitters, MisraGries, SpaceSaving,
 };
 
 /// Skewed mixture: a few hot items over a long uniform tail — exercises
@@ -118,18 +118,6 @@ fn ams_f2() {
         mixed,
         |seed| AmsF2::new(16, 5, seed),
         |s, x| s.update(x, 1),
-        |s, xs| s.update_batch(xs),
-        |s| vec![s.estimate()],
-    );
-}
-
-#[test]
-fn hyper_log_log() {
-    assert_batch_equals_scalar(
-        "HyperLogLog",
-        mixed,
-        |seed| HyperLogLog::new(10, seed),
-        |s, x| s.update(x),
         |s, xs| s.update_batch(xs),
         |s| vec![s.estimate()],
     );

@@ -1,7 +1,7 @@
 //! [`SiteClient`]: the sending end of the snapshot transport.
 //!
-//! A site wraps its local [`Monitor`] (or the trailing view of a
-//! `ShardedMonitor`) in a client and pushes `checkpoint()` snapshots at
+//! A site wraps its local [`Monitor`] (or a mid-run
+//! `ConcurrentMonitor::snapshot`) in a client and pushes `checkpoint()` snapshots at
 //! whatever cadence it likes. The client owns delivery: sequence
 //! numbers, the hello handshake on every (re)connect, bounded retry
 //! with exponential backoff, and the resume rule that makes retries
@@ -212,7 +212,7 @@ impl SiteClient {
     }
 
     /// Push one already-framed snapshot buffer (e.g. from
-    /// `ShardedMonitor::snapshot_wire`). Blocks until the collector
+    /// `ConcurrentMonitor::snapshot().checkpoint()`). Blocks until the collector
     /// acks, retrying through disconnects with the same sequence number
     /// so delivery is exactly-once from the collector's point of view.
     ///

@@ -27,12 +27,11 @@
 //!   against estimator labels, evaluated once per bucket rollover,
 //!   emitting typed alerts drained via
 //!   [`WindowedMonitor::take_alerts`].
-//! * [`ShardedWindowedMonitor`] — the windowed analogue of
-//!   [`sss_core::ShardedMonitor`]: per-shard windowed monitors fork
-//!   under `split_seed`, retire buckets on the same global epoch
-//!   boundaries (epochs come from event time, never from per-shard
-//!   counts), and the coordinator folds shards in ascending order so
-//!   the result is bitwise-deterministic.
+//! * Per-site windows compose: [`WindowedMonitor::fork_shard`] forks a
+//!   window under `split_seed`, every fork retires buckets on the same
+//!   global epoch boundaries (epochs come from event time, never from
+//!   per-site counts), and [`WindowedMonitor::try_merge`] folds
+//!   clock-aligned windows into one answer for the union.
 //!
 //! All window state implements [`sss_codec::WireCodec`] in the
 //! `0x06xx` tag range (bucket ring, clock, query registry, pending
@@ -43,10 +42,8 @@
 
 mod decayed;
 mod query;
-mod sharded;
 mod windowed;
 
 pub use decayed::DecayedMonitor;
 pub use query::{Alert, AlertKind, QueryKind, QuerySpec};
-pub use sharded::{ShardedWindowConfig, ShardedWindowedMonitor};
 pub use windowed::{WindowConfig, WindowMergeError, WindowedMonitor};

@@ -6,12 +6,12 @@
 //!
 //! Three vantage points each observe their own slice of the traffic
 //! (different links of the same network). Each site runs a
-//! [`ShardedMonitor`]: the raw link traffic is partitioned across worker
-//! threads, every worker Bernoulli-samples its shard at rate `p` with an
-//! independently split seed and feeds a forked [`Monitor`]; the site
-//! ships a **mid-run** snapshot (`snapshot_wire`, the trailing
-//! coordinator view — ingestion never stops) and, after `finish()`, its
-//! final checkpoint.
+//! [`ConcurrentMonitor`]: the raw link traffic is partitioned across
+//! worker threads, every worker Bernoulli-samples its slice at rate `p`
+//! with an independently split seed and ingests into one shared sketch
+//! state; the site ships a **mid-run** snapshot (`snapshot()`, a
+//! consistent cut taken while ingestion continues) and, after
+//! `finish()`, its final checkpoint.
 //!
 //! Nothing is handed over in memory any more: every snapshot crosses a
 //! loopback **TCP connection** as a versioned checksummed frame. The
@@ -28,7 +28,9 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use subsampled_streams::codec::WireCodec;
-use subsampled_streams::core::{Monitor, MonitorBuilder, ShardedConfig, ShardedMonitor, Statistic};
+use subsampled_streams::core::{
+    ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, Statistic,
+};
 use subsampled_streams::stream::{ExactStats, NetFlowStream, StreamGen};
 use subsampled_streams::transport::{
     write_frame, ClientConfig, CollectorServer, Hello, ServerConfig, SiteClient,
@@ -38,7 +40,7 @@ use subsampled_streams::transport::{
 fn main() {
     let p = 0.05;
     let sites = 3usize;
-    let shards_per_site = 2usize;
+    let threads_per_site = 2usize;
     let packets_per_site = 400_000u64;
 
     // Each site sees its own traffic mix (overlapping flow id space).
@@ -60,8 +62,8 @@ fn main() {
 
     // Per-site prototypes: identical builder config (same sketch seeds —
     // mergeability requires shared hashes). Sampling randomness is
-    // independent per site AND per worker shard: site `s` passes sampler
-    // seed `100 + s`, and the pipeline derives shard `i`'s sampler from
+    // independent per site AND per worker: site `s` passes sampler
+    // seed `100 + s`, and the pipeline derives worker `i`'s sampler from
     // `split_seed(100 + s, i)`.
     let site_prototype = || -> Monitor {
         MonitorBuilder::with_seed(p, 4242)
@@ -78,7 +80,7 @@ fn main() {
     let addr = server.local_addr();
     println!("collector listening on {addr}\n");
 
-    // Sites run concurrently: summarise the link with a sharded monitor,
+    // Sites run concurrently: summarise the link with a parallel monitor,
     // push a mid-run snapshot while ingestion continues, then the final
     // checkpoint. Every push blocks for the collector's typed ack and
     // reconnects with exponential backoff if the link drops.
@@ -87,30 +89,33 @@ fn main() {
         let trace = std::sync::Arc::clone(trace);
         let proto = site_prototype();
         handles.push(std::thread::spawn(move || {
-            let mut sharded =
-                ShardedMonitor::launch(&proto, 100 + s as u64, ShardedConfig::new(shards_per_site));
+            let mut parallel = ConcurrentMonitor::launch(
+                &proto,
+                100 + s as u64,
+                ConcurrentConfig::new(threads_per_site),
+            );
             let mut client =
                 SiteClient::connect(addr, ClientConfig::new(s as u64, format!("site-{s}")))
                     .expect("site connects to the collector");
 
-            // First half of the trace, then a mid-run snapshot: the
-            // trailing coordinator view crosses the wire while workers
-            // keep ingesting.
+            // First half of the trace, then a mid-run snapshot: a
+            // consistent cut crosses the wire while workers keep
+            // ingesting what is still queued.
             let half = trace.len() / 2;
-            sharded.ingest(&trace[..half]);
-            let mid = sharded.snapshot_wire().expect("snapshot encodes");
+            parallel.ingest(&trace[..half]);
+            let mid = parallel.snapshot().checkpoint().expect("snapshot encodes");
             let mid_len = mid.len();
             client.push_wire(mid).expect("mid-run snapshot accepted");
 
             // Rest of the trace, then the exact final checkpoint.
-            sharded.ingest(&trace[half..]);
-            let monitor = sharded.finish();
+            parallel.ingest(&trace[half..]);
+            let monitor = parallel.finish();
             let wire = monitor.checkpoint().expect("checkpoint encodes");
             let wire_len = wire.len();
             client.push_wire(wire).expect("final snapshot accepted");
             let stats = client.close();
             println!(
-                "site {s}: {} of {} packets sampled ({:.1}%) across {shards_per_site} shards; \
+                "site {s}: {} of {} packets sampled ({:.1}%) across {threads_per_site} threads; \
                  pushed mid-run {} KiB + final {} KiB snapshot over TCP as {} KiB of frames \
                  ({} accepted, {} as deltas, {} retries)",
                 monitor.samples_seen(),
@@ -225,7 +230,7 @@ fn main() {
     );
     println!(
         "\nTakeaway: the same merge algebra scales the monitor across threads\n\
-         (shards within a site), and now across an actual network boundary:\n\
+         (workers within a site), and now across an actual network boundary:\n\
          summaries arrive as versioned checksummed frames over TCP, corrupt\n\
          or incompatible ones become typed rejection counters, and the\n\
          merged answer is byte-for-byte what an in-memory merge would give."

@@ -63,12 +63,13 @@
 //!   [`sample_batches`](stream::BernoulliSampler::sample_batches) feed)
 //!   and exact ground truth,
 //! * [`sketch`] — the classic streaming substrates (CountMin,
-//!   CountSketch, Misra–Gries, SpaceSaving, AMS, KMV, HyperLogLog,
-//!   Indyk–Woodruff level sets, entropy estimation, reservoir/priority
-//!   sampling), all mergeable and batch-capable,
+//!   CountSketch, Misra–Gries, SpaceSaving, AMS, KMV, Indyk–Woodruff
+//!   level sets, entropy estimation, and the shared-atomic grid
+//!   variants), all mergeable and batch-capable,
 //! * [`core`] — the paper's estimators behind the unified trait, the
-//!   [`Monitor`](core::Monitor) pipeline, the baselines, and the
-//!   flow-distribution / adaptive-rate extensions,
+//!   [`Monitor`](core::Monitor) pipeline and its multi-threaded
+//!   [`ConcurrentMonitor`](core::ConcurrentMonitor) front end, the
+//!   baselines, and the flow-distribution / adaptive-rate extensions,
 //! * [`transport`] — the TCP snapshot transport: a
 //!   [`CollectorServer`](transport::CollectorServer) accepting site
 //!   connections and folding their pushed snapshots (per-reason
@@ -101,13 +102,12 @@ pub use sss_transport as transport;
 pub use sss_window as window;
 
 pub use sss_core::{
-    Estimate, Guarantee, MergeError, Monitor, MonitorBuilder, ShardedConfig, ShardedMonitor,
+    ConcurrentConfig, ConcurrentMonitor, Estimate, Guarantee, MergeError, Monitor, MonitorBuilder,
     Statistic, SubsampledEstimator,
 };
 pub use sss_transport::{
     ClientConfig, CollectorServer, ServerConfig, SiteClient, TransportError, TransportStats,
 };
 pub use sss_window::{
-    Alert, AlertKind, DecayedMonitor, QueryKind, QuerySpec, ShardedWindowedMonitor, WindowConfig,
-    WindowedMonitor,
+    Alert, AlertKind, DecayedMonitor, QueryKind, QuerySpec, WindowConfig, WindowedMonitor,
 };

@@ -10,18 +10,17 @@
 
 use subsampled_streams::codec::{CodecError, WireCodec, WIRE_VERSION};
 use subsampled_streams::core::{
-    AdaptiveF2Estimator, Estimate, Monitor, MonitorBuilder, NaiveScaledF0, NaiveScaledFk,
-    RusuDobraF2, SampledEntropyEstimator, SampledF0Estimator, SampledF1HeavyHitters,
-    SampledF2HeavyHitters, SampledFkEstimator, ShardedConfig, ShardedMonitor, SubsampledEstimator,
+    AdaptiveF2Estimator, ConcurrentConfig, ConcurrentMonitor, Estimate, Monitor, MonitorBuilder,
+    NaiveScaledF0, NaiveScaledFk, RusuDobraF2, SampledEntropyEstimator, SampledF0Estimator,
+    SampledF1HeavyHitters, SampledF2HeavyHitters, SampledFkEstimator, SubsampledEstimator,
 };
 use subsampled_streams::hash::{
-    FourWiseSign, PairwiseHash, PolyHash, RngCore64, SplitMix64, TabulationHash, Xoshiro256pp,
+    FourWiseSign, PairwiseHash, PolyHash, RngCore64, SplitMix64, Xoshiro256pp,
 };
 use subsampled_streams::sketch::levelset::{LevelSetConfig, LevelSetEstimator};
 use subsampled_streams::sketch::{
-    AmsF2, CmHeavyHitters, CountMin, CountSketch, CsHeavyHitters, EntropyEstimator, HyperLogLog,
-    KmvSketch, MedianF0, MgHeavyHitters, MisraGries, PrioritySampler, ReservoirSampler,
-    SpaceSaving, TopKTracker, WeightedReservoir,
+    AmsF2, CmHeavyHitters, CountMin, CountSketch, CsHeavyHitters, EntropyEstimator, KmvSketch,
+    MedianF0, MgHeavyHitters, MisraGries, SpaceSaving, TopKTracker,
 };
 use subsampled_streams::stream::{BernoulliSampler, StreamGen, ZipfStream};
 
@@ -179,14 +178,11 @@ fn hash_primitives_roundtrip_exactly() {
     let pair2 = roundtrip(&pair);
     let sign = FourWiseSign::new(12);
     let sign2 = roundtrip(&sign);
-    let tab = TabulationHash::new(31);
-    let tab2 = roundtrip(&tab);
     for x in (0..2048u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) {
         assert_eq!(poly.hash(x), poly2.hash(x));
         assert_eq!(pair.hash(x), pair2.hash(x));
         assert_eq!(pair.level(x), pair2.level(x));
         assert_eq!(sign.sign(x), sign2.sign(x));
-        assert_eq!(tab.hash(x), tab2.hash(x));
     }
 }
 
@@ -293,14 +289,6 @@ fn sketch_substrates_roundtrip_and_continue() {
         tk2.candidates().collect::<Vec<_>>()
     );
 
-    let mut hll = HyperLogLog::new(10, 7);
-    hll.update_batch(head);
-    let mut hll2 = roundtrip(&hll);
-    assert_eq!(hll.estimate().to_bits(), hll2.estimate().to_bits());
-    hll.update_batch(tail);
-    hll2.update_batch(tail);
-    assert_eq!(hll.estimate().to_bits(), hll2.estimate().to_bits());
-
     let cfg = LevelSetConfig::for_universe(1 << 12, 64);
     let mut ls = LevelSetEstimator::new(&cfg, 8);
     ls.update_batch(head);
@@ -352,59 +340,6 @@ fn sketch_substrates_roundtrip_and_continue() {
     mghh2.update_batch(tail);
     assert_eq!(mghh.report(), mghh2.report());
     assert_eq!(mghh.space_words(), mghh2.space_words());
-}
-
-#[test]
-fn samplers_roundtrip_and_continue() {
-    let mut res = ReservoirSampler::<u64>::new(64, 5);
-    for x in 0..5_000u64 {
-        res.offer(x);
-    }
-    let mut res2 = roundtrip(&res);
-    assert_eq!(res.sample(), res2.sample());
-    for x in 5_000..10_000u64 {
-        res.offer(x);
-        res2.offer(x);
-    }
-    assert_eq!(
-        res.sample(),
-        res2.sample(),
-        "reservoir replacement chain diverged"
-    );
-
-    let mut wres = WeightedReservoir::<u64>::new(32, 6);
-    for x in 0..3_000u64 {
-        wres.offer(x, 1.0 + (x % 7) as f64);
-    }
-    let mut wres2 = roundtrip(&wres);
-    for x in 3_000..6_000u64 {
-        wres.offer(x, 1.0 + (x % 7) as f64);
-        wres2.offer(x, 1.0 + (x % 7) as f64);
-    }
-    let (mut a, mut b) = (
-        wres.sample().into_iter().copied().collect::<Vec<_>>(),
-        wres2.sample().into_iter().copied().collect::<Vec<_>>(),
-    );
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b, "weighted reservoir diverged after restore");
-
-    let mut ps = PrioritySampler::new(48, 7);
-    for x in 0..4_000u64 {
-        ps.offer(x, 1.0 + (x % 13) as f64);
-    }
-    let mut ps2 = roundtrip(&ps);
-    assert_eq!(ps.threshold().to_bits(), ps2.threshold().to_bits());
-    for x in 4_000..8_000u64 {
-        ps.offer(x, 1.0 + (x % 13) as f64);
-        ps2.offer(x, 1.0 + (x % 13) as f64);
-    }
-    assert_eq!(ps.threshold().to_bits(), ps2.threshold().to_bits());
-    assert_eq!(
-        ps.estimate_total().to_bits(),
-        ps2.estimate_total().to_bits(),
-        "priority sample diverged after restore"
-    );
 }
 
 fn full_monitor(p: f64) -> Monitor {
@@ -506,11 +441,11 @@ fn sharded_monitor_wire_collection_matches_in_memory() {
             .build()
     };
 
-    // Two identical sites (same seeds, same data) -> deterministic state.
+    // Each site fans its ingest out over two worker threads.
     let run_site = |sampler_seed: u64| {
-        let mut sm = ShardedMonitor::launch(&proto(), sampler_seed, ShardedConfig::new(2));
-        sm.ingest_shared(&trace);
-        sm.finish()
+        let mut cm = ConcurrentMonitor::launch(&proto(), sampler_seed, ConcurrentConfig::new(2));
+        cm.ingest_shared(&trace);
+        cm.finish()
     };
     let site_a = run_site(100);
     let site_b = run_site(200);
@@ -526,12 +461,12 @@ fn sharded_monitor_wire_collection_matches_in_memory() {
     assert_reports_bitwise_equal(&in_memory, &over_wire);
 
     // The mid-run snapshot path produces decodable frames too.
-    let mut sm = ShardedMonitor::launch(&proto(), 300, ShardedConfig::new(2));
-    sm.ingest_shared(&trace);
-    let snap =
-        Monitor::restore(&sm.snapshot_wire().expect("snapshot encode")).expect("snapshot decode");
+    let mut cm = ConcurrentMonitor::launch(&proto(), 300, ConcurrentConfig::new(2));
+    cm.ingest_shared(&trace);
+    let wire = cm.snapshot().checkpoint().expect("snapshot encode");
+    let snap = Monitor::restore(&wire).expect("snapshot decode");
     assert!(snap.p() == p);
-    let _ = sm.finish();
+    let _ = cm.finish();
 }
 
 #[test]

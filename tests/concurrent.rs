@@ -1,24 +1,32 @@
-//! Equivalence battery for the shared-atomic pipeline: a quiesced
-//! `ConcurrentMonitor` must match the sequential `Monitor` **exactly**
-//! on exact substrates (shared-atomic grids keep the prototype's seeds,
-//! so at `p = 1` the quiesced grids are the sequential grids bit for
-//! bit; key-partitioned maps and bottom-k unions merge exactly), and
-//! within each estimator's typed `Estimate` guarantee on the sketched/
-//! statistical ones under real sampling — across thread counts and
-//! workloads. The 2-thread cases double as the tier-1 smoke for the
-//! concurrent machinery under plain `cargo test -q`.
+//! Equivalence battery for the parallel-ingest pipeline: a
+//! `ConcurrentMonitor` under the `Auto` strategy must match the
+//! sequential `Monitor` **exactly** on exact substrates (at `p = 1`
+//! shared-atomic grids quiesce to the sequential grids bit for bit, and
+//! key-partitioned maps and bottom-k unions merge exactly), and within
+//! each estimator's typed `Estimate` guarantee on the sketched/
+//! statistical ones under real sampling — for thread counts
+//! {1, 2, 4, 7} and the zipf, netflow and planted workloads
+//! (`tests/sharded.rs` runs the same checks for `Replicated`). Two pins
+//! tie the strategies to sequential code: `Auto` on one thread is the
+//! single-threaded run, and `Replicated(N)` is N forked monitors fed
+//! round-robin and merged ascending.
 
 use std::sync::Arc;
 
 use subsampled_streams::core::{
-    ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, ParallelStrategy, ShardedConfig,
-    ShardedMonitor, Statistic,
+    ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, ParallelStrategy, Statistic,
 };
+use subsampled_streams::hash::split_seed;
 use subsampled_streams::stream::{
-    ExactStats, NetFlowStream, PlantedHeavyHitters, StreamGen, ZipfStream,
+    BernoulliSampler, ExactStats, NetFlowStream, PlantedHeavyHitters, StreamGen, ZipfStream,
 };
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
+const SAMPLER_SEED: u64 = 555;
+/// Several chunks per worker even on the small streams.
+const DISPATCH_CHUNK: usize = 8192;
+/// The pipeline's worker-side sampled batch size.
+const SAMPLE_BATCH: usize = 4096;
 
 fn workloads(n: u64) -> Vec<(&'static str, Vec<u64>)> {
     vec![
@@ -44,20 +52,45 @@ fn full_proto(p: f64) -> Monitor {
         .build()
 }
 
-fn run_concurrent(proto: &Monitor, stream: &Arc<Vec<u64>>, threads: usize) -> Monitor {
+fn config(threads: usize, strategy: ParallelStrategy) -> ConcurrentConfig {
     let mut cfg = ConcurrentConfig::new(threads);
-    cfg.dispatch_chunk = 8192;
-    let mut cm = ConcurrentMonitor::launch(proto, 555, cfg);
+    cfg.dispatch_chunk = DISPATCH_CHUNK;
+    cfg.strategy = strategy;
+    cfg
+}
+
+fn run_concurrent(
+    proto: &Monitor,
+    stream: &Arc<Vec<u64>>,
+    threads: usize,
+    strategy: ParallelStrategy,
+) -> Monitor {
+    let mut cm = ConcurrentMonitor::launch(proto, SAMPLER_SEED, config(threads, strategy));
     cm.ingest_shared(stream);
+    assert_eq!(cm.raw_dispatched(), stream.len() as u64);
     cm.finish()
 }
 
-/// At `p = 1` every worker ingests its whole slice, so the shared grids
-/// see exactly the original multiset. Integer `fetch_add`s commute:
-/// whatever the interleaving, the quiesced CountMin grid equals the
-/// sequential one bit for bit, so every heavy item the single monitor
-/// reports must appear with an *identical* sketch estimate. Bottom-k
-/// `F_0` and collision `F_k` are exact under the key partition.
+fn assert_reports_match(a: &Monitor, b: &Monitor, what: &str) {
+    assert_eq!(a.samples_seen(), b.samples_seen(), "{what}: samples");
+    for ((la, ea), (lb, eb)) in a.report().into_iter().zip(b.report()) {
+        assert_eq!(la, lb);
+        assert!(
+            (ea.value - eb.value).abs() <= 1e-9 * ea.value.abs().max(1.0),
+            "{what}/{la}: {} vs {}",
+            ea.value,
+            eb.value
+        );
+    }
+}
+
+/// At `p = 1` every worker ingests its whole slice, so the workers
+/// jointly see exactly the original multiset. Integer `fetch_add`s on
+/// the shared CountMin grid commute, so every heavy item the single
+/// monitor reports must appear with an *identical* sketch estimate.
+/// Bottom-k `F_0` and collision `F_k` are exact under the key partition.
+/// Entropy merges as a length-weighted average of round-robin slices of
+/// the same mix and only promises a constant band.
 #[test]
 fn p_one_quiesced_state_matches_single_monitor() {
     for (name, stream) in workloads(50_000) {
@@ -67,23 +100,22 @@ fn p_one_quiesced_state_matches_single_monitor() {
         let f0_single = single.estimate(Statistic::F0).unwrap().value;
         let f2_single = single.estimate(Statistic::Fk(2)).unwrap().value;
         let hh_single = single.estimate(Statistic::F1HeavyHitters).unwrap();
+        let h_single = single.estimate(Statistic::Entropy).unwrap().value;
 
         for threads in THREAD_COUNTS {
-            let merged = run_concurrent(&full_proto(1.0), &stream, threads);
+            let tag = format!("{name}/{threads}");
+            let merged = run_concurrent(&full_proto(1.0), &stream, threads, ParallelStrategy::Auto);
             assert_eq!(
                 merged.samples_seen(),
                 stream.len() as u64,
-                "{name}/{threads}: p=1 workers must jointly see everything"
+                "{tag}: p=1 workers must jointly see everything"
             );
             let f0 = merged.estimate(Statistic::F0).unwrap().value;
-            assert_eq!(
-                f0, f0_single,
-                "{name}/{threads}: key-partitioned F0 is exact"
-            );
+            assert_eq!(f0, f0_single, "{tag}: bottom-k F0 is exact");
             let f2 = merged.estimate(Statistic::Fk(2)).unwrap().value;
             assert!(
                 (f2 - f2_single).abs() <= 1e-6 * f2_single.abs().max(1.0),
-                "{name}/{threads}: collision F2 {f2} vs {f2_single}"
+                "{tag}: collision F2 {f2} vs {f2_single}"
             );
             let hh = merged.estimate(Statistic::F1HeavyHitters).unwrap();
             for (item, freq) in &hh_single.report {
@@ -91,20 +123,24 @@ fn p_one_quiesced_state_matches_single_monitor() {
                     .report
                     .iter()
                     .find(|(i, _)| i == item)
-                    .unwrap_or_else(|| {
-                        panic!("{name}/{threads}: heavy item {item} lost in quiesce")
-                    });
+                    .unwrap_or_else(|| panic!("{tag}: heavy item {item} lost"));
                 assert!(
                     (got.1 - freq).abs() <= 1e-9 * freq.max(1.0),
-                    "{name}/{threads}: item {item} freq {} vs {freq} (grids must be bitwise equal)",
+                    "{tag}: item {item} freq {} vs {freq} (grids must be bitwise equal)",
                     got.1
                 );
             }
+            let h = merged.estimate(Statistic::Entropy).unwrap().value;
+            let ratio = h / h_single.max(1e-9);
+            assert!(
+                (0.67..=1.5).contains(&ratio),
+                "{tag}: entropy ratio {ratio} ({h} vs {h_single})"
+            );
         }
     }
 }
 
-/// Under real sampling the quiesced estimates stay within each typed
+/// Under real sampling the merged estimates stay within each typed
 /// `Estimate`'s documented guarantee of the exact truth.
 #[test]
 fn sampled_concurrent_estimates_within_documented_tolerance() {
@@ -114,34 +150,36 @@ fn sampled_concurrent_estimates_within_documented_tolerance() {
         let exact = ExactStats::from_stream(stream.iter().copied());
 
         for threads in THREAD_COUNTS {
-            let merged = run_concurrent(&full_proto(p), &stream, threads);
+            let tag = format!("{name}/{threads}");
+            let merged = run_concurrent(&full_proto(p), &stream, threads, ParallelStrategy::Auto);
 
+            // F2 via exact collisions: Theorem 1 band (generous cushion).
             let f2 = merged.estimate(Statistic::Fk(2)).unwrap();
             assert!(
                 f2.mult_error(exact.fk(2)) < 1.2,
-                "{name}/{threads}: F2 error {}",
+                "{tag}: F2 error {}",
                 f2.mult_error(exact.fk(2))
             );
+            // F0: Lemma 8's 4/√p ceiling.
             let f0 = merged.estimate(Statistic::F0).unwrap();
             assert!(
                 f0.mult_error(exact.f0() as f64) <= 4.0 / p.sqrt(),
-                "{name}/{threads}: F0 error {} above 4/√p",
+                "{tag}: F0 error {} above 4/√p",
                 f0.mult_error(exact.f0() as f64)
             );
+            // Entropy: Theorem 5 constant-factor band.
             let h = merged.estimate(Statistic::Entropy).unwrap();
             let ratio = h.value / exact.entropy();
-            assert!(
-                (0.5..=2.0).contains(&ratio),
-                "{name}/{threads}: entropy ratio {ratio}"
-            );
+            assert!((0.5..=2.0).contains(&ratio), "{tag}: entropy ratio {ratio}");
+            // Provenance: the union of all workers, not one of them.
             assert_eq!(f2.samples_seen, merged.samples_seen());
             assert_eq!(f2.p, p);
         }
     }
 }
 
-/// Racy heavy-hitter admission is recall-safe: every planted heavy item
-/// must survive concurrent ingestion and quiesce at every thread count.
+/// Every planted heavy item must survive parallel ingestion and the fold
+/// at every thread count — racy shared-atomic admission is recall-safe.
 #[test]
 fn planted_heavies_survive_concurrent_quiesce() {
     let n = 150_000;
@@ -151,59 +189,111 @@ fn planted_heavies_survive_concurrent_quiesce() {
     let heavies = gen.heavy_items(29);
 
     for threads in THREAD_COUNTS {
-        let merged = run_concurrent(&full_proto(p), &stream, threads);
+        let merged = run_concurrent(&full_proto(p), &stream, threads, ParallelStrategy::Auto);
         let report = merged.estimate(Statistic::F1HeavyHitters).unwrap().report;
         for h in &heavies {
             assert!(
                 report.iter().any(|(i, _)| i == h),
-                "{threads} threads: planted heavy {h} missing after quiesce"
+                "{threads} threads: planted heavy {h} missing after the fold"
             );
         }
     }
 }
 
-/// `ParallelStrategy::Replicated` is the `ShardedMonitor` deployment
-/// without its dispatch layer: same per-worker fork seeds
-/// (`split_seed(builder_seed, i)` schedule), same per-worker samplers,
-/// same round-robin partition, same merge order — so over the same
-/// stream it must reproduce the sharded pipeline's answers.
+/// `Replicated(N)` is the sharded-monitor deployment: worker `i` owns a
+/// `fork_shard(i)` replica and a `split_seed(sampler_seed, i)` sampler,
+/// takes every N-th `dispatch_chunk` slice, and the replicas merge
+/// ascending. Emulated sequentially here, it must give the same answers.
 #[test]
 fn replicated_strategy_reproduces_sharded_monitor() {
     let p = 0.2;
     let stream = Arc::new(ZipfStream::new(1_000, 1.1).generate(80_000, 17));
+    let proto = full_proto(p);
 
-    let mut scfg = ShardedConfig::new(2);
-    scfg.dispatch_chunk = 8192;
-    let mut sm = ShardedMonitor::launch(&full_proto(p), 555, scfg);
-    sm.ingest_shared(&stream);
-    let sharded = sm.finish();
+    for threads in THREAD_COUNTS {
+        let parallel = run_concurrent(&proto, &stream, threads, ParallelStrategy::Replicated);
 
-    let mut ccfg = ConcurrentConfig::new(2);
-    ccfg.dispatch_chunk = 8192;
-    ccfg.strategy = ParallelStrategy::Replicated;
-    let mut cm = ConcurrentMonitor::launch(&full_proto(p), 555, ccfg);
-    cm.ingest_shared(&stream);
-    let merged = cm.finish();
+        let mut shards: Vec<Monitor> = (0..threads).map(|i| proto.fork_shard(i as u64)).collect();
+        let mut samplers: Vec<BernoulliSampler> = (0..threads)
+            .map(|i| BernoulliSampler::new(p, split_seed(SAMPLER_SEED, i as u64)))
+            .collect();
+        for (c, chunk) in stream.chunks(DISPATCH_CHUNK).enumerate() {
+            let w = c % threads;
+            let shard = &mut shards[w];
+            samplers[w].sample_batches(chunk, SAMPLE_BATCH, |batch| shard.update_batch(batch));
+        }
+        let mut sequential = proto.clone();
+        for shard in &shards {
+            sequential.merge(shard);
+        }
 
-    assert_eq!(merged.samples_seen(), sharded.samples_seen());
-    for ((la, ea), (lb, eb)) in merged.report().into_iter().zip(sharded.report()) {
-        assert_eq!(la, lb);
-        assert!(
-            (ea.value - eb.value).abs() <= 1e-9 * ea.value.abs().max(1.0),
-            "{la}: replicated {} vs sharded {}",
-            ea.value,
-            eb.value
-        );
+        assert_reports_match(&parallel, &sequential, &format!("replicated/{threads}"));
     }
 }
 
-/// The quiesced monitor is a plain `Monitor`: it checkpoints through
-/// the codec and restores to the same answers, so the transport/delta/
+/// One `Auto` worker is the single-threaded pipeline: shard 0's fork plus
+/// the lane-0 split sampler, fed the same chunks in order.
+#[test]
+fn one_shard_equals_the_equivalent_single_threaded_run() {
+    let p = 0.2;
+    let stream = Arc::new(ZipfStream::new(1_000, 1.1).generate(80_000, 17));
+    let parallel = run_concurrent(&full_proto(p), &stream, 1, ParallelStrategy::Auto);
+
+    let mut single = full_proto(p).fork_shard(0);
+    let mut sampler = BernoulliSampler::new(p, split_seed(SAMPLER_SEED, 0));
+    for chunk in stream.chunks(DISPATCH_CHUNK) {
+        sampler.sample_batches(chunk, SAMPLE_BATCH, |batch| single.update_batch(batch));
+    }
+
+    assert_reports_match(&parallel, &single, "auto/1");
+}
+
+/// `snapshot()` taken while four workers ingest is a consistent cut:
+/// every slot — shared-atomic grids, key-shard parts, replicas — counts
+/// the same completed batches as the monitor, the snapshot checkpoints
+/// and restores, and snapshots never go backwards or run ahead of the
+/// final answer.
+#[test]
+fn mid_run_snapshot_is_a_restorable_consistent_cut() {
+    let p = 0.5;
+    let stream = ZipfStream::new(5_000, 1.1).generate(400_000, 31);
+    let mut cfg = config(4, ParallelStrategy::Auto);
+    cfg.dispatch_chunk = 2048;
+    let mut cm = ConcurrentMonitor::launch(&full_proto(p), SAMPLER_SEED, cfg);
+
+    let mut seen = Vec::new();
+    for slice in stream.chunks(50_000) {
+        cm.ingest(slice);
+        let snap = cm.snapshot();
+        for (label, est) in snap.report() {
+            assert_eq!(
+                est.samples_seen,
+                snap.samples_seen(),
+                "{label}: slot and monitor disagree on the cut"
+            );
+        }
+        let restored = Monitor::restore(&snap.checkpoint().expect("snapshot checkpoints"))
+            .expect("mid-run snapshot restores");
+        assert_eq!(restored.p(), p);
+        assert_eq!(restored.samples_seen(), snap.samples_seen());
+        seen.push(snap.samples_seen());
+    }
+    let last = cm.finish();
+    assert!(
+        seen.windows(2).all(|w| w[0] <= w[1]),
+        "snapshots went backwards: {seen:?}"
+    );
+    assert!(*seen.last().unwrap() <= last.samples_seen());
+    assert!(seen.iter().any(|&s| s > 0), "no snapshot saw any data");
+}
+
+/// The folded monitor is a plain `Monitor`: it checkpoints through the
+/// codec and restores to the same answers, so the transport/delta/
 /// window layers need no concurrent-specific handling.
 #[test]
 fn quiesced_monitor_round_trips_through_the_codec() {
     let stream = Arc::new(ZipfStream::new(500, 1.2).generate(30_000, 23));
-    let merged = run_concurrent(&full_proto(0.5), &stream, 2);
+    let merged = run_concurrent(&full_proto(0.5), &stream, 2, ParallelStrategy::Auto);
     let bytes = merged.checkpoint().expect("quiesced monitor checkpoints");
     let restored = Monitor::restore(&bytes).expect("round-trip");
     assert_eq!(restored.samples_seen(), merged.samples_seen());

@@ -6,7 +6,6 @@ use subsampled_streams::core::{
     AdaptiveF2Estimator, FlowSizeUnfolder, SampledFlowHistogram, TargetCollisionsPolicy,
 };
 use subsampled_streams::hash::{RngCore64, Xoshiro256pp};
-use subsampled_streams::sketch::PrioritySampler;
 use subsampled_streams::stream::{
     BernoulliSampler, ExactStats, NetFlowStream, SampleAndHold, StreamGen, ZipfStream,
 };
@@ -104,34 +103,6 @@ fn sample_and_hold_vs_bernoulli_on_elephants() {
     // at ~1/sqrt(p·f) ≈ 5.8%; no strict dominance asserted per-seed, but
     // S&H must be at least as good here.
     assert!(sh_err <= bern_err + 1e-9, "sh {sh_err} vs bern {bern_err}");
-}
-
-#[test]
-fn priority_sampler_subset_sums_on_flow_bytes() {
-    // Weighted-stream substrate: estimate the traffic share of a flow
-    // subset from a 128-entry priority sample.
-    let mut rng = Xoshiro256pp::new(8);
-    let flows: Vec<(u64, f64)> = (0..20_000u64)
-        .map(|i| (i, 1.0 + rng.next_below(1000) as f64))
-        .collect();
-    let truth: f64 = flows
-        .iter()
-        .filter(|&&(i, _)| i % 10 == 0)
-        .map(|&(_, w)| w)
-        .sum();
-    let mut total_err = 0.0;
-    let trials = 20;
-    for seed in 0..trials {
-        let mut ps = PrioritySampler::new(512, seed);
-        for &(i, w) in &flows {
-            ps.offer(i, w);
-        }
-        total_err += (ps.estimate_subset_sum(|i| i % 10 == 0) - truth).abs() / truth;
-    }
-    // ~51 of the 512 kept entries land in the subset ⇒ per-trial relative
-    // sd ≈ 1/√51 ≈ 14%; the mean absolute error sits just below that.
-    let mean_err = total_err / trials as f64;
-    assert!(mean_err < 0.2, "mean rel err {mean_err}");
 }
 
 #[test]

@@ -1,14 +1,19 @@
-//! Deterministic cross-shard battery: for every registered statistic,
-//! `ShardedMonitor(N).finish()` must agree with the single-threaded
-//! `Monitor` — exactly for exact-merge substrates (at `p = 1`, where the
-//! shards jointly see precisely the original stream), and within the
-//! documented tolerance for sketched/statistical ones under real
-//! sampling — across shard counts N ∈ {1, 2, 4, 7} and the zipf, netflow
-//! and planted workload generators.
+//! Deterministic cross-shard battery for the replica-and-merge deployment
+//! (`ParallelStrategy::Replicated`: worker `i` owns a `fork_shard(i)`
+//! replica, the replicas merge ascending on `finish()`). For every
+//! registered statistic the merged monitor must agree with the
+//! single-threaded `Monitor` — exactly for exact-merge substrates (at
+//! `p = 1`, where the shards jointly see precisely the original stream),
+//! and within the documented tolerance for sketched/statistical ones under
+//! real sampling — across shard counts N ∈ {1, 2, 4, 7} and the zipf,
+//! netflow and planted workload generators. `tests/concurrent.rs` runs the
+//! same checks for the shared-atomic `Auto` strategy.
 
 use std::sync::Arc;
 
-use subsampled_streams::core::{Monitor, MonitorBuilder, ShardedConfig, ShardedMonitor, Statistic};
+use subsampled_streams::core::{
+    ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, ParallelStrategy, Statistic,
+};
 use subsampled_streams::stream::{
     ExactStats, NetFlowStream, PlantedHeavyHitters, StreamGen, ZipfStream,
 };
@@ -40,11 +45,12 @@ fn full_proto(p: f64) -> Monitor {
 }
 
 fn run_sharded(proto: &Monitor, stream: &Arc<Vec<u64>>, shards: usize) -> Monitor {
-    let mut cfg = ShardedConfig::new(shards);
+    let mut cfg = ConcurrentConfig::new(shards);
     cfg.dispatch_chunk = 8192; // several chunks per shard even on small streams
-    let mut sm = ShardedMonitor::launch(proto, 555, cfg);
-    sm.ingest_shared(stream);
-    sm.finish()
+    cfg.strategy = ParallelStrategy::Replicated;
+    let mut cm = ConcurrentMonitor::launch(proto, 555, cfg);
+    cm.ingest_shared(stream);
+    cm.finish()
 }
 
 /// At `p = 1` every worker keeps its whole slice, so the union of the
@@ -170,44 +176,5 @@ fn planted_heavies_survive_sharded_merge() {
                 "{shards} shards: planted heavy {h} missing from merged report"
             );
         }
-    }
-}
-
-/// A single shard is byte-for-byte the single-threaded pipeline: shard 0's
-/// fork plus the lane-0 split sampler, fed the same chunks in order.
-#[test]
-fn one_shard_equals_the_equivalent_single_threaded_run() {
-    use subsampled_streams::hash::split_seed;
-    use subsampled_streams::stream::BernoulliSampler;
-
-    let p = 0.2;
-    let stream = Arc::new(ZipfStream::new(1_000, 1.1).generate(80_000, 17));
-    let sampler_seed = 555;
-
-    // The sharded run.
-    let mut cfg = ShardedConfig::new(1);
-    cfg.dispatch_chunk = 8192;
-    let mut sm = ShardedMonitor::launch(&full_proto(p), sampler_seed, cfg);
-    sm.ingest_shared(&stream);
-    let sharded = sm.finish();
-
-    // The same computation, inline: fork_shard(0) + split_seed(·, 0),
-    // sampled per 8192-element chunk exactly as the worker does (4096 is
-    // the ShardedConfig::new sample_batch default).
-    let mut single = full_proto(p).fork_shard(0);
-    let mut sampler = BernoulliSampler::new(p, split_seed(sampler_seed, 0));
-    for chunk in stream.chunks(8192) {
-        sampler.sample_batches(chunk, 4096, |batch| single.update_batch(batch));
-    }
-
-    assert_eq!(sharded.samples_seen(), single.samples_seen());
-    for ((la, ea), (lb, eb)) in sharded.report().into_iter().zip(single.report()) {
-        assert_eq!(la, lb);
-        assert!(
-            (ea.value - eb.value).abs() <= 1e-9 * ea.value.abs().max(1.0),
-            "{la}: sharded {} vs single {}",
-            ea.value,
-            eb.value
-        );
     }
 }
