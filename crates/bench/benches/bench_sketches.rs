@@ -3,7 +3,7 @@
 //! batched (row/copy-major) paths alongside the per-item ones.
 
 use sss_bench::BenchGroup;
-use sss_sketch::{AmsF2, CountMin, CountSketch, KmvSketch, MisraGries, SpaceSaving};
+use sss_sketch::{AmsF2, CountMin, CountSketch, KmvSketch, MisraGries};
 use sss_stream::{StreamGen, ZipfStream};
 
 const N: u64 = 100_000;
@@ -50,14 +50,6 @@ fn main() {
             mg.update(x);
         }
         mg.n()
-    });
-
-    g.bench("space_saving_256", || {
-        let mut ss = SpaceSaving::new(256);
-        for &x in &stream {
-            ss.update(x);
-        }
-        ss.n()
     });
 
     g.bench("ams_7x64", || {

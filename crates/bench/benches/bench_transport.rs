@@ -137,7 +137,7 @@ fn bench_scenario(
 /// snapshot once, then push after each of `increments` small ingest
 /// steps — the `SiteClient` ships those as delta pushes. Measures the
 /// mean wire bytes and wall time per delta push (checkpoint diff +
-/// write + collector reconstruction + decode + merge-probe + ack).
+/// write + collector reconstruction + decode + merge check + ack).
 fn bench_delta_scenario(n: u64, increments: usize) -> Row {
     let server = CollectorServer::bind("127.0.0.1:0", full_prototype(), ServerConfig::default())
         .expect("bind");

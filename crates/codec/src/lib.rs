@@ -55,7 +55,7 @@
 //! allocated in per-crate ranges: `0x01xx` = `sss-hash`, `0x02xx` =
 //! `sss-sketch`, `0x03xx` = `sss-stream`, `0x04xx` = `sss-core`,
 //! `0x05xx` = `sss-transport`, `0x06xx` = `sss-window` (bucket ring,
-//! decayed ring, query registry, alerts), `0x07xx` = `sss-obs`
+//! query registry, alerts), `0x07xx` = `sss-obs`
 //! (metrics snapshots).
 //!
 //! The never-panic / bounded-allocation contract and the tag ranges are

@@ -21,8 +21,11 @@ use sss_codec::{
 use sss_hash::{fp_hash_map, FpHashMap};
 use sss_sketch::ams::AmsF2;
 use sss_sketch::kmv::MedianF0;
+use sss_sketch::Mismatch;
 
-use crate::estimate::{Estimate, Guarantee, Statistic, SubsampledEstimator};
+use crate::estimate::{
+    check_rates, Estimate, Guarantee, MergeError, Statistic, SubsampledEstimator,
+};
 
 /// Rusu–Dobra estimator of `F_2(P)` from the sampled stream.
 #[derive(Debug, Clone)]
@@ -93,8 +96,12 @@ impl RusuDobraF2 {
 
     /// Merge a second monitor's estimator (same dimensions, seed and `p`):
     /// AMS sketches are linear, so the merge is exact.
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     pub fn merge(&mut self, other: &RusuDobraF2) {
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.ams.merge(&other.ams);
         self.n_sampled += other.n_sampled;
     }
@@ -122,6 +129,11 @@ impl SubsampledEstimator for RusuDobraF2 {
 
     fn merge(&mut self, other: &Self) {
         RusuDobraF2::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        check_rates(self.p, other.p)?;
+        Ok(self.ams.check_merge(&other.ams)?)
     }
 
     fn estimate(&self) -> Estimate {
@@ -186,9 +198,12 @@ impl NaiveScaledFk {
 
     /// Merge a second baseline (same `k` and `p`): exact frequency-map
     /// union.
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     pub fn merge(&mut self, other: &NaiveScaledFk) {
-        assert_eq!(self.k, other.k, "moment order mismatch");
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
         // sss-lint: allow(canonical_iteration) — commutative u64 adds into an exact map; the merged state is iteration-order independent
         for (&i, &g) in &other.freqs {
             *self.freqs.entry(i).or_insert(0) += g;
@@ -230,6 +245,14 @@ impl SubsampledEstimator for NaiveScaledFk {
 
     fn merge(&mut self, other: &Self) {
         NaiveScaledFk::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        check_rates(self.p, other.p)?;
+        Ok(Mismatch::unless(
+            self.k == other.k,
+            "NaiveScaledFk moment order",
+        )?)
     }
 
     fn estimate(&self) -> Estimate {
@@ -287,8 +310,12 @@ impl NaiveScaledF0 {
 
     /// Merge a second baseline built with the same seed and `p` (bottom-k
     /// union).
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     pub fn merge(&mut self, other: &NaiveScaledF0) {
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.inner.merge(&other.inner);
         self.n_sampled += other.n_sampled;
     }
@@ -314,6 +341,11 @@ impl SubsampledEstimator for NaiveScaledF0 {
 
     fn merge(&mut self, other: &Self) {
         NaiveScaledF0::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        check_rates(self.p, other.p)?;
+        Ok(self.inner.check_merge(&other.inner)?)
     }
 
     fn estimate(&self) -> Estimate {

@@ -16,6 +16,7 @@ use sss_codec::{
 };
 use sss_hash::{fp_hash_map, FpHashMap};
 use sss_sketch::levelset::{LevelSetConfig, LevelSetEstimator};
+use sss_sketch::Mismatch;
 
 /// A one-pass structure that observes the sampled stream and can estimate
 /// the `ℓ`-wise collision counts `C_ℓ` of what it saw.
@@ -31,11 +32,17 @@ pub trait CollisionOracle {
         }
     }
 
+    /// Whether `other` has this oracle's configuration (order, sketch
+    /// dimensions and seeds), without mutating anything.
+    fn check_merge(&self, other: &Self) -> Result<(), Mismatch>
+    where
+        Self: Sized;
+
     /// Merge a second oracle of the same configuration: afterwards `self`
     /// summarises the concatenation of both ingested streams.
     ///
     /// # Panics
-    /// If the oracles are incompatible (different order or sketch seeds).
+    /// When [`CollisionOracle::check_merge`] fails.
     fn merge(&mut self, other: &Self)
     where
         Self: Sized;
@@ -125,8 +132,12 @@ impl CollisionOracle for ExactCollisions {
     /// float accumulation is canonical: merging a deserialized oracle
     /// (same contents, different hash-map history) lands on bitwise the
     /// same `C_ℓ` as merging the original.
+    fn check_merge(&self, other: &Self) -> Result<(), Mismatch> {
+        Mismatch::unless(self.c.len() == other.c.len(), "ExactCollisions order")
+    }
+
     fn merge(&mut self, other: &Self) {
-        assert_eq!(self.c.len(), other.c.len(), "order mismatch");
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         let k = self.c.len() as u32 - 1;
         // Start from the sum of both accumulators, then patch shared items.
         for ell in 1..=k as usize {
@@ -264,8 +275,16 @@ impl CollisionOracle for LevelSetCollisions {
         self.inner.update_batch(xs);
     }
 
+    fn check_merge(&self, other: &Self) -> Result<(), Mismatch> {
+        Mismatch::unless(
+            self.max_order == other.max_order,
+            "LevelSetCollisions order",
+        )?;
+        self.inner.check_merge(&other.inner)
+    }
+
     fn merge(&mut self, other: &Self) {
-        assert_eq!(self.max_order, other.max_order, "order mismatch");
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         self.inner.merge(&other.inner);
     }
 

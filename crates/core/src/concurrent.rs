@@ -449,10 +449,8 @@ fn fold(mut base: Monitor, shared: &Shared, note: &'static str) -> Monitor {
                 .install(ams.to_plain(), n_sampled.load(Ordering::Relaxed)),
             SlotState::KeySharded(parts) => {
                 for part in parts {
-                    entry
-                        .est
-                        .merge_dyn(lock(part).as_any(), &entry.label)
-                        .expect("key-shard parts share the prototype's config");
+                    // Key-shard parts share the prototype's config.
+                    entry.est.merge_dyn(lock(part).as_any());
                     merges += 1;
                 }
             }
@@ -461,10 +459,8 @@ fn fold(mut base: Monitor, shared: &Shared, note: &'static str) -> Monitor {
                     let local = worker[i]
                         .as_ref()
                         .expect("replicated slot missing its worker local");
-                    entry
-                        .est
-                        .merge_dyn(local.as_any(), &entry.label)
-                        .expect("replicas share the prototype's config");
+                    // Replicas share the prototype's config.
+                    entry.est.merge_dyn(local.as_any());
                     merges += 1;
                 }
             }

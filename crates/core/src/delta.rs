@@ -32,9 +32,10 @@
 //! buffer — `Monitor::restore` then re-validates them like any other
 //! snapshot.
 
-use sss_codec::{fnv1a64, put_varint_i64, put_varint_u64, CodecError, Reader, WireCodec};
-
-use crate::monitor::Monitor;
+use sss_codec::{
+    fnv1a64, put_varint_i64, put_varint_u64, CodecError, Reader, WireCodec, FRAME_HEADER_BYTES,
+};
+use sss_obs::MetricId;
 
 /// Matching granularity of the rolling-hash scan: windows of this many
 /// bytes are candidates for chunk-copy opcodes (extended byte-by-byte
@@ -60,7 +61,7 @@ enum DeltaOp {
 }
 
 /// A framed byte-level diff that rebuilds a target snapshot from a base
-/// snapshot ([`Monitor::checkpoint_delta`] / [`Monitor::apply_delta`]).
+/// snapshot ([`snapshot_delta`] / [`apply_snapshot_delta`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotDelta {
     base_len: u64,
@@ -68,6 +69,9 @@ pub struct SnapshotDelta {
     target_len: u64,
     target_checksum: u64,
     ops: Vec<DeltaOp>,
+    /// Size of the frame this delta was decoded from (0 when computed
+    /// in-process) — what an apply adds to `sss_codec_delta_bytes_total`.
+    frame_len: u64,
 }
 
 impl SnapshotDelta {
@@ -83,6 +87,7 @@ impl SnapshotDelta {
             target_len: target.len() as u64,
             target_checksum: fnv1a64(target),
             ops: diff_ops(base, target),
+            frame_len: 0,
         }
     }
 
@@ -176,6 +181,7 @@ impl SnapshotDelta {
                 found,
             });
         }
+        sss_obs::global().add(MetricId::CodecDeltaBytesTotal, self.frame_len);
         Ok(out)
     }
 
@@ -216,6 +222,7 @@ impl WireCodec for SnapshotDelta {
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
+        let payload_start = r.remaining();
         let base_len = r.u64()?;
         let base_checksum = r.u64()?;
         let target_len = r.u64()?;
@@ -261,58 +268,26 @@ impl WireCodec for SnapshotDelta {
             target_len,
             target_checksum,
             ops,
+            frame_len: (FRAME_HEADER_BYTES + payload_start - r.remaining()) as u64,
         })
     }
 }
 
-/// Compute the framed delta that rebuilds `target` from `base` — the
-/// byte-level primitive under [`Monitor::checkpoint_delta`], usable on
-/// any pair of snapshot buffers (the transport diffs the framed
-/// checkpoint bytes it retains without decoding them).
+/// Compute the framed delta that rebuilds `target` from `base` — usable
+/// on any pair of snapshot buffers (the transport diffs the framed
+/// checkpoint bytes it retains without decoding them). The frame's size
+/// is added to `sss_codec_delta_bytes_total`.
 pub fn snapshot_delta(base: &[u8], target: &[u8]) -> Vec<u8> {
-    SnapshotDelta::compute(base, target).encode_framed()
+    let frame = SnapshotDelta::compute(base, target).encode_framed();
+    sss_obs::global().add(MetricId::CodecDeltaBytesTotal, frame.len() as u64);
+    frame
 }
 
 /// Decode a framed delta and rebuild the target snapshot from `base`
-/// (see [`SnapshotDelta::apply`] for the error contract).
+/// (see [`SnapshotDelta::apply`] for the error contract). Feed the result
+/// to `Monitor::restore`.
 pub fn apply_snapshot_delta(base: &[u8], delta_frame: &[u8]) -> Result<Vec<u8>, CodecError> {
     SnapshotDelta::decode_framed(delta_frame)?.apply(base)
-}
-
-impl Monitor {
-    /// Serialize the monitor as a framed [`SnapshotDelta`] against
-    /// `base` — a previously retained [`Monitor::checkpoint`] buffer.
-    /// The receiver rebuilds the full checkpoint with
-    /// [`Monitor::apply_delta`] and restores it as usual; steady-state
-    /// deltas are a small fraction of the cumulative snapshot, which is
-    /// what the transport's delta pushes ship.
-    ///
-    /// # Errors
-    /// Propagates [`Monitor::checkpoint`] failures (an estimator tag
-    /// the restore registry cannot decode).
-    pub fn checkpoint_delta(&self, base: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let target = self.checkpoint()?;
-        let delta = snapshot_delta(base, &target);
-        sss_obs::global().add(sss_obs::MetricId::CodecDeltaBytesTotal, delta.len() as u64);
-        Ok(delta)
-    }
-
-    /// Rebuild the full checkpoint bytes a [`Monitor::checkpoint_delta`]
-    /// frame encodes, given the same base it was computed against.
-    /// Typed [`CodecError::BadBase`] when `base` is the wrong snapshot.
-    pub fn apply_delta(base: &[u8], delta_frame: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let full = apply_snapshot_delta(base, delta_frame)?;
-        sss_obs::global().add(
-            sss_obs::MetricId::CodecDeltaBytesTotal,
-            delta_frame.len() as u64,
-        );
-        Ok(full)
-    }
-
-    /// [`Monitor::apply_delta`] followed by [`Monitor::restore`].
-    pub fn restore_delta(base: &[u8], delta_frame: &[u8]) -> Result<Monitor, CodecError> {
-        Monitor::restore(&apply_snapshot_delta(base, delta_frame)?)
-    }
 }
 
 /// Greedy rolling-hash diff (rsync style): the base is indexed by the

@@ -84,8 +84,13 @@ impl SampledEntropyEstimator {
     /// disjoint shards can lose up to `lg(#shards)` bits — still inside
     /// Theorem 5's constant-factor contract whenever `H(f)` is above its
     /// admissibility threshold by that margin.
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] (the rate check)
+    /// fails.
     pub fn merge(&mut self, other: &SampledEntropyEstimator) {
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.merged_weight += other.inner.n() as f64 * other.inner.estimate() + other.merged_weight;
         self.merged_n += other.inner.n() + other.merged_n;
     }

@@ -20,6 +20,7 @@
 //! these in a single pass.
 
 use sss_codec::{CodecError, Reader, WireCodec};
+use sss_sketch::Mismatch;
 
 use crate::params::ApproxParams;
 
@@ -37,19 +38,20 @@ pub fn rates_compatible(a: f64, b: f64) -> bool {
     a.is_finite() && b.is_finite() && (a - b).abs() <= RATE_MERGE_RTOL * a.abs().max(b.abs())
 }
 
-/// Panicking form of [`rates_compatible`] for estimator-level `merge`
-/// (the `try_merge` path reports [`MergeError::RateMismatch`] instead).
-#[inline]
-#[track_caller]
-pub fn assert_rates_compatible(a: f64, b: f64) {
-    assert!(rates_compatible(a, b), "sampling rates differ: {a} vs {b}");
+/// [`rates_compatible`] as a merge check: `left` is the receiving side.
+pub(crate) fn check_rates(left: f64, right: f64) -> Result<(), MergeError> {
+    if rates_compatible(left, right) {
+        Ok(())
+    } else {
+        Err(MergeError::RateMismatch { left, right })
+    }
 }
 
 /// Why two summaries refused to merge. Returned by
-/// [`SubsampledEstimator::try_merge`] and
-/// [`Monitor::try_merge`](crate::monitor::Monitor::try_merge) so a
-/// release deployment can reject an incompatible shard instead of
-/// panicking mid-collection.
+/// [`SubsampledEstimator::merge_compatible`],
+/// [`Monitor::check_mergeable`](crate::monitor::Monitor::check_mergeable)
+/// and their `try_merge` forms, so a release deployment can reject an
+/// incompatible shard instead of panicking mid-collection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MergeError {
     /// The sampling rates differ beyond [`RATE_MERGE_RTOL`].
@@ -78,6 +80,15 @@ pub enum MergeError {
         /// The slot's label.
         label: String,
     },
+    /// Same type, different configuration: a parameter, sketch
+    /// dimension or hash seed disagrees.
+    Incompatible(Mismatch),
+}
+
+impl From<Mismatch> for MergeError {
+    fn from(m: Mismatch) -> Self {
+        MergeError::Incompatible(m)
+    }
 }
 
 impl std::fmt::Display for MergeError {
@@ -97,6 +108,7 @@ impl std::fmt::Display for MergeError {
             MergeError::TypeMismatch { label } => {
                 write!(f, "estimator type mismatch at slot '{label}'")
             }
+            MergeError::Incompatible(m) => write!(f, "{m}"),
         }
     }
 }
@@ -315,39 +327,30 @@ pub trait SubsampledEstimator {
     /// original stream.
     ///
     /// # Panics
-    /// If the two estimators are incompatible (different parameters or
-    /// sketch seeds).
+    /// Exactly when [`SubsampledEstimator::merge_compatible`] fails.
     fn merge(&mut self, other: &Self)
     where
         Self: Sized;
 
-    /// The validation half of [`SubsampledEstimator::try_merge`]: whether
-    /// `other` could merge into `self`, **without mutating anything**.
-    /// Default: the tolerant rate check (beyond [`RATE_MERGE_RTOL`]
-    /// relative ⇒ [`MergeError::RateMismatch`]). Estimators whose merge is
-    /// rate-agnostic (e.g. adaptive-rate extensions) override this to
-    /// accept unconditionally. Monitors run this for *every* slot before
-    /// merging *any*, so a failed monitor merge never half-applies.
+    /// Whether `other` could merge into `self`, **without mutating
+    /// anything** — the one compatibility decision behind `merge` and
+    /// `try_merge`. Default: the tolerant rate check (beyond
+    /// [`RATE_MERGE_RTOL`] relative ⇒ [`MergeError::RateMismatch`]).
+    /// In-tree estimators add their substrate's `check_merge`
+    /// (dimensions, hash seeds, parameters); rate-agnostic ones (the
+    /// adaptive-rate extension) accept unconditionally. Monitors run this
+    /// for *every* slot before merging *any*, so a failed monitor merge
+    /// never half-applies.
     fn merge_compatible(&self, other: &Self) -> Result<(), MergeError>
     where
         Self: Sized,
     {
-        if !rates_compatible(self.p(), other.p()) {
-            return Err(MergeError::RateMismatch {
-                left: self.p(),
-                right: other.p(),
-            });
-        }
-        Ok(())
+        check_rates(self.p(), other.p())
     }
 
     /// Fallible [`SubsampledEstimator::merge`]: reject an incompatible
     /// shard (per [`SubsampledEstimator::merge_compatible`]) with a typed
     /// [`MergeError`] instead of panicking.
-    ///
-    /// # Panics
-    /// Still panics on *structural* incompatibility (different sketch
-    /// dimensions or seeds) — those are configuration bugs, not data.
     fn try_merge(&mut self, other: &Self) -> Result<(), MergeError>
     where
         Self: Sized,

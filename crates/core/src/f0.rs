@@ -11,7 +11,9 @@
 use sss_codec::{CodecError, Reader, WireCodec};
 use sss_sketch::kmv::MedianF0;
 
-use crate::estimate::{Estimate, Guarantee, Statistic, SubsampledEstimator};
+use crate::estimate::{
+    check_rates, Estimate, Guarantee, MergeError, Statistic, SubsampledEstimator,
+};
 
 /// Algorithm 2: `F_0(P)` estimation by scaled streaming `F_0(L)`.
 ///
@@ -149,8 +151,12 @@ impl SampledF0Estimator {
     /// afterwards `self` estimates `F_0` of the union of both original
     /// streams — bottom-k sketches are exactly mergeable, so distributed
     /// monitors lose nothing.
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     pub fn merge(&mut self, other: &SampledF0Estimator) {
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.inner.merge(&other.inner);
         self.n_sampled += other.n_sampled;
     }
@@ -171,6 +177,11 @@ impl SubsampledEstimator for SampledF0Estimator {
 
     fn merge(&mut self, other: &Self) {
         SampledF0Estimator::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        check_rates(self.p, other.p)?;
+        Ok(self.inner.check_merge(&other.inner)?)
     }
 
     fn estimate(&self) -> Estimate {

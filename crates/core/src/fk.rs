@@ -16,9 +16,12 @@
 
 use sss_codec::{CodecError, Reader, WireCodec};
 use sss_sketch::levelset::LevelSetConfig;
+use sss_sketch::Mismatch;
 
 use crate::collisions::{CollisionOracle, ExactCollisions, LevelSetCollisions};
-use crate::estimate::{Estimate, Guarantee, Statistic, SubsampledEstimator};
+use crate::estimate::{
+    check_rates, Estimate, Guarantee, MergeError, Statistic, SubsampledEstimator,
+};
 use crate::params::ApproxParams;
 use crate::stirling::{beta_coefficients, epsilon_schedule, factorial_f64, MAX_K};
 
@@ -124,9 +127,12 @@ impl<O: CollisionOracle> SampledFkEstimator<O> {
     /// — the distributed deployment of the paper's router scenario. Exact
     /// for [`ExactCollisions`] (frequency algebra); within sketch error
     /// for [`LevelSetCollisions`] (linear CountSketch merge).
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.k, other.k, "moment order mismatch");
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.oracle.merge(&other.oracle);
     }
 
@@ -174,6 +180,12 @@ impl<O: CollisionOracle> SubsampledEstimator for SampledFkEstimator<O> {
 
     fn merge(&mut self, other: &Self) {
         SampledFkEstimator::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        check_rates(self.p, other.p)?;
+        Mismatch::unless(self.k == other.k, "SampledFkEstimator moment order")?;
+        Ok(self.oracle.check_merge(&other.oracle)?)
     }
 
     fn estimate(&self) -> Estimate {

@@ -18,8 +18,19 @@
 
 use sss_codec::{CodecError, Reader, WireCodec};
 use sss_sketch::topk::{CmHeavyHitters, CsHeavyHitters};
+use sss_sketch::Mismatch;
 
-use crate::estimate::{Estimate, Guarantee, Statistic, SubsampledEstimator};
+use crate::estimate::{
+    check_rates, Estimate, Guarantee, MergeError, Statistic, SubsampledEstimator,
+};
+
+/// The merge check both theorem reporters share on their `[p, α, ε, δ]`:
+/// the rate check, then the theorem parameters equal up to float noise.
+fn check_params(left: [f64; 4], right: [f64; 4], what: &'static str) -> Result<(), MergeError> {
+    check_rates(left[0], right[0])?;
+    let same = (1..4).all(|i| (left[i] - right[i]).abs() < 1e-15);
+    Ok(Mismatch::unless(same, what)?)
+}
 
 /// Theorem 6: `F_1` heavy hitters of `P` from CountMin over `L`.
 ///
@@ -113,14 +124,12 @@ impl SampledF1HeavyHitters {
     /// Merge a second monitor's reporter (same parameters and sketch
     /// seed): afterwards the report covers the concatenated original
     /// stream.
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     pub fn merge(&mut self, other: &SampledF1HeavyHitters) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-15
-                && (self.eps - other.eps).abs() < 1e-15
-                && (self.delta - other.delta).abs() < 1e-15,
-            "parameter mismatch"
-        );
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.inner.merge(&other.inner);
     }
 
@@ -162,6 +171,15 @@ impl SubsampledEstimator for SampledF1HeavyHitters {
 
     fn merge(&mut self, other: &Self) {
         SampledF1HeavyHitters::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        check_params(
+            [self.p, self.alpha, self.eps, self.delta],
+            [other.p, other.alpha, other.eps, other.delta],
+            "SampledF1HeavyHitters (alpha, eps, delta)",
+        )?;
+        Ok(self.inner.check_merge(&other.inner)?)
     }
 
     fn estimate(&self) -> Estimate {
@@ -268,14 +286,12 @@ impl SampledF2HeavyHitters {
 
     /// Merge a second monitor's reporter (same parameters and sketch
     /// seed).
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     pub fn merge(&mut self, other: &SampledF2HeavyHitters) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-15
-                && (self.eps - other.eps).abs() < 1e-15
-                && (self.delta - other.delta).abs() < 1e-15,
-            "parameter mismatch"
-        );
-        crate::estimate::assert_rates_compatible(self.p, other.p);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.inner.merge(&other.inner);
     }
 
@@ -320,6 +336,15 @@ impl SubsampledEstimator for SampledF2HeavyHitters {
 
     fn merge(&mut self, other: &Self) {
         SampledF2HeavyHitters::merge(self, other);
+    }
+
+    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        check_params(
+            [self.p, self.alpha, self.eps, self.delta],
+            [other.p, other.alpha, other.eps, other.delta],
+            "SampledF2HeavyHitters (alpha, eps, delta)",
+        )?;
+        Ok(self.inner.check_merge(&other.inner)?)
     }
 
     fn estimate(&self) -> Estimate {

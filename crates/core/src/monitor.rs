@@ -30,8 +30,10 @@
 //! registration sequence) are mergeable: each registered estimator merges
 //! with its counterpart, so a collector can combine per-site monitors
 //! into one answering for the union of all traffic
-//! (`examples/distributed_collector.rs`). [`Monitor::try_merge`] is the
-//! fallible variant for summaries arriving from outside the process, and
+//! (`examples/distributed_collector.rs`). [`Monitor::check_mergeable`]
+//! is the one definition of "mergeable" (no mutation, no clone),
+//! [`Monitor::try_merge`] the fallible merge for summaries arriving from
+//! outside the process, and
 //! [`Monitor::fork_shard`] derives per-worker clones for the
 //! multi-threaded pipeline in [`crate::concurrent`] (see
 //! `crates/core/src/README.md` for the architecture and the
@@ -45,7 +47,7 @@ use sss_obs::MetricId;
 use sss_sketch::levelset::LevelSetConfig;
 
 use crate::entropy::SampledEntropyEstimator;
-use crate::estimate::{rates_compatible, Estimate, MergeError, Statistic, SubsampledEstimator};
+use crate::estimate::{check_rates, Estimate, MergeError, Statistic, SubsampledEstimator};
 use crate::f0::SampledF0Estimator;
 use crate::fk::{recommended_levelset_config, SampledFkEstimator};
 use crate::heavy_hitters::{SampledF1HeavyHitters, SampledF2HeavyHitters};
@@ -74,7 +76,8 @@ pub(crate) trait DynEstimator: Send + Sync {
     /// anything. Checked for *all* slots before any state is mutated, so
     /// a failed monitor merge never half-applies.
     fn check_merge(&self, other: &dyn Any, label: &str) -> Result<(), MergeError>;
-    fn merge_dyn(&mut self, other: &dyn Any, label: &str) -> Result<(), MergeError>;
+    /// Merge a slot that passed [`DynEstimator::check_merge`].
+    fn merge_dyn(&mut self, other: &dyn Any);
     fn reseed_shard_local_dyn(&mut self, seed: u64);
     fn clone_box(&self) -> Box<dyn DynEstimator>;
     /// The concrete type's wire tag ([`WireCodec::WIRE_TAG`]).
@@ -121,17 +124,11 @@ impl<T: SubsampledEstimator + Any + Clone + Send + Sync + WireCodec> DynEstimato
         SubsampledEstimator::merge_compatible(self, other)
     }
 
-    fn merge_dyn(&mut self, other: &dyn Any, label: &str) -> Result<(), MergeError> {
+    fn merge_dyn(&mut self, other: &dyn Any) {
         let other = other
             .downcast_ref::<T>()
-            .ok_or_else(|| MergeError::TypeMismatch {
-                label: label.to_string(),
-            })?;
-        // Compatibility was already proven by the all-slots `check_merge`
-        // pre-pass; re-running it here would just add a dead error path
-        // that could half-apply the monitor merge.
+            .expect("check_merge proved both slots hold the same type");
         SubsampledEstimator::merge(self, other);
-        Ok(())
     }
 
     fn reseed_shard_local_dyn(&mut self, seed: u64) {
@@ -463,30 +460,28 @@ impl Monitor {
     /// merges with its counterpart.
     ///
     /// # Panics
-    /// If the monitors were built differently (rate, registration sequence
-    /// or estimator types disagree). Release deployments that receive
-    /// shard summaries from outside should prefer [`Monitor::try_merge`],
-    /// which reports the incompatibility instead.
+    /// Exactly when [`Monitor::check_mergeable`] fails. Release
+    /// deployments that receive shard summaries from outside should
+    /// prefer [`Monitor::try_merge`], which reports the incompatibility
+    /// instead.
     pub fn merge(&mut self, other: &Monitor) {
         if let Err(e) = self.try_merge(other) {
             panic!("monitor merge: {e}");
         }
     }
 
-    /// Fallible [`Monitor::merge`]: validates rate (within
-    /// [`crate::estimate::RATE_MERGE_RTOL`] relative — shard `p` values
-    /// arriving via config or serialization may differ in the last ulp),
-    /// registration shape, labels, concrete estimator types and per-slot
-    /// estimator compatibility (`merge_compatible`, which catches e.g. a
-    /// `register()`-ed baseline carrying its own divergent rate) **before
-    /// touching any state**, so an `Err` leaves `self` exactly as it was.
-    pub fn try_merge(&mut self, other: &Monitor) -> Result<(), MergeError> {
-        if !rates_compatible(self.p, other.p) {
-            return Err(MergeError::RateMismatch {
-                left: self.p,
-                right: other.p,
-            });
-        }
+    /// Whether `other` can merge into this monitor, **without mutating or
+    /// cloning anything** — the one definition of "mergeable". Checks the
+    /// rate (within [`crate::estimate::RATE_MERGE_RTOL`] relative: shard
+    /// `p` values arriving via config or serialization may differ in the
+    /// last ulp), registration shape, labels, concrete estimator types
+    /// and every slot's [`SubsampledEstimator::merge_compatible`]
+    /// (parameters, sketch dimensions and hash seeds).
+    ///
+    /// Returns `Err` exactly when [`Monitor::try_merge`] would, and never
+    /// panics, including on monitors decoded from untrusted bytes.
+    pub fn check_mergeable(&self, other: &Monitor) -> Result<(), MergeError> {
+        check_rates(self.p, other.p)?;
         if self.entries.len() != other.entries.len() {
             return Err(MergeError::ShapeMismatch {
                 left: self.entries.len(),
@@ -502,8 +497,15 @@ impl Monitor {
             }
             mine.est.check_merge(theirs.est.as_any(), &mine.label)?;
         }
+        Ok(())
+    }
+
+    /// Fallible [`Monitor::merge`]: [`Monitor::check_mergeable`], then
+    /// the merge. An `Err` leaves `self` exactly as it was.
+    pub fn try_merge(&mut self, other: &Monitor) -> Result<(), MergeError> {
+        self.check_mergeable(other)?;
         for (mine, theirs) in self.entries.iter_mut().zip(&other.entries) {
-            mine.est.merge_dyn(theirs.est.as_any(), &mine.label)?;
+            mine.est.merge_dyn(theirs.est.as_any());
         }
         self.samples += other.samples;
         Ok(())
@@ -596,7 +598,7 @@ impl Monitor {
     /// Check that every registered estimator's wire tag is in the
     /// decode registry — [`Monitor::checkpoint`]'s precondition without
     /// the encode. Wrappers that embed monitors in their own frames
-    /// (windowed, decayed) run this check up front instead of paying
+    /// (the sliding window) run this check up front instead of paying
     /// for a throwaway serialization.
     ///
     /// # Errors
@@ -863,7 +865,9 @@ mod tests {
 
     #[test]
     fn try_merge_reports_typed_errors_without_mutating() {
+        use crate::baselines::RusuDobraF2;
         use crate::estimate::MergeError;
+        use sss_sketch::Mismatch;
 
         // Rate mismatch beyond the relative tolerance.
         let mut a = MonitorBuilder::with_seed(0.5, 1).f0(0.05).build();
@@ -903,6 +907,29 @@ mod tests {
                 label: "F2".to_string()
             })
         );
+
+        // Same shape, different sketch seeds: the builder seed moves the
+        // bottom-k hash, and a register()-ed Rusu–Dobra slot carries its
+        // own AMS seed. Neither may merge, and neither may panic.
+        let incompatible = |what| Err(MergeError::Incompatible(Mismatch { what }));
+        let g = MonitorBuilder::with_seed(0.5, 2).f0(0.05).build();
+        assert_eq!(
+            a.check_mergeable(&g),
+            incompatible("KmvSketch hash functions")
+        );
+        assert_eq!(a.try_merge(&g), incompatible("KmvSketch hash functions"));
+        let rd = |seed| {
+            let mut m = MonitorBuilder::with_seed(1.0, 1)
+                .register("rd", RusuDobraF2::new(1.0, 9, 64, seed))
+                .build();
+            m.update_batch(&[1, 2, 2, 3, 3, 3]);
+            m
+        };
+        let (mut h, i) = (rd(11), rd(999));
+        let before = h.checkpoint().expect("checkpoint");
+        assert_eq!(h.try_merge(&i), incompatible("AmsF2 seed"));
+        assert_eq!(h.checkpoint().expect("checkpoint"), before);
+        assert_eq!(h.try_merge(&rd(11)), Ok(()));
     }
 
     #[test]

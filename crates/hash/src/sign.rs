@@ -10,7 +10,7 @@ use sss_codec::{CodecError, Reader, WireCodec};
 use crate::poly::PolyHash;
 
 /// A 4-wise independent function `u64 → {−1, +1}`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FourWiseSign {
     poly: PolyHash,
 }

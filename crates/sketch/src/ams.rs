@@ -14,6 +14,7 @@ use sss_codec::{put_packed_i64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{reduce_inputs, FourWiseSign, SplitMix64};
 
 use crate::batch::{BatchScratch, BATCH_CHUNK};
+use crate::Mismatch;
 
 /// AMS `F_2` estimator: `groups × copies` atomic counters.
 #[derive(Debug, Clone)]
@@ -182,10 +183,25 @@ impl AmsF2 {
         }
     }
 
+    /// Whether `other` can merge into `self`: same `groups × copies`
+    /// layout and sign family. Two known construction seeds must agree;
+    /// when either side's seed is unknown (a version-1 decode) the signs
+    /// themselves are compared.
+    pub fn check_merge(&self, other: &AmsF2) -> Result<(), Mismatch> {
+        Mismatch::unless(self.copies == other.copies, "AmsF2 copies")?;
+        Mismatch::unless(self.z.len() == other.z.len(), "AmsF2 groups")?;
+        match (self.seed, other.seed) {
+            (Some(a), Some(b)) => Mismatch::unless(a == b, "AmsF2 seed"),
+            _ => Mismatch::unless(self.signs == other.signs, "AmsF2 sign functions"),
+        }
+    }
+
     /// Merge another sketch with identical dimensions and seed.
+    ///
+    /// # Panics
+    /// When [`AmsF2::check_merge`] fails.
     pub fn merge(&mut self, other: &AmsF2) {
-        assert_eq!(self.copies, other.copies, "copies mismatch");
-        assert_eq!(self.z.len(), other.z.len(), "groups mismatch");
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         for (a, b) in self.z.iter_mut().zip(&other.z) {
             *a += b;
         }

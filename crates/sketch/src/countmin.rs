@@ -15,6 +15,7 @@ use sss_codec::{put_packed_u64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{reduce_inputs, PairwiseHash, SplitMix64};
 
 use crate::batch::{BatchScratch, BATCH_CHUNK};
+use crate::Mismatch;
 
 /// CountMin sketch over `u64` items with `u64` counts.
 ///
@@ -274,21 +275,25 @@ impl CountMin {
             .unwrap_or(0)
     }
 
+    /// Whether `other` can merge into `self`: same width and row hash
+    /// functions (hence depth), and neither side conservative —
+    /// conservative update is order-dependent, so its counters do not
+    /// add.
+    pub fn check_merge(&self, other: &CountMin) -> Result<(), Mismatch> {
+        Mismatch::unless(self.width == other.width, "CountMin width")?;
+        Mismatch::unless(self.hashes == other.hashes, "CountMin hash functions")?;
+        Mismatch::unless(
+            !self.conservative && !other.conservative,
+            "CountMin conservative update (not mergeable)",
+        )
+    }
+
     /// Merge another sketch built with the same dimensions and seed.
     ///
     /// # Panics
-    /// If dimensions or hash functions differ.
+    /// When [`CountMin::check_merge`] fails.
     pub fn merge(&mut self, other: &CountMin) {
-        assert_eq!(self.width, other.width, "width mismatch");
-        assert_eq!(self.hashes, other.hashes, "incompatible hash functions");
-        assert_eq!(
-            self.conservative, other.conservative,
-            "cannot merge conservative with plain"
-        );
-        assert!(
-            !self.conservative,
-            "conservative sketches are not mergeable"
-        );
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }

@@ -18,6 +18,7 @@ use sss_codec::{put_packed_i64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{reduce_inputs, FourWiseSign, PairwiseHash, SplitMix64};
 
 use crate::batch::{BatchScratch, BATCH_CHUNK};
+use crate::Mismatch;
 
 /// CountSketch over `u64` items with `i64` counters.
 #[derive(Debug, Clone)]
@@ -287,13 +288,26 @@ impl CountSketch {
         median_u128_as_f64(&mut rows)
     }
 
+    /// Whether `other` can merge into `self`: same width, bucket hash
+    /// functions (hence depth) and sign functions.
+    pub fn check_merge(&self, other: &CountSketch) -> Result<(), Mismatch> {
+        Mismatch::unless(self.width == other.width, "CountSketch width")?;
+        Mismatch::unless(
+            self.bucket_hashes == other.bucket_hashes,
+            "CountSketch hash functions",
+        )?;
+        Mismatch::unless(
+            self.sign_hashes == other.sign_hashes,
+            "CountSketch sign functions",
+        )
+    }
+
     /// Merge another sketch with identical dimensions and seeds.
+    ///
+    /// # Panics
+    /// When [`CountSketch::check_merge`] fails.
     pub fn merge(&mut self, other: &CountSketch) {
-        assert_eq!(self.width, other.width, "width mismatch");
-        assert_eq!(
-            self.bucket_hashes, other.bucket_hashes,
-            "incompatible hash functions"
-        );
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }

@@ -13,6 +13,8 @@ use std::collections::BTreeSet;
 use sss_codec::{put_packed_sorted_u64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{PairwiseHash, SplitMix64};
 
+use crate::Mismatch;
+
 /// Bottom-k distinct sketch.
 ///
 /// ```
@@ -135,10 +137,18 @@ impl KmvSketch {
         }
     }
 
+    /// Whether `other` can merge into `self`: same `k` and hash function.
+    pub fn check_merge(&self, other: &KmvSketch) -> Result<(), Mismatch> {
+        Mismatch::unless(self.k == other.k, "KmvSketch k")?;
+        Mismatch::unless(self.hash == other.hash, "KmvSketch hash functions")
+    }
+
     /// Merge another sketch with the same `k` and seed.
+    ///
+    /// # Panics
+    /// When [`KmvSketch::check_merge`] fails.
     pub fn merge(&mut self, other: &KmvSketch) {
-        assert_eq!(self.k, other.k, "k mismatch");
-        assert_eq!(self.hash, other.hash, "incompatible hash functions");
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         for &h in &other.smallest {
             self.smallest.insert(h);
         }
@@ -218,10 +228,26 @@ impl MedianF0 {
         }
     }
 
+    /// Whether `other` can merge into `self`: same copy count, and every
+    /// copy pair passes [`KmvSketch::check_merge`].
+    pub fn check_merge(&self, other: &MedianF0) -> Result<(), Mismatch> {
+        Mismatch::unless(
+            self.sketches.len() == other.sketches.len(),
+            "MedianF0 copies",
+        )?;
+        self.sketches
+            .iter()
+            .zip(&other.sketches)
+            .try_for_each(|(a, b)| a.check_merge(b))
+    }
+
     /// Merge another estimator built with the same `(k, copies, seed)`:
     /// the result summarises the union of both inputs.
+    ///
+    /// # Panics
+    /// When [`MedianF0::check_merge`] fails.
     pub fn merge(&mut self, other: &MedianF0) {
-        assert_eq!(self.sketches.len(), other.sketches.len(), "copies mismatch");
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         for (a, b) in self.sketches.iter_mut().zip(&other.sketches) {
             a.merge(b);
         }

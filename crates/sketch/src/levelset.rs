@@ -35,6 +35,7 @@ use sss_hash::{PairwiseHash, RngCore64, SplitMix64};
 
 use crate::countsketch::CountSketch;
 use crate::topk::TopKTracker;
+use crate::Mismatch;
 
 /// Configuration for a [`LevelSetEstimator`].
 #[derive(Debug, Clone)]
@@ -180,6 +181,33 @@ impl LevelSetEstimator {
         }
     }
 
+    /// Whether `other` was built from the same configuration and seed:
+    /// level count, level hash, class shift `η`, class ratio, slack, and
+    /// every level's CountSketch and tracker capacity.
+    pub fn check_merge(&self, other: &LevelSetEstimator) -> Result<(), Mismatch> {
+        Mismatch::unless(
+            self.levels.len() == other.levels.len(),
+            "LevelSetEstimator level count",
+        )?;
+        Mismatch::unless(
+            self.level_hash == other.level_hash,
+            "LevelSetEstimator level hash",
+        )?;
+        Mismatch::unless(
+            self.eta.to_bits() == other.eta.to_bits()
+                && self.eps_prime.to_bits() == other.eps_prime.to_bits()
+                && self.slack.to_bits() == other.slack.to_bits(),
+            "LevelSetEstimator class geometry (η, ε′, slack)",
+        )?;
+        self.levels
+            .iter()
+            .zip(&other.levels)
+            .try_for_each(|(a, b)| {
+                a.cs.check_merge(&b.cs)?;
+                a.tracker.check_merge(&b.tracker)
+            })
+    }
+
     /// Merge another estimator built from the same configuration and
     /// seed: the per-level CountSketches are linear (counter-wise sum) and
     /// the candidate tables take the union, re-estimated against the
@@ -187,21 +215,9 @@ impl LevelSetEstimator {
     /// both ingested streams.
     ///
     /// # Panics
-    /// If the two estimators were not built with the same configuration
-    /// and seed (different `η`, hashes or dimensions).
+    /// When [`LevelSetEstimator::check_merge`] fails.
     pub fn merge(&mut self, other: &LevelSetEstimator) {
-        assert_eq!(
-            self.levels.len(),
-            other.levels.len(),
-            "level count mismatch"
-        );
-        assert_eq!(self.level_hash, other.level_hash, "incompatible level hash");
-        assert!(
-            (self.eta - other.eta).abs() < 1e-15,
-            "incompatible class shift η: {} vs {}",
-            self.eta,
-            other.eta
-        );
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         for (mine, theirs) in self.levels.iter_mut().zip(&other.levels) {
             mine.cs.merge(&theirs.cs);
             mine.updates += theirs.updates;

@@ -3,13 +3,15 @@
 //! Maintains at most `k` counters. A point query underestimates by at most
 //! `n/(k+1)`, deterministically: every item with `f_x > n/(k+1)` is
 //! guaranteed to be present. The paper names this algorithm as the
-//! insert-only alternative to CountMin for `F_1` heavy hitters (§6); it is
-//! also the dominant-element detector inside the entropy estimator.
+//! insert-only alternative to CountMin for `F_1` heavy hitters (§6); here
+//! it is the dominant-element detector inside the entropy estimator.
 
 use sss_codec::{
     put_packed_sorted_u64s, put_varint_u64, put_varint_u64s, CodecError, Reader, WireCodec,
 };
 use sss_hash::{fp_hash_map, FpHashMap};
+
+use crate::Mismatch;
 
 /// Misra–Gries summary with `k` counters.
 #[derive(Debug, Clone)]
@@ -84,10 +86,18 @@ impl MisraGries {
         self.items().into_iter().next()
     }
 
+    /// Whether `other` can merge into `self`: same counter capacity `k`.
+    pub fn check_merge(&self, other: &MisraGries) -> Result<(), Mismatch> {
+        Mismatch::unless(self.k == other.k, "MisraGries capacity")
+    }
+
     /// Merge another summary (Agarwal et al. mergeability: add counters,
     /// then subtract the `(k+1)`-st largest from all and drop non-positive).
+    ///
+    /// # Panics
+    /// When [`MisraGries::check_merge`] fails.
     pub fn merge(&mut self, other: &MisraGries) {
-        assert_eq!(self.k, other.k, "capacity mismatch");
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         // sss-lint: allow(canonical_iteration) — commutative u64 adds into the counter map; the summed state is iteration-order independent
         for (&i, &c) in &other.counters {
             *self.counters.entry(i).or_insert(0) += c;

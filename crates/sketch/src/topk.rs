@@ -15,6 +15,13 @@ use sss_hash::{fp_hash_map, FpHashMap};
 
 use crate::countmin::CountMin;
 use crate::countsketch::CountSketch;
+use crate::Mismatch;
+
+/// Reporting fractions agree: equal up to float noise from deriving `α`
+/// from shard rates that differ in the last ulp. NaN never agrees.
+fn same_alpha(a: f64, b: f64) -> bool {
+    (a - b).abs() < 1e-15
+}
 
 /// A bounded table of candidate heavy hitters keyed by estimated frequency.
 #[derive(Debug, Clone)]
@@ -76,6 +83,12 @@ impl TopKTracker {
     /// The pruning capacity (used by the atomic quiesce rebuild).
     pub(crate) fn cap(&self) -> usize {
         self.cap
+    }
+
+    /// Whether `other`'s candidates can be re-offered into `self`: same
+    /// pruning capacity.
+    pub fn check_merge(&self, other: &TopKTracker) -> Result<(), Mismatch> {
+        Mismatch::unless(self.cap == other.cap, "TopKTracker capacity")
     }
 
     /// Number of tracked candidates.
@@ -234,19 +247,25 @@ impl CmHeavyHitters {
         pending.flush(tracker);
     }
 
+    /// Whether `other` can merge into `self`: same `α`, CountMin and
+    /// tracker capacity.
+    pub fn check_merge(&self, other: &CmHeavyHitters) -> Result<(), Mismatch> {
+        Mismatch::unless(same_alpha(self.alpha, other.alpha), "CmHeavyHitters alpha")?;
+        self.cm.check_merge(&other.cm)?;
+        self.tracker.check_merge(&other.tracker)
+    }
+
     /// Merge another reporter with the same parameters and sketch seed:
     /// counter-wise CountMin merge, then the candidate union re-estimated
     /// against the merged sketch. *Both* sides' candidates are re-offered
     /// at their post-merge estimates — leaving the local side at its stale
     /// shard-sized values would let the tracker's capacity pruning evict a
     /// union-heavy item.
+    ///
+    /// # Panics
+    /// When [`CmHeavyHitters::check_merge`] fails.
     pub fn merge(&mut self, other: &CmHeavyHitters) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-15,
-            "alpha mismatch: {} vs {}",
-            self.alpha,
-            other.alpha
-        );
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         self.cm.merge(&other.cm);
         let union: Vec<u64> = self
             .tracker
@@ -267,88 +286,6 @@ impl CmHeavyHitters {
             .candidates()
             .map(|i| (i, self.cm.query(i)))
             .filter(|&(_, e)| e as f64 >= threshold)
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-}
-
-/// Misra–Gries-backed `F_1` heavy-hitter reporter — the deterministic
-/// insert-only alternative the paper names alongside CountMin (§6). Holds
-/// `k = ⌈2/(ε·α)⌉` counters so every `α`-heavy item survives with count
-/// error below `ε·α·n`; estimates are one-sided (under-counts), so recall
-/// filtering uses the `count + n/(k+1)` upper bound.
-#[derive(Debug, Clone)]
-pub struct MgHeavyHitters {
-    mg: crate::misra_gries::MisraGries,
-    alpha: f64,
-    k: usize,
-}
-
-impl MgHeavyHitters {
-    /// Reporter for the threshold `α·F_1` with relative frequency error
-    /// `eps` on reported items.
-    pub fn new(alpha: f64, eps: f64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-        assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
-        let k = (2.0 / (eps * alpha)).ceil() as usize;
-        Self {
-            mg: crate::misra_gries::MisraGries::new(k),
-            alpha,
-            k,
-        }
-    }
-
-    /// The reporting fraction `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Stream length ingested.
-    pub fn n(&self) -> u64 {
-        self.mg.n()
-    }
-
-    /// Space in 64-bit words (two words per counter).
-    pub fn space_words(&self) -> usize {
-        2 * self.k
-    }
-
-    /// Ingest one occurrence of `x`.
-    pub fn update(&mut self, x: u64) {
-        self.mg.update(x);
-    }
-
-    /// Ingest a batch of occurrences.
-    pub fn update_batch(&mut self, xs: &[u64]) {
-        self.mg.update_batch(xs);
-    }
-
-    /// Merge another reporter with the same parameters (Misra–Gries
-    /// mergeability).
-    pub fn merge(&mut self, other: &MgHeavyHitters) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-15,
-            "alpha mismatch: {} vs {}",
-            self.alpha,
-            other.alpha
-        );
-        self.mg.merge(&other.mg);
-    }
-
-    /// Report `(item, estimated frequency)` for every item whose frequency
-    /// *could* reach `α·n` (count + deterministic error bound), sorted by
-    /// decreasing estimate. The reported estimate is the bias-centred
-    /// `count + bound/2`.
-    pub fn report(&self) -> Vec<(u64, u64)> {
-        let bound = self.mg.error_bound();
-        let threshold = self.alpha * self.mg.n() as f64;
-        let mut out: Vec<(u64, u64)> = self
-            .mg
-            .items()
-            .into_iter()
-            .filter(|&(_, c)| c as f64 + bound >= threshold)
-            .map(|(i, c)| (i, c + (bound / 2.0) as u64))
             .collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
@@ -456,16 +393,22 @@ impl CsHeavyHitters {
         self.f2s = f2s;
     }
 
+    /// Whether `other` can merge into `self`: same `α`, CountSketch and
+    /// tracker capacity.
+    pub fn check_merge(&self, other: &CsHeavyHitters) -> Result<(), Mismatch> {
+        Mismatch::unless(same_alpha(self.alpha, other.alpha), "CsHeavyHitters alpha")?;
+        self.cs.check_merge(&other.cs)?;
+        self.tracker.check_merge(&other.tracker)
+    }
+
     /// Merge another reporter with the same parameters and sketch seed.
     /// Both sides' candidates are re-offered at their post-merge
     /// estimates (see [`CmHeavyHitters::merge`]).
+    ///
+    /// # Panics
+    /// When [`CsHeavyHitters::check_merge`] fails.
     pub fn merge(&mut self, other: &CsHeavyHitters) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-15,
-            "alpha mismatch: {} vs {}",
-            self.alpha,
-            other.alpha
-        );
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         self.cs.merge(&other.cs);
         let union: Vec<u64> = self
             .tracker
@@ -580,23 +523,6 @@ impl WireCodec for CmHeavyHitters {
         let cm = CountMin::decode(r)?;
         let tracker = TopKTracker::decode(r)?;
         Ok(CmHeavyHitters { cm, tracker, alpha })
-    }
-}
-
-impl WireCodec for MgHeavyHitters {
-    const WIRE_TAG: u16 = 0x020A;
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.alpha.encode_into(out);
-        self.k.encode_into(out);
-        self.mg.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let alpha = decode_alpha(r)?;
-        let k = usize::decode(r)?;
-        let mg = crate::misra_gries::MisraGries::decode(r)?;
-        Ok(MgHeavyHitters { mg, alpha, k })
     }
 }
 
@@ -758,20 +684,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.n(), whole.n());
         assert_eq!(a.report(), whole.report());
-        // Misra–Gries-backed: merged report keeps every planted heavy.
-        let mut ma = MgHeavyHitters::new(0.1, 0.2);
-        let mut mb = MgHeavyHitters::new(0.1, 0.2);
-        for &x in &left {
-            ma.update(x);
-        }
-        for &x in &right {
-            mb.update(x);
-        }
-        ma.merge(&mb);
-        let found: Vec<u64> = ma.report().iter().map(|&(i, _)| i).collect();
-        for &h in &heavies {
-            assert!(found.contains(&h), "missing heavy {h} after merge");
-        }
     }
 
     #[test]
@@ -780,43 +692,5 @@ mod tests {
         assert!(hh.report().is_empty());
         let hh = CsHeavyHitters::new(0.1, 0.1, 0.1, 8);
         assert!(hh.report().is_empty());
-        let hh = MgHeavyHitters::new(0.1, 0.1);
-        assert!(hh.report().is_empty());
-    }
-
-    #[test]
-    fn mg_hh_finds_planted_heavies() {
-        let heavies = [3u64, 17, 99];
-        let stream = planted_stream(200_000, &heavies, 0.6, 9);
-        let mut hh = MgHeavyHitters::new(0.1, 0.2);
-        for &x in &stream {
-            hh.update(x);
-        }
-        let report = hh.report();
-        let found: Vec<u64> = report.iter().map(|&(i, _)| i).collect();
-        for &h in &heavies {
-            assert!(found.contains(&h), "missing heavy {h}");
-        }
-        // Reported estimates within 20% of truth for the heavies.
-        for &(i, est) in &report {
-            if heavies.contains(&i) {
-                let truth = stream.iter().filter(|&&x| x == i).count() as f64;
-                assert!(
-                    (est as f64 - truth).abs() / truth <= 0.2,
-                    "item {i}: est {est} vs {truth}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mg_hh_rejects_light_items() {
-        // Uniform chaff only: nothing reaches the alpha threshold.
-        let mut rng = Xoshiro256pp::new(10);
-        let mut hh = MgHeavyHitters::new(0.05, 0.2);
-        for _ in 0..100_000 {
-            hh.update(rng.next_below(50_000));
-        }
-        assert!(hh.report().is_empty(), "false positives: {:?}", hh.report());
     }
 }

@@ -8,7 +8,7 @@ use sss_sketch::equiv::assert_batch_equals_scalar;
 use sss_sketch::levelset::LevelSetConfig;
 use sss_sketch::{
     AmsF2, CmHeavyHitters, CountMin, CountSketch, CsHeavyHitters, EntropyEstimator, KmvSketch,
-    LevelSetEstimator, MedianF0, MgHeavyHitters, MisraGries, SpaceSaving,
+    LevelSetEstimator, MedianF0, MisraGries,
 };
 
 /// Skewed mixture: a few hot items over a long uniform tail — exercises
@@ -124,23 +124,6 @@ fn ams_f2() {
 }
 
 #[test]
-fn space_saving() {
-    assert_batch_equals_scalar(
-        "SpaceSaving",
-        mixed,
-        |_seed| SpaceSaving::new(32),
-        |s, x| s.update(x),
-        |s, xs| s.update_batch(xs),
-        |s| {
-            s.items()
-                .into_iter()
-                .flat_map(|(i, c, e)| [i as f64, c as f64, e as f64])
-                .collect()
-        },
-    );
-}
-
-#[test]
 fn misra_gries() {
     assert_batch_equals_scalar(
         "MisraGries",
@@ -194,18 +177,6 @@ fn cs_heavy_hitters() {
         "CsHeavyHitters",
         mixed,
         |seed| CsHeavyHitters::new(0.05, 0.01, 0.05, seed),
-        |s, x| s.update(x),
-        |s, xs| s.update_batch(xs),
-        |s| pairs_to_f64(s.report()),
-    );
-}
-
-#[test]
-fn mg_heavy_hitters() {
-    assert_batch_equals_scalar(
-        "MgHeavyHitters",
-        leadered,
-        |_seed| MgHeavyHitters::new(0.05, 0.1),
         |s, x| s.update(x),
         |s, xs| s.update_batch(xs),
         |s| pairs_to_f64(s.report()),

@@ -19,8 +19,10 @@
 //!   worker threads, decodes snapshots through the codec registry,
 //!   rejects corrupt or incompatible ones with per-reason counters
 //!   ([`TransportStats`]) and folds accepted snapshots into a merged
-//!   [`sss_core::Monitor`] behind `try_merge` — a bad shard is a
-//!   counter bump and a typed NACK, never a collector panic.
+//!   [`sss_core::Monitor`]. Each accept is `restore`, then
+//!   `Monitor::check_mergeable` against the prototype (no clone), then
+//!   store — a bad shard is a counter bump and a typed NACK, never a
+//!   collector panic.
 //! * [`client`] — [`SiteClient`]: wraps a local monitor, ships
 //!   `checkpoint()` snapshots with sequence numbers, bounded retry and
 //!   exponential-backoff reconnect, and resumes cleanly after a dropped

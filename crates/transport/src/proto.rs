@@ -15,7 +15,7 @@
 //! site                          collector
 //!  │ ── Hello {proto, site id, features} ──► │   refused ⇒ HelloAck{accepted:false} + close
 //!  │ ◄── HelloAck {accepted, features} ───── │   granted = offered ∩ supported
-//!  │ ── SnapshotPush {seq, bytes} ─────────► │   decode + try_merge; dedup on seq
+//!  │ ── SnapshotPush {seq, bytes} ─────────► │   dedup on seq; restore + check_mergeable
 //!  │ ◄── SnapshotAck {seq, status} ───────── │   Accepted / Duplicate / Rejected+reason
 //!  │ ── SnapshotDeltaPush {seq, base, diff}► │   apply to retained base, then as above
 //!  │ ◄── SnapshotAck {seq, status} ───────── │   + RejectedUnknownBase ⇒ site re-sends full

@@ -14,8 +14,10 @@
 //! lost ack — answers `Duplicate` and changes nothing. The merged view
 //! ([`CollectorServer::merged`]) folds the per-site snapshots into a
 //! clone of the prototype in ascending `site_id` order through
-//! [`Monitor::try_merge`], so it is bitwise-identical to an in-memory
-//! merge of the same snapshots in the same order.
+//! [`Monitor::merge`], so it is bitwise-identical to an in-memory merge
+//! of the same snapshots in the same order. Every stored snapshot passed
+//! [`Monitor::check_mergeable`] against the prototype when it was
+//! accepted, so the fold cannot fail.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -484,12 +486,9 @@ impl CollectorServer {
         let mut view = self.shared.prototype.clone();
         for site in sites.values() {
             if let Some(snap) = &site.latest {
-                // Mergeability was proven when the snapshot was
-                // accepted; a failure here would mean the prototype
-                // changed underneath us, which it cannot.
-                if view.try_merge(snap).is_err() {
-                    self.shared.reject(RejectReason::MergeIncompatible);
-                }
+                // Accept proved `check_mergeable` against the immutable
+                // prototype, so this merge cannot fail.
+                view.merge(snap);
             }
         }
         view
@@ -742,11 +741,7 @@ fn serve(stream: &mut TcpStream, shared: &Shared) -> bool {
                 // budget re-sending it, then close (the unread payload
                 // makes the stream position unrecoverable).
                 if matches!(e, TransportError::Oversize { .. }) {
-                    let ack = SnapshotAck {
-                        seq: SEQ_UNKNOWN,
-                        status: AckStatus::Rejected,
-                        reason: format!("frame rejected: {e}"),
-                    };
+                    let ack = rejected_ack(SEQ_UNKNOWN, format!("frame rejected: {e}"));
                     let _ = write_frame(stream, &ack.encode_framed());
                 }
                 return false;
@@ -755,79 +750,106 @@ fn serve(stream: &mut TcpStream, shared: &Shared) -> bool {
                 shared
                     .reg
                     .add(MetricId::TransportBytesInTotal, bytes.len() as u64);
-                match fh.tag {
-                    TAG_SNAPSHOT_PUSH => {
-                        let ack = match SnapshotPush::decode_framed(&bytes) {
-                            Ok(push) => handle_push(shared, site_id, push, bytes.len() as u64),
-                            Err(e) => {
-                                shared.reject(RejectReason::from_codec(&e));
-                                SnapshotAck {
-                                    seq: SEQ_UNKNOWN,
-                                    status: AckStatus::Rejected,
-                                    reason: format!("push frame rejected: {e}"),
-                                }
-                            }
-                        };
-                        if write_frame(stream, &ack.encode_framed()).is_err() {
-                            return false;
-                        }
+                if fh.tag == TAG_GOODBYE {
+                    let _ = Goodbye::decode_framed(&bytes);
+                    return true;
+                }
+                let ack = match decode_push(fh.tag, &bytes) {
+                    Ok(Push::Snapshot {
+                        site_id: pushed,
+                        seq,
+                        body,
+                    }) => handle_snapshot_push(shared, site_id, pushed, seq, body, bytes.len()),
+                    Ok(Push::Metrics(push)) => handle_metrics_push(shared, site_id, push),
+                    Err((reason, text)) => {
+                        shared.reject(reason);
+                        rejected_ack(SEQ_UNKNOWN, text)
                     }
-                    TAG_SNAPSHOT_DELTA_PUSH => {
-                        let ack = match SnapshotDeltaPush::decode_framed(&bytes) {
-                            Ok(push) => {
-                                handle_delta_push(shared, site_id, push, bytes.len() as u64)
-                            }
-                            Err(e) => {
-                                shared.reject(RejectReason::from_codec(&e));
-                                SnapshotAck {
-                                    seq: SEQ_UNKNOWN,
-                                    status: AckStatus::Rejected,
-                                    reason: format!("delta push frame rejected: {e}"),
-                                }
-                            }
-                        };
-                        if write_frame(stream, &ack.encode_framed()).is_err() {
-                            return false;
-                        }
-                    }
-                    TAG_METRICS_PUSH => {
-                        let ack = match MetricsPush::decode_framed(&bytes) {
-                            Ok(push) => handle_metrics_push(shared, site_id, push),
-                            Err(e) => {
-                                shared.reject(RejectReason::from_codec(&e));
-                                SnapshotAck {
-                                    seq: SEQ_UNKNOWN,
-                                    status: AckStatus::Rejected,
-                                    reason: format!("metrics push frame rejected: {e}"),
-                                }
-                            }
-                        };
-                        if write_frame(stream, &ack.encode_framed()).is_err() {
-                            return false;
-                        }
-                    }
-                    TAG_GOODBYE => {
-                        let _ = Goodbye::decode_framed(&bytes);
-                        return true;
-                    }
-                    other => {
-                        shared.reject(RejectReason::UnexpectedMessage);
-                        let ack = SnapshotAck {
-                            seq: SEQ_UNKNOWN,
-                            status: AckStatus::Rejected,
-                            reason: format!("unexpected message tag {other:#06x}"),
-                        };
-                        if write_frame(stream, &ack.encode_framed()).is_err() {
-                            return false;
-                        }
-                    }
+                };
+                if write_frame(stream, &ack.encode_framed()).is_err() {
+                    return false;
                 }
             }
         }
     }
 }
 
-/// O(1) duplicate answer shared by both push paths.
+/// A decoded session message that expects an ack.
+enum Push {
+    /// A monitor snapshot push in either encoding.
+    Snapshot {
+        site_id: u64,
+        seq: u64,
+        body: SnapshotBody,
+    },
+    /// Site telemetry.
+    Metrics(MetricsPush),
+}
+
+/// A snapshot's bytes: whole, or a delta against the site's last
+/// accepted snapshot.
+enum SnapshotBody {
+    Full(Vec<u8>),
+    Delta { base_seq: u64, delta: Vec<u8> },
+}
+
+/// Decode one session frame by tag. An undecodable frame maps to its
+/// reject reason and the NACK text; an unknown tag is
+/// [`RejectReason::UnexpectedMessage`].
+fn decode_push(tag: u16, bytes: &[u8]) -> Result<Push, (RejectReason, String)> {
+    let codec = |what: &str, e: CodecError| {
+        (
+            RejectReason::from_codec(&e),
+            format!("{what} frame rejected: {e}"),
+        )
+    };
+    match tag {
+        TAG_SNAPSHOT_PUSH => SnapshotPush::decode_framed(bytes)
+            .map(|p| Push::Snapshot {
+                site_id: p.site_id,
+                seq: p.seq,
+                body: SnapshotBody::Full(p.snapshot),
+            })
+            .map_err(|e| codec("push", e)),
+        TAG_SNAPSHOT_DELTA_PUSH => SnapshotDeltaPush::decode_framed(bytes)
+            .map(|p| Push::Snapshot {
+                site_id: p.site_id,
+                seq: p.seq,
+                body: SnapshotBody::Delta {
+                    base_seq: p.base_seq,
+                    delta: p.delta,
+                },
+            })
+            .map_err(|e| codec("delta push", e)),
+        TAG_METRICS_PUSH => MetricsPush::decode_framed(bytes)
+            .map(Push::Metrics)
+            .map_err(|e| codec("metrics push", e)),
+        other => Err((
+            RejectReason::UnexpectedMessage,
+            format!("unexpected message tag {other:#06x}"),
+        )),
+    }
+}
+
+fn rejected_ack(seq: u64, reason: String) -> SnapshotAck {
+    SnapshotAck {
+        seq,
+        status: AckStatus::Rejected,
+        reason,
+    }
+}
+
+/// The NACK for a push whose `site_id` disagrees with the connection's
+/// hello.
+fn site_mismatch(shared: &Shared, seq: u64, pushed: u64, session: u64) -> SnapshotAck {
+    shared.reject(RejectReason::SiteMismatch);
+    rejected_ack(
+        seq,
+        format!("push for site {pushed} on a connection that authenticated as site {session}"),
+    )
+}
+
+/// O(1) duplicate answer.
 fn duplicate_ack(shared: &Shared, seq: u64) -> SnapshotAck {
     shared.reg.inc(MetricId::TransportSnapshotsDuplicateTotal);
     SnapshotAck {
@@ -844,186 +866,67 @@ fn is_duplicate(shared: &Shared, site: u64, seq: u64) -> bool {
     matches!(entry.last_seq(), Some(last) if seq <= last)
 }
 
-/// Reject pushes carrying the reserved sequence: `u64::MAX` is
-/// [`SEQ_UNKNOWN`] (the undecodable-payload ack sentinel), and
-/// accepting it would also wedge the dedup window at the top of the
-/// range. No honest client gets near it (sequences count up from 0).
-fn check_reserved_seq(shared: &Shared, seq: u64) -> Option<SnapshotAck> {
+/// Validate one snapshot push, whole or delta, and fold it in. Returns
+/// the ack to send; every rejection increments exactly one reason
+/// counter.
+///
+/// The site, reserved-sequence and dedup checks run first, in O(1): a
+/// retry after a lost ack (the normal recovery path) re-sends bytes the
+/// collector already holds, and is answered `Duplicate` without a
+/// decode. A delta is then rebuilt against the retained base, and both
+/// forms take the same accept: `restore` → `check_mergeable` against
+/// the prototype → store.
+fn handle_snapshot_push(
+    shared: &Shared,
+    session_site: u64,
+    pushed_site: u64,
+    seq: u64,
+    body: SnapshotBody,
+    frame_bytes: usize,
+) -> SnapshotAck {
+    if pushed_site != session_site {
+        return site_mismatch(shared, seq, pushed_site, session_site);
+    }
+    // `u64::MAX` is [`SEQ_UNKNOWN`] (the undecodable-payload ack
+    // sentinel), and accepting it would also wedge the dedup window at
+    // the top of the range. No honest client gets near it.
     if seq == SEQ_UNKNOWN {
         shared.reject(RejectReason::InvalidPayload);
-        return Some(SnapshotAck {
-            seq,
-            status: AckStatus::Rejected,
-            reason: "sequence u64::MAX is reserved".to_string(),
-        });
+        return rejected_ack(seq, "sequence u64::MAX is reserved".to_string());
     }
-    None
-}
-
-/// Validate one decoded full push and fold it in. Returns the ack to
-/// send; every rejection increments exactly one reason counter.
-fn handle_push(
-    shared: &Shared,
-    session_site: u64,
-    push: SnapshotPush,
-    frame_bytes: u64,
-) -> SnapshotAck {
-    if push.site_id != session_site {
-        shared.reject(RejectReason::SiteMismatch);
-        return SnapshotAck {
-            seq: push.seq,
-            status: AckStatus::Rejected,
-            reason: format!(
-                "push for site {} on a connection that authenticated as site {}",
-                push.site_id, session_site
-            ),
-        };
+    if is_duplicate(shared, session_site, seq) {
+        return duplicate_ack(shared, seq);
     }
-
-    if let Some(ack) = check_reserved_seq(shared, push.seq) {
-        return ack;
-    }
-
-    // Sequence dedup FIRST: a retry after a lost ack (the normal
-    // recovery path) re-sends a multi-MiB snapshot the collector
-    // already holds — answer `Duplicate` in O(1) instead of paying a
-    // full decode for bytes that will be discarded.
-    if is_duplicate(shared, session_site, push.seq) {
-        return duplicate_ack(shared, push.seq);
-    }
-
-    accept_snapshot(shared, session_site, push.seq, push.snapshot, frame_bytes)
-}
-
-/// Validate one decoded delta push: resolve the base, rebuild the full
-/// snapshot bytes, then run the ordinary accept path on them. A base
-/// the collector does not hold (sequence moved, or the bytes disagree
-/// with the delta's recorded base checksum) answers
-/// [`AckStatus::RejectedUnknownBase`] — the site's cue to fall back to
-/// a full push with the same sequence.
-fn handle_delta_push(
-    shared: &Shared,
-    session_site: u64,
-    push: SnapshotDeltaPush,
-    frame_bytes: u64,
-) -> SnapshotAck {
-    if push.site_id != session_site {
-        shared.reject(RejectReason::SiteMismatch);
-        return SnapshotAck {
-            seq: push.seq,
-            status: AckStatus::Rejected,
-            reason: format!(
-                "delta push for site {} on a connection that authenticated as site {}",
-                push.site_id, session_site
-            ),
-        };
-    }
-    if let Some(ack) = check_reserved_seq(shared, push.seq) {
-        return ack;
-    }
-    if is_duplicate(shared, session_site, push.seq) {
-        return duplicate_ack(shared, push.seq);
-    }
-
-    let unknown_base = |text: String| {
-        shared.reject(RejectReason::UnknownBase);
-        SnapshotAck {
-            seq: push.seq,
-            status: AckStatus::RejectedUnknownBase,
-            reason: text,
-        }
-    };
-
-    // Resolve the retained base under the lock; the `Arc` clone makes
-    // the (multi-MiB) reconstruction below run outside it.
-    let base: Arc<Vec<u8>> = {
-        let sites = shared.sites.lock().expect("sites lock");
-        let entry = sites.get(&session_site).expect("site registered at hello");
-        if entry.last_seq() != Some(push.base_seq) {
-            let held = entry.last_seq();
-            drop(sites);
-            return unknown_base(format!(
-                "delta names base seq {} but the collector holds {:?}",
-                push.base_seq, held
-            ));
-        }
-        match &entry.latest_bytes {
-            Some(bytes) => Arc::clone(bytes),
-            None => {
-                drop(sites);
-                return unknown_base(format!(
-                    "no snapshot bytes retained for base seq {}",
-                    push.base_seq
-                ));
+    let snapshot = match body {
+        SnapshotBody::Full(bytes) => bytes,
+        SnapshotBody::Delta { base_seq, delta } => {
+            match rebuild_from_delta(shared, session_site, base_seq, &delta) {
+                Ok(bytes) => bytes,
+                Err((reason, text)) => {
+                    shared.reject(reason);
+                    let status = match reason {
+                        RejectReason::UnknownBase => AckStatus::RejectedUnknownBase,
+                        _ => AckStatus::Rejected,
+                    };
+                    return SnapshotAck {
+                        seq,
+                        status,
+                        reason: text,
+                    };
+                }
             }
         }
     };
 
-    let delta = match SnapshotDelta::decode_framed(&push.delta) {
-        Ok(d) => d,
-        Err(e) => {
-            shared.reject(RejectReason::from_codec(&e));
-            return SnapshotAck {
-                seq: push.seq,
-                status: AckStatus::Rejected,
-                reason: format!("delta rejected: {e}"),
-            };
-        }
-    };
-    // The reconstructed snapshot obeys the same payload cap as one that
-    // arrived whole — checked before paying for the reconstruction.
-    if delta.target_len() > shared.cfg.max_frame_payload {
-        shared.reject(RejectReason::Oversize);
-        return SnapshotAck {
-            seq: push.seq,
-            status: AckStatus::Rejected,
-            reason: format!(
-                "delta reconstructs {} bytes, above the {} cap",
-                delta.target_len(),
-                shared.cfg.max_frame_payload
-            ),
-        };
-    }
-    let snapshot = match delta.apply_with_limit(&base, shared.cfg.max_frame_payload) {
-        Ok(bytes) => bytes,
-        Err(e @ CodecError::BadBase { .. }) => {
-            return unknown_base(format!("delta does not apply: {e}"));
-        }
-        Err(e) => {
-            shared.reject(RejectReason::from_codec(&e));
-            return SnapshotAck {
-                seq: push.seq,
-                status: AckStatus::Rejected,
-                reason: format!("delta rejected: {e}"),
-            };
-        }
-    };
-
-    accept_snapshot(shared, session_site, push.seq, snapshot, frame_bytes)
-}
-
-/// Decode, merge-probe and store one full snapshot (arrived whole or
-/// rebuilt from a delta). Returns the ack to send.
-fn accept_snapshot(
-    shared: &Shared,
-    session_site: u64,
-    seq: u64,
-    snapshot: Vec<u8>,
-    frame_bytes: u64,
-) -> SnapshotAck {
     let reject = |reason: RejectReason, text: String| {
         shared.reject(reason);
-        SnapshotAck {
-            seq,
-            status: AckStatus::Rejected,
-            reason: text,
-        }
+        rejected_ack(seq, text)
     };
-
     // The snapshot is its own checksummed frame: restore re-validates
     // magic, version, tag and payload checksum independently of the
-    // transport frame that carried it. (The sites lock is NOT held
-    // across the decode — other sites keep landing pushes meanwhile.)
+    // transport frame that carried it. Decode and the prototype check
+    // run outside the sites lock — other sites keep landing pushes
+    // meanwhile — and neither clones nor mutates the prototype.
     let snap = match Monitor::restore(&snapshot) {
         Ok(m) => m,
         Err(e) => {
@@ -1033,14 +936,7 @@ fn accept_snapshot(
             )
         }
     };
-
-    // Prove mergeability against the prototype *before* storing: a bad
-    // shard is rejected here and never reaches the collector view. The
-    // prototype is immutable shared state, so the (multi-MiB for a
-    // full monitor) clone + merge probe also runs outside the lock —
-    // concurrent sites only serialize on the cheap store below.
-    let mut probe = shared.prototype.clone();
-    if let Err(e) = probe.try_merge(&snap) {
+    if let Err(e) = shared.prototype.check_mergeable(&snap) {
         return reject(
             RejectReason::MergeIncompatible,
             format!("snapshot does not merge with the collector prototype: {e}"),
@@ -1051,21 +947,21 @@ fn accept_snapshot(
     let entry = sites
         .get_mut(&session_site)
         .expect("site registered at hello");
-
     // Re-check under the lock: a second connection for the same site
     // id could have advanced the sequence while we were decoding.
     if matches!(entry.last_seq(), Some(last) if seq <= last) {
         drop(sites);
         return duplicate_ack(shared, seq);
     }
-
     entry.latest = Some(snap);
     // Retain the framed bytes as the base for this site's next delta
     // push (one snapshot per site, the price of delta support).
     entry.latest_bytes = Some(Arc::new(snapshot));
     entry.set_last_seq(seq);
     entry.accepted.fetch_add(1, Ordering::Relaxed);
-    entry.bytes_in.fetch_add(frame_bytes, Ordering::Relaxed);
+    entry
+        .bytes_in
+        .fetch_add(frame_bytes as u64, Ordering::Relaxed);
     entry.touch(&shared.reg);
     drop(sites);
     shared.reg.inc(MetricId::TransportSnapshotsAcceptedTotal);
@@ -1079,21 +975,65 @@ fn accept_snapshot(
     }
 }
 
+/// Rebuild the full snapshot bytes a delta push encodes. A base the
+/// collector does not hold (sequence moved, or the bytes disagree with
+/// the delta's recorded base checksum) is [`RejectReason::UnknownBase`]
+/// — answered [`AckStatus::RejectedUnknownBase`], the site's cue to fall
+/// back to a full push with the same sequence.
+fn rebuild_from_delta(
+    shared: &Shared,
+    session_site: u64,
+    base_seq: u64,
+    delta: &[u8],
+) -> Result<Vec<u8>, (RejectReason, String)> {
+    let unknown_base = |text: String| (RejectReason::UnknownBase, text);
+    // Resolve the retained base under the lock; the `Arc` clone makes
+    // the (multi-MiB) reconstruction below run outside it.
+    let base: Arc<Vec<u8>> = {
+        let sites = shared.sites.lock().expect("sites lock");
+        let entry = sites.get(&session_site).expect("site registered at hello");
+        let held = entry.last_seq();
+        match &entry.latest_bytes {
+            Some(bytes) if held == Some(base_seq) => Arc::clone(bytes),
+            Some(_) => {
+                return Err(unknown_base(format!(
+                    "delta names base seq {base_seq} but the collector holds {held:?}"
+                )))
+            }
+            None => {
+                return Err(unknown_base(format!(
+                    "no snapshot bytes retained for base seq {base_seq}"
+                )))
+            }
+        }
+    };
+    let codec = |e: CodecError| (RejectReason::from_codec(&e), format!("delta rejected: {e}"));
+    let delta = SnapshotDelta::decode_framed(delta).map_err(codec)?;
+    // The reconstructed snapshot obeys the same payload cap as one that
+    // arrived whole — checked before paying for the reconstruction.
+    let cap = shared.cfg.max_frame_payload;
+    if delta.target_len() > cap {
+        return Err((
+            RejectReason::Oversize,
+            format!(
+                "delta reconstructs {} bytes, above the {cap} cap",
+                delta.target_len()
+            ),
+        ));
+    }
+    delta.apply_with_limit(&base, cap).map_err(|e| match e {
+        CodecError::BadBase { .. } => unknown_base(format!("delta does not apply: {e}")),
+        e => codec(e),
+    })
+}
+
 /// Store one site telemetry push: last-write-wins guarded by `seq`, so
 /// a late retry never rolls the stored view backwards. No dedup window
 /// — telemetry is an overwrite, not a merge, so replaying a sequence
 /// is harmless and always acks `Accepted`.
 fn handle_metrics_push(shared: &Shared, session_site: u64, push: MetricsPush) -> SnapshotAck {
     if push.site_id != session_site {
-        shared.reject(RejectReason::SiteMismatch);
-        return SnapshotAck {
-            seq: push.seq,
-            status: AckStatus::Rejected,
-            reason: format!(
-                "metrics push for site {} on a connection that authenticated as site {}",
-                push.site_id, session_site
-            ),
-        };
+        return site_mismatch(shared, push.seq, push.site_id, session_site);
     }
     {
         let mut metrics = shared.site_metrics.lock().expect("site metrics lock");

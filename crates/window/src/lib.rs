@@ -1,4 +1,4 @@
-//! Sliding-window and time-decayed statistics over sub-sampled streams.
+//! Sliding-window statistics over sub-sampled streams.
 //!
 //! Everything the [`sss_core::Monitor`] computes is whole-stream; the
 //! production questions (telemetry, NIDS, netflow) are windowed —
@@ -17,11 +17,6 @@
 //!   Exact substrates (bottom-k `F_0`, collision-counting `F_k`,
 //!   CountMin) merge losslessly, so the fold over the last `W` buckets
 //!   is *bitwise-identical* to a fresh monitor fed only those items.
-//! * [`DecayedMonitor`] — the same bucket ring with exponential time
-//!   decay applied at query time: bucket at age `a` epochs weighs
-//!   `2^(-a/half_life)`. No per-item cost; decay is a query-side
-//!   weighting, and the answer is flagged
-//!   [`sss_core::Guarantee::Heuristic`].
 //! * [`QuerySpec`]/[`Alert`] — a continuous-query surface: threshold,
 //!   delta-vs-previous-window and change-point queries registered
 //!   against estimator labels, evaluated once per bucket rollover,
@@ -32,6 +27,11 @@
 //!   global epoch boundaries (epochs come from event time, never from
 //!   per-site counts), and [`WindowedMonitor::try_merge`] folds
 //!   clock-aligned windows into one answer for the union.
+//! * Every live bucket is merge-compatible with the window's prototype
+//!   (`Monitor::check_mergeable`): forks are by construction, and a
+//!   decoded window rejects any bucket that is not with a typed
+//!   `CodecError::Invalid`. Folds and merges therefore never clone a
+//!   probe, and never panic on restored state.
 //!
 //! All window state implements [`sss_codec::WireCodec`] in the
 //! `0x06xx` tag range (bucket ring, clock, query registry, pending
@@ -40,10 +40,8 @@
 
 #![forbid(unsafe_code)]
 
-mod decayed;
 mod query;
 mod windowed;
 
-pub use decayed::DecayedMonitor;
 pub use query::{Alert, AlertKind, QueryKind, QuerySpec};
 pub use windowed::{WindowConfig, WindowMergeError, WindowedMonitor};

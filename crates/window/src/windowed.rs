@@ -232,17 +232,6 @@ impl WindowedMonitor {
         self.buckets.iter().map(|b| b.monitor.samples_seen()).sum()
     }
 
-    /// The pristine prototype (label → statistic metadata for the
-    /// decayed weighting).
-    pub(crate) fn prototype_ref(&self) -> &Monitor {
-        &self.prototype
-    }
-
-    /// `(epoch, bucket)` over the live buckets, ascending epoch.
-    pub(crate) fn iter_buckets(&self) -> impl Iterator<Item = (u64, &Monitor)> {
-        self.buckets.iter().map(|b| (b.epoch, &b.monitor))
-    }
-
     /// Oldest epoch still inside the window.
     #[inline]
     fn oldest_live_epoch(&self) -> u64 {
@@ -410,7 +399,7 @@ impl WindowedMonitor {
     /// The live bucket for `epoch`, materialising it on first use.
     fn bucket_mut(&mut self, epoch: u64) -> &mut Monitor {
         debug_assert!(epoch <= self.cur_epoch && epoch >= self.oldest_live_epoch());
-        match self.buckets.binary_search_by(|b| b.epoch.cmp(&epoch)) {
+        match self.bucket_index(epoch) {
             Ok(i) => &mut self.buckets[i].monitor,
             Err(i) => {
                 // fork_shard(epoch): sketch hash seeds stay invariant
@@ -423,6 +412,12 @@ impl WindowedMonitor {
                 &mut self.buckets[i].monitor
             }
         }
+    }
+
+    /// Position of `epoch` in the ascending bucket ring (`Err`: where it
+    /// would be inserted).
+    fn bucket_index(&self, epoch: u64) -> Result<usize, usize> {
+        self.buckets.binary_search_by(|b| b.epoch.cmp(&epoch))
     }
 
     /// Merge the live buckets into one [`Monitor`] answering for
@@ -493,10 +488,10 @@ impl WindowedMonitor {
     }
 
     /// Merge a shard's window that observed a disjoint slice of the
-    /// same timeline: buckets pair up **by epoch** and merge through
-    /// `Monitor::try_merge`; epochs only one side materialised copy
-    /// over. Validation happens before any mutation, so an `Err`
-    /// leaves `self` untouched. Both clocks must agree (align with
+    /// same timeline: buckets pair up **by epoch** and merge in place;
+    /// epochs only one side materialised copy over. Every check
+    /// (`Monitor::check_mergeable`, no clones) runs before any mutation,
+    /// so an `Err` leaves `self` untouched. Both clocks must agree (align with
     /// [`WindowedMonitor::advance_to`] first) — that is the epoch
     /// contract that keeps coordinator folds bitwise-deterministic:
     /// retirement boundaries come from shared event time, never from
@@ -517,19 +512,23 @@ impl WindowedMonitor {
                 right: other.cur_epoch,
             });
         }
-        // Prototype compatibility check catches shape/rate/seed
-        // divergence even when `other` only brings unpaired buckets.
-        self.prototype.clone().try_merge(&other.prototype)?;
-        // Stage the bucket merges on a scratch ring so a failing pair
-        // cannot leave a half-merged window.
-        let mut merged = self.buckets.clone();
+        self.prototype.check_mergeable(&other.prototype)?;
+        // Each incoming bucket is checked against what it lands on: its
+        // epoch's bucket, or the prototype it is adopted under. The rate
+        // tolerance is not transitive, so prototype-to-prototype
+        // agreement alone does not prove the pairs.
         for ob in &other.buckets {
-            match merged.binary_search_by(|b| b.epoch.cmp(&ob.epoch)) {
-                Ok(i) => merged[i].monitor.try_merge(&ob.monitor)?,
-                Err(i) => merged.insert(i, ob.clone()),
+            match self.bucket_index(ob.epoch) {
+                Ok(i) => self.buckets[i].monitor.check_mergeable(&ob.monitor)?,
+                Err(_) => self.prototype.check_mergeable(&ob.monitor)?,
             }
         }
-        self.buckets = merged;
+        for ob in &other.buckets {
+            match self.bucket_index(ob.epoch) {
+                Ok(i) => self.buckets[i].monitor.merge(&ob.monitor),
+                Err(i) => self.buckets.insert(i, ob.clone()),
+            }
+        }
         if !self.started {
             self.started = other.started;
             self.cur_epoch = other.cur_epoch;
@@ -666,6 +665,11 @@ impl WireCodec for WindowedMonitor {
                 });
             }
             let monitor = decode_monitor_section(r)?;
+            if prototype.check_mergeable(&monitor).is_err() {
+                return Err(CodecError::Invalid {
+                    what: "window bucket does not merge with the prototype",
+                });
+            }
             buckets.push_back(Bucket { epoch, monitor });
         }
         let qcount = r.len_prefix(4)?;
@@ -889,6 +893,94 @@ mod tests {
         match acc.try_merge(&other_shape) {
             Err(WindowMergeError::ConfigMismatch { .. }) => {}
             other => panic!("expected config mismatch, got {other:?}"),
+        }
+    }
+
+    /// A monitor holding one estimator of decode-registry tag `tag`
+    /// (0..10), built at rate `p`, sketch seed `seed` and geometry `g`
+    /// (0 = base; 1 = different dimensions or parameters).
+    fn registry_monitor(tag: usize, p: f64, seed: u64, g: u32) -> Monitor {
+        use sss_core::{
+            recommended_levelset_config, AdaptiveF2Estimator, NaiveScaledF0, NaiveScaledFk,
+            RusuDobraF2, SampledFkEstimator,
+        };
+        let b = MonitorBuilder::with_seed(p, seed);
+        let gf = f64::from(g);
+        match tag {
+            0 => b.f0(0.05 / (1.0 + 99.0 * gf)),
+            1 => b.register("x", SampledFkEstimator::exact(2 + g, p)),
+            2 => {
+                let mut cfg = recommended_levelset_config(2, 1 << 10, 0.5, 0.3);
+                (cfg.levels, cfg.depth, cfg.width, cfg.track) = (6, 3, 32 << g, 32);
+                b.fk_sketched_with(2, &cfg)
+            }
+            3 => b.entropy(64 << g),
+            4 => b.f1_heavy_hitters(0.1 + 0.1 * gf, 0.3, 0.1),
+            5 => b.f2_heavy_hitters(0.5 + 0.1 * gf, 0.5, 0.1),
+            6 => b.register("x", RusuDobraF2::new(p, 3, 16 << g, seed)),
+            7 => b.register("x", NaiveScaledFk::new(2 + g, p)),
+            8 => b.register("x", NaiveScaledF0::new(p, seed)),
+            _ => b.register("x", AdaptiveF2Estimator::new(p)),
+        }
+        .build()
+    }
+
+    /// The merge contract over every decode-registry tag × {same, rate,
+    /// seed, geometry}: `check_mergeable` and `Monitor::try_merge` agree
+    /// on live and decoded input, `WindowedMonitor::try_merge` and window
+    /// decode follow the same verdict, nothing panics, and an `Err`
+    /// leaves the target's bytes unchanged.
+    #[test]
+    fn merge_contract_battery_over_every_registry_tag() {
+        let cfg = WindowConfig::new(2, 10);
+        let xs: Vec<u64> = (0..600u64).map(|i| i * i % 97).collect();
+        let (xa, xb) = xs.split_at(300);
+        for tag in 0..10 {
+            for (p, seed, g) in [(0.5, 1, 0), (0.25, 1, 0), (0.5, 2, 0), (0.5, 1, 1)] {
+                let case = format!("tag {tag} × (p {p}, seed {seed}, geometry {g})");
+                let mut a = registry_monitor(tag, 0.5, 1, 0);
+                a.update_batch(xa);
+                let mut b = registry_monitor(tag, p, seed, g);
+                b.update_batch(xb);
+                let verdict = a.check_mergeable(&b);
+                if (p, seed, g) == (0.5, 1, 0) {
+                    assert_eq!(verdict, Ok(()), "{case}: identical configs merge");
+                }
+                let decoded =
+                    Monitor::restore(&b.checkpoint().expect("checkpoint")).expect("restore");
+                assert_eq!(a.check_mergeable(&decoded), verdict, "{case}: decoded");
+                for other in [&b, &decoded] {
+                    let before = a.checkpoint().expect("checkpoint");
+                    let mut target = a.clone();
+                    assert_eq!(target.try_merge(other), verdict, "{case}");
+                    if verdict.is_err() {
+                        assert_eq!(target.checkpoint().expect("checkpoint"), before, "{case}");
+                    }
+                }
+
+                let mut wa = WindowedMonitor::new(registry_monitor(tag, 0.5, 1, 0), cfg);
+                wa.ingest_batch_at(0, xa);
+                let mut wb = WindowedMonitor::new(registry_monitor(tag, p, seed, g), cfg);
+                wb.ingest_batch_at(0, xb);
+                let before = wa.checkpoint().expect("checkpoint");
+                let mut target = wa.clone();
+                let merged = target.try_merge(&wb);
+                assert_eq!(merged.is_err(), verdict.is_err(), "{case}: window merge");
+                if merged.is_err() {
+                    assert_eq!(target.checkpoint().expect("checkpoint"), before, "{case}");
+                }
+
+                // A window whose bucket is `b` under `a`'s prototype
+                // decodes exactly when the two merge.
+                let mut spliced = wa.clone();
+                spliced.buckets[0].monitor = b.clone();
+                let restored = WindowedMonitor::restore(&spliced.checkpoint().expect("checkpoint"));
+                match (&restored, &verdict) {
+                    (Ok(_), Ok(())) => {}
+                    (Err(CodecError::Invalid { .. }), Err(_)) => {}
+                    _ => panic!("{case}: decode {:?} vs verdict {verdict:?}", restored.err()),
+                }
+            }
         }
     }
 

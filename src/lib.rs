@@ -63,11 +63,14 @@
 //!   [`sample_batches`](stream::BernoulliSampler::sample_batches) feed)
 //!   and exact ground truth,
 //! * [`sketch`] — the classic streaming substrates (CountMin,
-//!   CountSketch, Misra–Gries, SpaceSaving, AMS, KMV, Indyk–Woodruff
-//!   level sets, entropy estimation, and the shared-atomic grid
-//!   variants), all mergeable and batch-capable,
+//!   CountSketch, Misra–Gries, AMS, KMV, Indyk–Woodruff level sets,
+//!   entropy estimation, and the shared-atomic grid variants), all
+//!   batch-capable; the mergeable ones expose a non-mutating
+//!   `check_merge` returning a typed [`Mismatch`](sketch::Mismatch),
 //! * [`core`] — the paper's estimators behind the unified trait, the
-//!   [`Monitor`](core::Monitor) pipeline and its multi-threaded
+//!   [`Monitor`](core::Monitor) pipeline (one mergeability decision,
+//!   [`Monitor::check_mergeable`](core::Monitor::check_mergeable)) and its
+//!   multi-threaded
 //!   [`ConcurrentMonitor`](core::ConcurrentMonitor) front end, the
 //!   baselines, and the flow-distribution / adaptive-rate extensions,
 //! * [`transport`] — the TCP snapshot transport: a
@@ -76,13 +79,11 @@
 //!   rejection counters, sequence-number dedup), and a
 //!   [`SiteClient`](transport::SiteClient) shipping checkpoints with
 //!   bounded-retry exponential-backoff reconnect,
-//! * [`window`] — sliding-window and time-decayed statistics: the
-//!   tumbling-bucket [`WindowedMonitor`](window::WindowedMonitor)
-//!   (each bucket a full sub-`Monitor`; queries fold live buckets
-//!   through the merge algebra), the exponential-decay
-//!   [`DecayedMonitor`](window::DecayedMonitor), and a continuous-query
-//!   surface emitting typed [`Alert`](window::Alert)s on bucket
-//!   rollover,
+//! * [`window`] — sliding-window statistics: the tumbling-bucket
+//!   [`WindowedMonitor`](window::WindowedMonitor) (each bucket a full
+//!   sub-`Monitor`; queries fold live buckets through the merge
+//!   algebra), and a continuous-query surface emitting typed
+//!   [`Alert`](window::Alert)s on bucket rollover,
 //! * [`obs`] — the workspace-wide observability layer: a process-global
 //!   metric [`Registry`](obs::Registry) (atomic counters, gauges, log2
 //!   histograms) and event tracer every other crate records into,
@@ -108,6 +109,4 @@ pub use sss_core::{
 pub use sss_transport::{
     ClientConfig, CollectorServer, ServerConfig, SiteClient, TransportError, TransportStats,
 };
-pub use sss_window::{
-    Alert, AlertKind, DecayedMonitor, QueryKind, QuerySpec, WindowConfig, WindowedMonitor,
-};
+pub use sss_window::{Alert, AlertKind, QueryKind, QuerySpec, WindowConfig, WindowedMonitor};

@@ -10,9 +10,10 @@
 
 use subsampled_streams::codec::{CodecError, WireCodec, WIRE_VERSION};
 use subsampled_streams::core::{
-    AdaptiveF2Estimator, ConcurrentConfig, ConcurrentMonitor, Estimate, Monitor, MonitorBuilder,
-    NaiveScaledF0, NaiveScaledFk, RusuDobraF2, SampledEntropyEstimator, SampledF0Estimator,
-    SampledF1HeavyHitters, SampledF2HeavyHitters, SampledFkEstimator, SubsampledEstimator,
+    apply_snapshot_delta, snapshot_delta, AdaptiveF2Estimator, ConcurrentConfig, ConcurrentMonitor,
+    Estimate, Monitor, MonitorBuilder, NaiveScaledF0, NaiveScaledFk, RusuDobraF2,
+    SampledEntropyEstimator, SampledF0Estimator, SampledF1HeavyHitters, SampledF2HeavyHitters,
+    SampledFkEstimator, SubsampledEstimator,
 };
 use subsampled_streams::hash::{
     FourWiseSign, PairwiseHash, PolyHash, RngCore64, SplitMix64, Xoshiro256pp,
@@ -20,7 +21,7 @@ use subsampled_streams::hash::{
 use subsampled_streams::sketch::levelset::{LevelSetConfig, LevelSetEstimator};
 use subsampled_streams::sketch::{
     AmsF2, CmHeavyHitters, CountMin, CountSketch, CsHeavyHitters, EntropyEstimator, KmvSketch,
-    MedianF0, MgHeavyHitters, MisraGries, SpaceSaving, TopKTracker,
+    MedianF0, MisraGries, TopKTracker,
 };
 use subsampled_streams::stream::{BernoulliSampler, StreamGen, ZipfStream};
 
@@ -271,14 +272,6 @@ fn sketch_substrates_roundtrip_and_continue() {
     assert_eq!(mg.items(), mg2.items());
     assert_eq!(mg.n(), mg2.n());
 
-    let mut ss = SpaceSaving::new(32);
-    ss.update_batch(head);
-    let mut ss2 = roundtrip(&ss);
-    assert_eq!(ss.items(), ss2.items());
-    ss.update_batch(tail);
-    ss2.update_batch(tail);
-    assert_eq!(ss.items(), ss2.items());
-
     let mut tk = TopKTracker::new(16);
     for (i, &x) in head.iter().enumerate() {
         tk.offer(x, i as f64);
@@ -332,14 +325,6 @@ fn sketch_substrates_roundtrip_and_continue() {
     cshh.update_batch(tail);
     cshh2.update_batch(tail);
     assert_eq!(cshh.report(), cshh2.report());
-
-    let mut mghh = MgHeavyHitters::new(0.05, 0.2);
-    mghh.update_batch(head);
-    let mut mghh2 = roundtrip(&mghh);
-    mghh.update_batch(tail);
-    mghh2.update_batch(tail);
-    assert_eq!(mghh.report(), mghh2.report());
-    assert_eq!(mghh.space_words(), mghh2.space_words());
 }
 
 fn full_monitor(p: f64) -> Monitor {
@@ -649,8 +634,8 @@ fn delta_checkpoints_roundtrip_and_reject_wrong_bases() {
     let base = monitor.checkpoint().expect("base checkpoint");
 
     monitor.update_batch(mid);
-    let delta = monitor.checkpoint_delta(&base).expect("delta checkpoint");
     let full = monitor.checkpoint().expect("full checkpoint");
+    let delta = snapshot_delta(&base, &full);
     assert!(
         delta.len() * 2 < full.len(),
         "steady-state delta ({} B) should be well under the full snapshot ({} B)",
@@ -660,8 +645,9 @@ fn delta_checkpoints_roundtrip_and_reject_wrong_bases() {
 
     // Applying to the right base rebuilds the exact checkpoint bytes,
     // and the restored monitor is observationally identical.
-    assert_eq!(Monitor::apply_delta(&base, &delta).expect("apply"), full);
-    let mut restored = Monitor::restore_delta(&base, &delta).expect("restore");
+    assert_eq!(apply_snapshot_delta(&base, &delta).expect("apply"), full);
+    let mut restored =
+        Monitor::restore(&apply_snapshot_delta(&base, &delta).expect("apply")).expect("restore");
     assert_reports_bitwise_equal(&monitor, &restored);
     monitor.update_batch(tail);
     restored.update_batch(tail);
@@ -672,26 +658,26 @@ fn delta_checkpoints_roundtrip_and_reject_wrong_bases() {
     other.update_batch(mid);
     let wrong_base = other.checkpoint().expect("other checkpoint");
     assert!(matches!(
-        Monitor::apply_delta(&wrong_base, &delta),
+        apply_snapshot_delta(&wrong_base, &delta),
         Err(CodecError::BadBase { .. })
     ));
     // A corrupted copy of the right base is also BadBase (checksum).
     let mut bent = base.clone();
     bent[base.len() / 2] ^= 0x10;
     assert!(matches!(
-        Monitor::apply_delta(&bent, &delta),
+        apply_snapshot_delta(&bent, &delta),
         Err(CodecError::BadBase { .. })
     ));
 
     // Corrupt delta frames: typed errors at every cut and every flip.
     for cut in [0, 1, delta.len() / 2, delta.len() - 1] {
-        assert!(Monitor::apply_delta(&base, &delta[..cut]).is_err());
+        assert!(apply_snapshot_delta(&base, &delta[..cut]).is_err());
     }
     for i in (0..delta.len()).step_by(7) {
         let mut b = delta.clone();
         b[i] ^= 0xFF;
         assert!(
-            Monitor::apply_delta(&base, &b).is_err(),
+            apply_snapshot_delta(&base, &b).is_err(),
             "flip at {i} applied"
         );
     }

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use subsampled_streams::codec::WireCodec;
 use subsampled_streams::core::{Monitor, MonitorBuilder, Statistic};
+use subsampled_streams::obs::{global, MetricId};
 use subsampled_streams::stream::{BernoulliSampler, StreamGen, ZipfStream};
 use subsampled_streams::transport::{
     read_frame, write_frame, AckStatus, ClientConfig, CollectorServer, Hello, HelloAck,
@@ -330,6 +331,50 @@ fn corruption_and_incompatibility_increment_reasons_and_keep_serving() {
     assert_eq!(merged.samples_seen(), site.samples_seen());
 }
 
+/// A site whose builder seed differs from the collector's prototype
+/// pushes a well-formed snapshot whose sketches hash differently. The
+/// collector answers a typed `MergeIncompatible` rejection and the same
+/// connection then lands a good push.
+#[test]
+fn seed_mismatched_site_is_rejected_and_the_connection_keeps_serving() {
+    let server =
+        CollectorServer::bind("127.0.0.1:0", prototype(), test_server_config()).expect("bind");
+    let mut client =
+        SiteClient::connect(server.local_addr(), test_client_config(21)).expect("connect");
+
+    let mut foreign = MonitorBuilder::with_seed(P, 4243)
+        .f0(0.05)
+        .fk(2)
+        .entropy(512)
+        .build();
+    foreign.update_batch(&[1, 2, 3]);
+    match client.push_monitor(&foreign) {
+        Err(TransportError::Rejected { reason }) => {
+            assert!(reason.contains("hash functions"), "reason: {reason}")
+        }
+        other => panic!("expected a typed rejection, got {other:?}"),
+    }
+
+    let (site, wire) = site_monitor(&ZipfStream::new(300, 1.0).generate(20_000, 8), 19);
+    assert_eq!(
+        client.push_wire(wire).expect("good push"),
+        PushOutcome::Accepted
+    );
+    assert_eq!(
+        client.stats().reconnects,
+        0,
+        "the rejection kept the session"
+    );
+    client.close();
+
+    let (merged, stats) = server.shutdown();
+    assert_eq!(stats.rejected(RejectReason::MergeIncompatible), 1);
+    assert_eq!(stats.rejected_total(), 1);
+    assert_eq!(stats.snapshots_accepted, 1);
+    assert_eq!(stats.connections_active, 0);
+    assert_eq!(merged.samples_seen(), site.samples_seen());
+}
+
 /// Handshake refusals: a frame stamped with a foreign wire version is
 /// refused with a typed counter bump, and so is a well-formed hello
 /// speaking a foreign *transport* protocol version.
@@ -515,6 +560,10 @@ fn steady_state_pushes_travel_as_deltas_and_merge_identically() {
         PushOutcome::Accepted
     );
     let base_bytes_out = client.stats().bytes_out;
+    // Both ends record `sss_codec_delta_bytes_total`: the site when it
+    // diffs, the collector when it applies.
+    let delta_counter = || global().value(MetricId::CodecDeltaBytesTotal);
+    let counted_before = delta_counter();
 
     let mut full_bytes = 0usize;
     for chunk in &increments {
@@ -535,6 +584,11 @@ fn steady_state_pushes_travel_as_deltas_and_merge_identically() {
     assert!(
         delta_bytes * 2 < full_bytes,
         "steady-state delta pushes wrote {delta_bytes} B where full pushes would write {full_bytes} B"
+    );
+    let counted = delta_counter() - counted_before;
+    assert!(
+        counted >= delta_bytes as u64,
+        "delta byte counter grew {counted} B across {delta_bytes} B of delta pushes"
     );
 
     let (merged, sstats) = server.shutdown();
