@@ -24,8 +24,7 @@ use sss_stream::{BernoulliSampler, StreamGen, ZipfStream};
 const P: f64 = 0.25;
 const BATCH: usize = 4096;
 
-/// The standard four-estimator monitor — same config as `bench_monitor`,
-/// so its historical numbers are directly comparable.
+/// The standard four-estimator monitor.
 fn full_monitor() -> Monitor {
     MonitorBuilder::with_seed(P, 7)
         .f0(0.05)

@@ -15,10 +15,7 @@
 //!   sampling; the correct scaling (Algorithm 2) is `1/√p`-bounded error,
 //!   and E11 shows where `1/p` lands instead.
 
-use sss_codec::{
-    put_packed_sorted_u64s, put_varint_u64, put_varint_u64s, CodecError, Reader, WireCodec,
-};
-use sss_hash::{fp_hash_map, FpHashMap};
+use sss_codec::{CodecError, Reader, WireCodec};
 use sss_sketch::ams::AmsF2;
 use sss_sketch::kmv::MedianF0;
 use sss_sketch::Mismatch;
@@ -26,6 +23,7 @@ use sss_sketch::Mismatch;
 use crate::estimate::{
     check_rates, Estimate, Guarantee, MergeError, Statistic, SubsampledEstimator,
 };
+use crate::frequency::FrequencyMap;
 
 /// Rusu–Dobra estimator of `F_2(P)` from the sampled stream.
 #[derive(Debug, Clone)]
@@ -164,10 +162,9 @@ impl SubsampledEstimator for RusuDobraF2 {
 /// biased because sampling does not commute with `k`-th powers.
 #[derive(Debug, Clone)]
 pub struct NaiveScaledFk {
-    freqs: FpHashMap<u64, u64>,
+    freqs: FrequencyMap,
     k: u32,
     p: f64,
-    n_sampled: u64,
 }
 
 impl NaiveScaledFk {
@@ -176,17 +173,15 @@ impl NaiveScaledFk {
         assert!(k >= 1);
         assert!(p > 0.0 && p <= 1.0);
         Self {
-            freqs: fp_hash_map(),
+            freqs: FrequencyMap::default(),
             k,
             p,
-            n_sampled: 0,
         }
     }
 
     /// Ingest one element of the sampled stream `L`.
     pub fn update(&mut self, x: u64) {
-        self.n_sampled += 1;
-        *self.freqs.entry(x).or_insert(0) += 1;
+        self.freqs.update(x);
     }
 
     /// Ingest a batch of consecutive elements of `L`.
@@ -204,28 +199,19 @@ impl NaiveScaledFk {
     pub fn merge(&mut self, other: &NaiveScaledFk) {
         self.merge_compatible(other)
             .unwrap_or_else(|e| panic!("{e}"));
-        // sss-lint: allow(canonical_iteration) — commutative u64 adds into an exact map; the merged state is iteration-order independent
-        for (&i, &g) in &other.freqs {
-            *self.freqs.entry(i).or_insert(0) += g;
-        }
-        self.n_sampled += other.n_sampled;
+        self.freqs.merge(&other.freqs);
     }
 
     /// Elements of the sampled stream ingested.
     pub fn samples_seen(&self) -> u64 {
-        self.n_sampled
+        self.freqs.n()
     }
 
-    /// `F_k(L) / p^k`. Summed in ascending item order so the float
-    /// accumulation is canonical (a deserialized baseline reports bitwise
-    /// the same value as the original despite a different map history).
+    /// `F_k(L) / p^k`, with `F_k(L) = Σ_g N_g·g^k` read from the frequency
+    /// histogram.
     pub fn estimate(&self) -> f64 {
-        let mut rows: Vec<(u64, u64)> = self.freqs.iter().map(|(&i, &g)| (i, g)).collect();
-        rows.sort_unstable();
-        let fk_l: f64 = rows
-            .into_iter()
-            .map(|(_, g)| (g as f64).powi(self.k as i32))
-            .sum();
+        let fk_l =
+            FrequencyMap::sum_over(&self.freqs.histogram(), |g| (g as f64).powi(self.k as i32));
         fk_l / self.p.powi(self.k as i32)
     }
 }
@@ -265,7 +251,7 @@ impl SubsampledEstimator for NaiveScaledFk {
     }
 
     fn space_bytes(&self) -> usize {
-        16 * self.freqs.len()
+        16 * self.freqs.distinct()
     }
 
     fn p(&self) -> f64 {
@@ -391,15 +377,9 @@ impl WireCodec for NaiveScaledFk {
     const WIRE_TAG: u16 = 0x0408;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        // v2 layout: columnar frequency map, same shape as
-        // `ExactCollisions`.
         self.k.encode_into(out);
         self.p.encode_into(out);
-        put_varint_u64(out, self.n_sampled);
-        let mut rows: Vec<(u64, u64)> = self.freqs.iter().map(|(&i, &g)| (i, g)).collect();
-        rows.sort_unstable();
-        put_packed_sorted_u64s(out, &rows.iter().map(|&(i, _)| i).collect::<Vec<_>>());
-        put_varint_u64s(out, &rows.iter().map(|&(_, g)| g).collect::<Vec<_>>());
+        self.freqs.encode_into(out);
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
@@ -410,40 +390,8 @@ impl WireCodec for NaiveScaledFk {
             });
         }
         let p = crate::f0::decode_rate(r)?;
-        let (n_sampled, rows);
-        if r.v2() {
-            n_sampled = r.varint_u64()?;
-            let items = r.packed_sorted_u64s()?;
-            let gs = r.varint_u64s()?;
-            if gs.len() != items.len() {
-                return Err(CodecError::Invalid {
-                    what: "NaiveScaledFk column length mismatch",
-                });
-            }
-            rows = items.into_iter().zip(gs).collect::<Vec<_>>();
-        } else {
-            n_sampled = r.u64()?;
-            let len = r.len_prefix(16)?;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push((r.u64()?, r.u64()?));
-            }
-            rows = v;
-        }
-        let mut freqs = fp_hash_map();
-        for (item, g) in rows {
-            if g == 0 || freqs.insert(item, g).is_some() {
-                return Err(CodecError::Invalid {
-                    what: "NaiveScaledFk frequency row invalid",
-                });
-            }
-        }
-        Ok(NaiveScaledFk {
-            freqs,
-            k,
-            p,
-            n_sampled,
-        })
+        let freqs = FrequencyMap::decode(r)?;
+        Ok(NaiveScaledFk { freqs, k, p })
     }
 }
 

@@ -4,19 +4,20 @@
 //! 2). We expose that behind a trait with two implementations so that
 //! experiments can separate the two error sources of Lemma 3:
 //!
-//! * [`ExactCollisions`] — exact incremental collision counting from a
-//!   frequency map of the *sampled* stream. Space `O(F_0(L))`; isolates the
+//! * [`ExactCollisions`] — exact collision counting from the frequency
+//!   map of the *sampled* stream. Space `O(F_0(L))`; isolates the
 //!   Bernoulli-sampling error (events `E¹_ℓ`, Lemma 5).
 //! * [`LevelSetCollisions`] — the paper's sketched path at
 //!   `Õ(p⁻¹m^{1−2/k})` space; adds the sketching error (events `E²_ℓ`,
 //!   Lemmas 6–7).
 
-use sss_codec::{
-    put_packed_sorted_u64s, put_varint_u64, put_varint_u64s, CodecError, Reader, WireCodec,
-};
-use sss_hash::{fp_hash_map, FpHashMap};
+use sss_codec::{CodecError, Reader, WireCodec};
 use sss_sketch::levelset::{LevelSetConfig, LevelSetEstimator};
 use sss_sketch::Mismatch;
+use sss_stream::exact::binom_f64;
+
+use crate::frequency::FrequencyMap;
+use crate::stirling::MAX_K;
 
 /// A one-pass structure that observes the sampled stream and can estimate
 /// the `ℓ`-wise collision counts `C_ℓ` of what it saw.
@@ -60,122 +61,72 @@ pub trait CollisionOracle {
     fn space_words(&self) -> usize;
 }
 
-/// Exact collision counting via a frequency map, maintained incrementally:
-/// when an item's count rises from `g` to `g+1`, `C_ℓ` grows by
-/// `binom(g, ℓ−1)` — `O(k)` work per update.
+/// Exact collision counting from the frequency map of the sampled
+/// stream: `C_ℓ = Σ_g N_g·binom(g, ℓ)` over its frequency histogram,
+/// so merges are exact integer adds in any order.
 #[derive(Debug, Clone)]
 pub struct ExactCollisions {
-    freqs: FpHashMap<u64, u64>,
-    /// `c[ℓ]` holds `C_ℓ`; index 0 unused, `c[1] = n`.
-    c: Vec<f64>,
-    n: u64,
+    freqs: FrequencyMap,
+    k: u32,
 }
 
 impl ExactCollisions {
-    /// Oracle tracking `C_1 … C_k`.
+    /// Oracle tracking `C_1 … C_k`, `1 ≤ k ≤ MAX_K` (the orders decode
+    /// accepts).
     pub fn new(k: u32) -> Self {
-        assert!(k >= 1, "need k >= 1");
+        assert!((1..=MAX_K).contains(&k), "need 1 <= k <= {MAX_K}");
         Self {
-            freqs: fp_hash_map(),
-            c: vec![0.0; k as usize + 1],
-            n: 0,
+            freqs: FrequencyMap::default(),
+            k,
         }
     }
 
     /// The exact frequency of `x` in the ingested stream.
     pub fn freq(&self, x: u64) -> u64 {
-        self.freqs.get(&x).copied().unwrap_or(0)
+        self.freqs.get(x)
     }
 
     /// Number of distinct ingested items.
     pub fn distinct(&self) -> u64 {
-        self.freqs.len() as u64
+        self.freqs.distinct() as u64
     }
 }
 
-/// `binom(f, ℓ)` over `f64` (local copy; `sss-stream` is a dev-dependency
-/// only).
-fn binom_f64(f: u64, l: u32) -> f64 {
-    if (f as u128) < l as u128 {
-        return 0.0;
-    }
-    let mut acc = 1.0f64;
-    for j in 0..l as u64 {
-        acc *= (f - j) as f64 / (j + 1) as f64;
-    }
-    acc
+/// `C_ℓ` from a frequency histogram — what [`ExactCollisions`] estimates
+/// and what its encoder writes.
+fn collisions(hist: &[(u64, u64)], ell: u32) -> f64 {
+    FrequencyMap::sum_over(hist, |g| binom_f64(g, ell))
 }
 
 impl CollisionOracle for ExactCollisions {
     fn update(&mut self, x: u64) {
-        let g = self.freqs.entry(x).or_insert(0);
-        let old = *g;
-        *g += 1;
-        self.n += 1;
-        // ΔC_ℓ = binom(old, ℓ−1); running product avoids recomputation:
-        // binom(old, 0) = 1, binom(old, j) = binom(old, j−1)·(old−j+1)/j.
-        let mut binom = 1.0f64;
-        self.c[1] += 1.0;
-        for ell in 2..self.c.len() as u32 {
-            let j = (ell - 1) as u64;
-            if old < j {
-                break; // all higher binomials are zero
-            }
-            binom *= (old - (j - 1)) as f64 / j as f64;
-            self.c[ell as usize] += binom;
-        }
+        self.freqs.update(x);
     }
 
-    /// Merge per shared item by patching the collision counts in closed
-    /// form, `ΔC_ℓ = binom(a+b, ℓ) − binom(a, ℓ) − binom(b, ℓ)` — `O(k)`
-    /// per item of `other`. Patches apply in ascending item order so the
-    /// float accumulation is canonical: merging a deserialized oracle
-    /// (same contents, different hash-map history) lands on bitwise the
-    /// same `C_ℓ` as merging the original.
     fn check_merge(&self, other: &Self) -> Result<(), Mismatch> {
-        Mismatch::unless(self.c.len() == other.c.len(), "ExactCollisions order")
+        Mismatch::unless(self.k == other.k, "ExactCollisions order")
     }
 
     fn merge(&mut self, other: &Self) {
         self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
-        let k = self.c.len() as u32 - 1;
-        // Start from the sum of both accumulators, then patch shared items.
-        for ell in 1..=k as usize {
-            self.c[ell] += other.c[ell];
-        }
-        let mut rows: Vec<(u64, u64)> = other.freqs.iter().map(|(&i, &g)| (i, g)).collect();
-        rows.sort_unstable();
-        for (item, b) in rows {
-            let a = self.freq(item);
-            if a > 0 {
-                for ell in 2..=k {
-                    self.c[ell as usize] +=
-                        binom_f64(a + b, ell) - binom_f64(a, ell) - binom_f64(b, ell);
-                }
-            }
-            self.freqs.insert(item, a + b);
-        }
-        self.n += other.n;
+        self.freqs.merge(&other.freqs);
     }
 
     fn n(&self) -> u64 {
-        self.n
+        self.freqs.n()
     }
 
     fn estimate(&self, ell: u32) -> f64 {
-        assert!(
-            ell >= 1 && (ell as usize) < self.c.len(),
-            "order {ell} out of range"
-        );
-        self.c[ell as usize]
+        assert!(ell >= 1 && ell <= self.k, "order {ell} out of range");
+        collisions(&self.freqs.histogram(), ell)
     }
 
     fn max_order(&self) -> u32 {
-        self.c.len() as u32 - 1
+        self.k
     }
 
     fn space_words(&self) -> usize {
-        2 * self.freqs.len() + self.c.len()
+        2 * self.freqs.distinct()
     }
 }
 
@@ -183,62 +134,28 @@ impl WireCodec for ExactCollisions {
     const WIRE_TAG: u16 = 0x040B;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        // v2 layout: the frequency map — the O(F_0(L)) bulk of Algorithm
-        // 1's state — ships columnar: sorted-delta item ids + FoR-packed
-        // sampled counts. The collision accumulators stay raw f64.
-        self.c.encode_into(out);
-        put_varint_u64(out, self.n);
-        let mut rows: Vec<(u64, u64)> = self.freqs.iter().map(|(&i, &g)| (i, g)).collect();
-        rows.sort_unstable();
-        put_packed_sorted_u64s(out, &rows.iter().map(|&(i, _)| i).collect::<Vec<_>>());
-        put_varint_u64s(out, &rows.iter().map(|&(_, g)| g).collect::<Vec<_>>());
+        // `c[ℓ] = C_ℓ` (index 0 unused) leads the layout because older
+        // readers answer from it; it is derived from the map, which
+        // follows in the shared frequency-map layout.
+        let hist = self.freqs.histogram();
+        let mut c = vec![0.0];
+        c.extend((1..=self.k).map(|ell| collisions(&hist, ell)));
+        c.encode_into(out);
+        self.freqs.encode_into(out);
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
+        // The map is the source of truth: `c` only fixes the order.
         let c: Vec<f64> = Vec::decode(r)?;
-        if c.len() < 2 {
+        if c.len() < 2 || c.len() - 1 > MAX_K as usize {
             return Err(CodecError::Invalid {
-                what: "ExactCollisions accumulator shorter than [unused, C_1]",
+                what: "ExactCollisions order outside 1..=MAX_K",
             });
         }
-        let (n, rows);
-        if r.v2() {
-            n = r.varint_u64()?;
-            let items = r.packed_sorted_u64s()?;
-            let gs = r.varint_u64s()?;
-            if gs.len() != items.len() {
-                return Err(CodecError::Invalid {
-                    what: "ExactCollisions column length mismatch",
-                });
-            }
-            rows = items.into_iter().zip(gs).collect::<Vec<_>>();
-        } else {
-            n = r.u64()?;
-            let len = r.len_prefix(16)?;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push((r.u64()?, r.u64()?));
-            }
-            rows = v;
-        }
-        let mut freqs = fp_hash_map();
-        let mut total: u64 = 0;
-        for (item, g) in rows {
-            if g == 0 || freqs.insert(item, g).is_some() {
-                return Err(CodecError::Invalid {
-                    what: "ExactCollisions frequency row invalid",
-                });
-            }
-            total = total.checked_add(g).ok_or(CodecError::Invalid {
-                what: "ExactCollisions frequencies overflow u64",
-            })?;
-        }
-        if total != n {
-            return Err(CodecError::Invalid {
-                what: "ExactCollisions frequencies do not sum to n",
-            });
-        }
-        Ok(ExactCollisions { freqs, c, n })
+        Ok(ExactCollisions {
+            freqs: FrequencyMap::decode(r)?,
+            k: c.len() as u32 - 1,
+        })
     }
 }
 
@@ -426,6 +343,33 @@ mod tests {
     fn order_bounds_enforced() {
         let oracle = ExactCollisions::new(3);
         let _ = oracle.estimate(4);
+    }
+
+    #[test]
+    fn encoded_c_is_the_estimate_and_decode_takes_the_map() {
+        let mut oracle = ExactCollisions::new(4);
+        let stream: Vec<u64> = (0..3000u64).map(|i| (i % 41) * (i % 7)).collect();
+        oracle.update_batch(&stream);
+        let payload = oracle.encode();
+        let mut r = Reader::new(&payload);
+        let c: Vec<f64> = Vec::decode(&mut r).expect("c column");
+        assert_eq!(c[0].to_bits(), 0.0f64.to_bits());
+        for ell in 1..=4u32 {
+            assert_eq!(c[ell as usize].to_bits(), oracle.estimate(ell).to_bits());
+        }
+        let map = &payload[payload.len() - r.remaining()..];
+        for (len, ok) in [(MAX_K as usize + 1, true), (MAX_K as usize + 2, false)] {
+            // Any `c` values: the map is the source of truth.
+            let mut bytes = Vec::new();
+            vec![f64::NAN; len].encode_into(&mut bytes);
+            bytes.extend_from_slice(map);
+            let decoded = ExactCollisions::decode_slice(&bytes);
+            assert_eq!(decoded.is_ok(), ok, "c of length {len}");
+            if let Ok(d) = decoded {
+                assert_eq!(d.max_order(), MAX_K);
+                assert_eq!(d.estimate(4).to_bits(), oracle.estimate(4).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -28,46 +28,44 @@
 //! pair defeats it just as it defeats everything else. The
 //! `exp_flow_unfold` experiment shows both sides.
 
-use sss_hash::{fp_hash_map, FpHashMap};
-
+use crate::frequency::FrequencyMap;
 use crate::numeric::binom_pmf;
 
 /// Histogram of *sampled* per-flow packet counts: `observed[j]` = number
 /// of flows with exactly `j ≥ 1` sampled packets.
 #[derive(Debug, Clone, Default)]
 pub struct SampledFlowHistogram {
-    freqs: FpHashMap<u64, u64>,
+    freqs: FrequencyMap,
 }
 
 impl SampledFlowHistogram {
     /// Empty histogram.
     pub fn new() -> Self {
-        Self {
-            freqs: fp_hash_map(),
-        }
+        Self::default()
     }
 
     /// Ingest one sampled packet of `flow`.
     pub fn update(&mut self, flow: u64) {
-        *self.freqs.entry(flow).or_insert(0) += 1;
+        self.freqs.update(flow);
     }
 
     /// Number of flows seen in the sample.
     pub fn observed_flows(&self) -> u64 {
-        self.freqs.len() as u64
+        self.freqs.distinct() as u64
     }
 
     /// Sampled packets ingested.
     pub fn observed_packets(&self) -> u64 {
-        self.freqs.values().sum()
+        self.freqs.n()
     }
 
     /// The histogram `N_j` as a dense vector (`counts[j]`, index 0 unused).
     pub fn counts(&self) -> Vec<u64> {
-        let max = self.freqs.values().copied().max().unwrap_or(0) as usize;
+        let hist = self.freqs.histogram();
+        let max = hist.last().map_or(0, |&(g, _)| g) as usize;
         let mut counts = vec![0u64; max + 1];
-        for &g in self.freqs.values() {
-            counts[g as usize] += 1;
+        for (g, n_g) in hist {
+            counts[g as usize] = n_g;
         }
         counts
     }

@@ -56,6 +56,7 @@ pub mod estimate;
 pub mod f0;
 pub mod fk;
 pub mod flows;
+mod frequency;
 pub mod heavy_hitters;
 pub mod monitor;
 pub mod numeric;

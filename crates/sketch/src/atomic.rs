@@ -42,7 +42,7 @@ use crate::ams::AmsF2;
 use crate::batch::BATCH_CHUNK;
 use crate::countmin::CountMin;
 use crate::countsketch::{median_i64, median_u128_as_f64, CountSketch};
-use crate::topk::{CmHeavyHitters, CsHeavyHitters, TopKTracker};
+use crate::topk::{positive_estimate, CmHeavyHitters, CsHeavyHitters, TopKTracker};
 
 /// Per-thread working buffers for the atomic batch kernels, plus the
 /// thread's CAS-retry tally. One per ingest thread; never shared.
@@ -394,9 +394,7 @@ impl AtomicCmHeavyHitters {
         let cm = self.cm.to_plain();
         let src = lock_tracker(&self.tracker);
         let mut tracker = TopKTracker::new(src.cap());
-        for item in src.candidates() {
-            tracker.offer(item, cm.query(item) as f64);
-        }
+        tracker.reoffer_union(&src, |item| Some(cm.query(item) as f64));
         CmHeavyHitters::from_parts(cm, tracker, self.alpha)
     }
 }
@@ -486,12 +484,7 @@ impl AtomicCsHeavyHitters {
         let cs = self.cs.to_plain();
         let src = lock_tracker(&self.tracker);
         let mut tracker = TopKTracker::new(src.cap());
-        for item in src.candidates() {
-            let est = cs.query(item);
-            if est > 0 {
-                tracker.offer(item, est as f64);
-            }
-        }
+        tracker.reoffer_union(&src, |item| positive_estimate(&cs, item));
         CsHeavyHitters::from_parts(cs, tracker, self.alpha)
     }
 }

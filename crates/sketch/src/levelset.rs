@@ -34,7 +34,7 @@ use sss_codec::{put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{PairwiseHash, RngCore64, SplitMix64};
 
 use crate::countsketch::CountSketch;
-use crate::topk::TopKTracker;
+use crate::topk::{positive_estimate, TopKTracker};
 use crate::Mismatch;
 
 /// Configuration for a [`LevelSetEstimator`].
@@ -221,23 +221,8 @@ impl LevelSetEstimator {
         for (mine, theirs) in self.levels.iter_mut().zip(&other.levels) {
             mine.cs.merge(&theirs.cs);
             mine.updates += theirs.updates;
-        }
-        // Re-offer both candidate sets against the merged counters — the
-        // local side's stored estimates are shard-sized and stale, so
-        // without a re-offer the tracker's capacity pruning could evict a
-        // union-heavy member in favour of fresher values.
-        for (mine, theirs) in self.levels.iter_mut().zip(&other.levels) {
-            let union: Vec<u64> = mine
-                .tracker
-                .candidates()
-                .chain(theirs.tracker.candidates())
-                .collect();
-            for item in union {
-                let est = mine.cs.query(item);
-                if est > 0 {
-                    mine.tracker.offer(item, est as f64);
-                }
-            }
+            mine.tracker
+                .reoffer_union(&theirs.tracker, |item| positive_estimate(&mine.cs, item));
         }
         self.n += other.n;
     }

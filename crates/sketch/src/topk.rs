@@ -23,6 +23,13 @@ fn same_alpha(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-15
 }
 
+/// `x`'s CountSketch estimate when positive: candidates whose estimate
+/// collapses to ≤ 0 leave the table on re-offer.
+pub(crate) fn positive_estimate(cs: &CountSketch, x: u64) -> Option<f64> {
+    let est = cs.query(x);
+    (est > 0).then_some(est as f64)
+}
+
 /// A bounded table of candidate heavy hitters keyed by estimated frequency.
 #[derive(Debug, Clone)]
 pub struct TopKTracker {
@@ -78,6 +85,20 @@ impl TopKTracker {
         let mut v: Vec<u64> = self.est.keys().copied().collect();
         v.sort_unstable();
         v.into_iter()
+    }
+
+    /// Re-offer the candidate union — own candidates ascending, then
+    /// `other`'s ascending — at the estimates `est` gives against the
+    /// merged (or quiesced) sketch; `None` skips an item. Stored estimates
+    /// are stale shard-sized values, and leaving them would let capacity
+    /// pruning evict a union-heavy item.
+    pub(crate) fn reoffer_union(&mut self, other: &TopKTracker, est: impl Fn(u64) -> Option<f64>) {
+        let union: Vec<u64> = self.candidates().chain(other.candidates()).collect();
+        for item in union {
+            if let Some(e) = est(item) {
+                self.offer(item, e);
+            }
+        }
     }
 
     /// The pruning capacity (used by the atomic quiesce rebuild).
@@ -256,25 +277,17 @@ impl CmHeavyHitters {
     }
 
     /// Merge another reporter with the same parameters and sketch seed:
-    /// counter-wise CountMin merge, then the candidate union re-estimated
-    /// against the merged sketch. *Both* sides' candidates are re-offered
-    /// at their post-merge estimates — leaving the local side at its stale
-    /// shard-sized values would let the tracker's capacity pruning evict a
-    /// union-heavy item.
+    /// counter-wise CountMin merge, then *both* sides' candidates
+    /// re-offered at their post-merge estimates: stale shard-sized
+    /// estimates would let capacity pruning evict a union-heavy item.
     ///
     /// # Panics
     /// When [`CmHeavyHitters::check_merge`] fails.
     pub fn merge(&mut self, other: &CmHeavyHitters) {
         self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         self.cm.merge(&other.cm);
-        let union: Vec<u64> = self
-            .tracker
-            .candidates()
-            .chain(other.tracker.candidates())
-            .collect();
-        for item in union {
-            self.tracker.offer(item, self.cm.query(item) as f64);
-        }
+        self.tracker
+            .reoffer_union(&other.tracker, |item| Some(self.cm.query(item) as f64));
     }
 
     /// Report `(item, estimated frequency)` for every candidate whose final
@@ -410,17 +423,8 @@ impl CsHeavyHitters {
     pub fn merge(&mut self, other: &CsHeavyHitters) {
         self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         self.cs.merge(&other.cs);
-        let union: Vec<u64> = self
-            .tracker
-            .candidates()
-            .chain(other.tracker.candidates())
-            .collect();
-        for item in union {
-            let est = self.cs.query(item);
-            if est > 0 {
-                self.tracker.offer(item, est as f64);
-            }
-        }
+        self.tracker
+            .reoffer_union(&other.tracker, |item| positive_estimate(&self.cs, item));
     }
 
     /// Report `(item, estimated frequency)` for candidates above the final

@@ -412,6 +412,82 @@ fn collector_merge_of_decoded_snapshots_equals_in_memory_merge() {
     }
 
     assert_reports_bitwise_equal(&in_memory, &over_wire);
+
+    // Fold order and decode history do not matter either: the exact
+    // frequency maps merge by integer addition, so all six orders over
+    // live and over restored sites answer the same F2 and F2_naive bits.
+    let restored: Vec<Monitor> = wires
+        .iter()
+        .map(|w| Monitor::restore(w).expect("site decode"))
+        .collect();
+    let mut folds = Vec::new();
+    for order in [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ] {
+        for fleet in [&sites, &restored] {
+            let mut view = full_monitor(p);
+            for &i in &order {
+                view.try_merge(&fleet[i]).expect("fold");
+            }
+            let bits = |label: &str| view.estimate_labeled(label).expect(label).value.to_bits();
+            folds.push((order, bits("F2"), bits("F2_naive")));
+        }
+    }
+    assert_eq!(folds.len(), 12);
+    for &(order, f2, naive) in &folds {
+        assert_eq!(
+            (f2, naive),
+            (folds[0].1, folds[0].2),
+            "fold order {order:?}"
+        );
+    }
+}
+
+#[test]
+fn frequency_map_decode_rejects_a_sample_count_that_disagrees_with_the_map() {
+    // Both exact-map estimators ship `varint n ‖ sorted-delta ids ‖
+    // varint counts` after their own header. Splice n = 1,000,000 over a
+    // map whose counts sum to 6: decode must refuse it, not report a
+    // million samples.
+    use subsampled_streams::codec::put_varint_u64;
+    use subsampled_streams::core::{CollisionOracle, ExactCollisions};
+
+    fn splice_n(payload: &[u8], at: usize) -> Vec<u8> {
+        assert_eq!(payload[at], 6, "one-byte varint n at offset {at}");
+        let mut bad = payload[..at].to_vec();
+        put_varint_u64(&mut bad, 1_000_000);
+        bad.extend_from_slice(&payload[at + 1..]);
+        bad
+    }
+    let sample = [1u64, 1, 2, 3, 3, 3];
+    let mismatch = CodecError::Invalid {
+        what: "frequency map counts do not sum to n",
+    };
+
+    let mut naive = NaiveScaledFk::new(2, 0.5);
+    naive.update_batch(&sample);
+    let payload = naive.encode();
+    assert!(NaiveScaledFk::decode_slice(&payload).is_ok());
+    // Header: k (u32) ‖ p (f64).
+    match NaiveScaledFk::decode_slice(&splice_n(&payload, 12)) {
+        Err(e) => assert_eq!(e, mismatch),
+        Ok(est) => panic!("decoded with samples_seen = {}", est.samples_seen()),
+    }
+
+    let mut exact = ExactCollisions::new(2);
+    exact.update_batch(&sample);
+    let payload = exact.encode();
+    assert!(ExactCollisions::decode_slice(&payload).is_ok());
+    // Header: c = [unused, C_1, C_2] as a u64 length and three f64s.
+    match ExactCollisions::decode_slice(&splice_n(&payload, 32)) {
+        Err(e) => assert_eq!(e, mismatch),
+        Ok(o) => panic!("decoded with n = {}", o.n()),
+    }
 }
 
 #[test]
