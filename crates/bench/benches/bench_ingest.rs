@@ -42,6 +42,7 @@ fn single_monitor(which: &str) -> Monitor {
         "fk2" => b.fk(2),
         "entropy" => b.entropy(512),
         "f1_heavy_hitters" => b.f1_heavy_hitters(0.05, 0.2, 0.05),
+        "f2_heavy_hitters" => b.f2_heavy_hitters(0.3, 0.2, 0.05),
         other => unreachable!("unknown estimator {other}"),
     }
     .build()
@@ -57,7 +58,13 @@ fn main() {
     let survivors = sampled.len() as u64;
 
     // Per-estimator scalar vs batch.
-    let names = ["f0", "fk2", "entropy", "f1_heavy_hitters"];
+    let names = [
+        "f0",
+        "fk2",
+        "entropy",
+        "f1_heavy_hitters",
+        "f2_heavy_hitters",
+    ];
     let mut g = BenchGroup::new("estimator_ingestion", survivors);
     let mut rows: Vec<(&str, f64, f64)> = Vec::new();
     for name in names {

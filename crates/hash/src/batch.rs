@@ -7,17 +7,29 @@
 //!
 //! * [`reduce_inputs`] hoists the input reduction so a chunk is reduced
 //!   **once** and the residues shared by every hash function of every row.
-//! * The `*_batch` methods on [`PairwiseHash`] / [`FourWiseSign`] evaluate
-//!   [`LANES`] independent field elements per iteration in straight-line
-//!   code over plain `u64`s (no `unsafe`, no SIMD intrinsics). The four
-//!   128-bit multiply/reduce chains have no data dependencies, so the CPU
-//!   overlaps them; the multipliers are read once and live in registers for
-//!   the whole pass.
+//! * [`FieldPowers`] goes one step further for the degree-3 sign
+//!   polynomials: it also keeps each residue's square and cube mod `p`,
+//!   computed once per chunk and shared by every sign row. A sign is then
+//!   `c₃x³ + c₂x² + c₁x + c₀` — three independent 128-bit products summed
+//!   in a `u128` and reduced once — instead of three dependent Horner
+//!   steps with a reduction each. Every coefficient and power is a
+//!   canonical residue (`≤ p − 1`), so the sum is at most
+//!   `3(p − 1)² + (p − 1) < 2^124`, inside [`mod_p61`]'s single-fold range;
+//!   one fold lands on the same canonical residue Horner's rule reaches,
+//!   hence the same sign bit.
+//! * The `*_batch` methods on [`PairwiseHash`] evaluate [`LANES`]
+//!   independent field elements per iteration in straight-line code over
+//!   plain `u64`s (no `unsafe`, no SIMD intrinsics). The four 128-bit
+//!   multiply/reduce chains have no data dependencies, so the CPU overlaps
+//!   them; the multipliers are read once and live in registers for the
+//!   whole pass. The [`FourWiseSign`] kernels are plain loops: their items
+//!   are just as independent, and a manual unroll measured no faster.
 //!
 //! Every lane computes the *canonical* residue (`< 2^61 − 1`, exactly what
 //! the scalar paths produce), so batch results are bitwise identical to the
 //! scalar `hash_range` / `sign` calls — the equivalence tests below and the
-//! sketch-level batteries in `sss-sketch` pin this.
+//! sketch-level batteries in `sss-sketch` pin this. The scalar
+//! [`FourWiseSign::sign`] keeps Horner's rule as the reference.
 //!
 //! `sss-lint`'s `batch_kernel` rule enforces that per-item `hash_range`
 //! calls never appear in `update_batch` bodies outside this module.
@@ -101,20 +113,49 @@ impl PairwiseHash {
     }
 }
 
-/// One degree-3 Horner lane, fused to a single reduction per step.
-///
-/// The scalar path reduces twice per step (`mul_mod` then a sum reduction);
-/// since `acc`, `xr` and every coefficient are canonical residues,
-/// `acc·xr + c < p² + p` fits a `u128` and one [`mod_p61`] lands on the same
-/// canonical value.
-#[inline(always)]
-fn horner3_sign(coeffs: &[u64], xr: u64) -> i64 {
-    debug_assert!(xr < MERSENNE_PRIME_61);
-    let mut acc: u64 = 0;
-    for &c in coeffs.iter().rev() {
-        acc = mod_p61((acc as u128) * (xr as u128) + c as u128);
+/// A chunk of inputs reduced into the hash field, with each residue's
+/// square and cube mod `p` — the powers every degree-3 sign row of the
+/// chunk reads. Reusable across chunks: [`FieldPowers::reduce`] keeps the
+/// buffers' capacity.
+#[derive(Debug, Default)]
+pub struct FieldPowers {
+    x1: Vec<u64>,
+    x2: Vec<u64>,
+    x3: Vec<u64>,
+}
+
+impl FieldPowers {
+    /// Reduce `xs` into the field (as [`reduce_inputs`] does) and compute
+    /// `x²` and `x³` mod `p` for each residue.
+    pub fn reduce(&mut self, xs: &[u64]) {
+        reduce_inputs(xs, &mut self.x1);
+        self.x2.clear();
+        self.x3.clear();
+        for &x in &self.x1 {
+            let x2 = mod_p61((x as u128) * (x as u128));
+            self.x2.push(x2);
+            self.x3.push(mod_p61((x2 as u128) * (x as u128)));
+        }
     }
-    if fingerprint64(acc) & 1 == 0 {
+
+    /// The residues `x mod p`, for the affine kernels.
+    #[inline]
+    pub fn residues(&self) -> &[u64] {
+        &self.x1
+    }
+}
+
+/// One degree-3 sign lane from shared powers: `c₃x³ + c₂x² + c₁x + c₀`
+/// summed in a `u128` (at most `3(p − 1)² + (p − 1) < 2^124`) and reduced
+/// once to the canonical residue, whose mixed low bit is the sign.
+#[inline(always)]
+fn cubic_sign(c: &[u64; 4], x1: u64, x2: u64, x3: u64) -> i64 {
+    debug_assert!(x1 < MERSENNE_PRIME_61 && x2 < MERSENNE_PRIME_61 && x3 < MERSENNE_PRIME_61);
+    let sum = (c[3] as u128) * (x3 as u128)
+        + (c[2] as u128) * (x2 as u128)
+        + (c[1] as u128) * (x1 as u128)
+        + c[0] as u128;
+    if fingerprint64(mod_p61(sum)) & 1 == 0 {
         1
     } else {
         -1
@@ -122,46 +163,40 @@ fn horner3_sign(coeffs: &[u64], xr: u64) -> i64 {
 }
 
 impl FourWiseSign {
-    /// Batch [`FourWiseSign::sign`] over prereduced inputs. Same contract as
-    /// [`PairwiseHash::hash_range_batch`]; `out[i]` receives `±1`.
-    pub fn signs_batch(&self, xrs: &[u64], out: &mut [i64]) {
-        debug_assert!(out.len() >= xrs.len());
-        let coeffs = self.poly().coeffs();
-        let mut chunks = xrs.chunks_exact(LANES);
-        let mut outs = out.chunks_exact_mut(LANES);
-        for (c, o) in (&mut chunks).zip(&mut outs) {
-            o[0] = horner3_sign(coeffs, c[0]);
-            o[1] = horner3_sign(coeffs, c[1]);
-            o[2] = horner3_sign(coeffs, c[2]);
-            o[3] = horner3_sign(coeffs, c[3]);
-        }
-        for (&xr, o) in chunks.remainder().iter().zip(outs.into_remainder()) {
-            *o = horner3_sign(coeffs, xr);
+    /// The polynomial's four coefficients, constant term first. Canonical
+    /// residues: `PolyHash::new` draws them below `p` and decode rejects
+    /// any coefficient `≥ p`.
+    #[inline]
+    fn cubic(&self) -> [u64; 4] {
+        let c = self.poly().coeffs();
+        [c[0], c[1], c[2], c[3]]
+    }
+
+    /// Batch [`FourWiseSign::sign`] over a chunk's shared powers. `out`
+    /// must be at least as long as the chunk (extra tail entries are left
+    /// untouched); `out[i]` receives exactly `self.sign(x_i)` as `±1`.
+    pub fn signs_batch(&self, pw: &FieldPowers, out: &mut [i64]) {
+        debug_assert!(out.len() >= pw.x1.len());
+        let c = self.cubic();
+        let xs = pw.x1.iter().zip(&pw.x2).zip(&pw.x3);
+        for (o, ((&x1, &x2), &x3)) in out.iter_mut().zip(xs) {
+            *o = cubic_sign(&c, x1, x2, x3);
         }
     }
 
-    /// Sum of [`FourWiseSign::sign`] over prereduced inputs — the AMS
-    /// tug-of-war inner loop, with no intermediate buffer.
-    pub fn sign_sum_batch(&self, xrs: &[u64]) -> i64 {
-        let coeffs = self.poly().coeffs();
-        let mut sum = 0i64;
-        let mut chunks = xrs.chunks_exact(LANES);
-        for c in &mut chunks {
-            sum += horner3_sign(coeffs, c[0])
-                + horner3_sign(coeffs, c[1])
-                + horner3_sign(coeffs, c[2])
-                + horner3_sign(coeffs, c[3]);
-        }
-        for &xr in chunks.remainder() {
-            sum += horner3_sign(coeffs, xr);
-        }
-        sum
+    /// Sum of [`FourWiseSign::sign`] over a chunk's shared powers — the
+    /// AMS tug-of-war inner loop, with no intermediate buffer.
+    pub fn sign_sum_batch(&self, pw: &FieldPowers) -> i64 {
+        let c = self.cubic();
+        let xs = pw.x1.iter().zip(&pw.x2).zip(&pw.x3);
+        xs.map(|((&x1, &x2), &x3)| cubic_sign(&c, x1, x2, x3)).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sss_codec::{Reader, WireCodec};
 
     fn inputs() -> Vec<u64> {
         // Exercise the field boundary, the lane remainder, and plain values.
@@ -209,17 +244,26 @@ mod tests {
         }
     }
 
+    /// The sign functions under test: random draws, plus the polynomial
+    /// whose four coefficients are all `p − 1`, which drives the power-sum
+    /// kernel's `u128` accumulator to its largest value on residue `p − 1`.
+    fn sign_functions() -> Vec<FourWiseSign> {
+        let mut bytes = Vec::new();
+        vec![MERSENNE_PRIME_61 - 1; 4].encode_into(&mut bytes);
+        let edge = FourWiseSign::decode(&mut Reader::new(&bytes)).expect("valid polynomial");
+        (0..8u64).map(FourWiseSign::new).chain([edge]).collect()
+    }
+
     #[test]
     fn signs_batch_matches_scalar() {
         let xs = inputs();
-        for seed in 0..8u64 {
-            let s = FourWiseSign::new(seed);
-            let mut xr = Vec::new();
-            reduce_inputs(&xs, &mut xr);
+        let mut pw = FieldPowers::default();
+        pw.reduce(&xs);
+        for (f, s) in sign_functions().iter().enumerate() {
             let mut out = vec![0i64; xs.len()];
-            s.signs_batch(&xr, &mut out);
+            s.signs_batch(&pw, &mut out);
             for (&x, &o) in xs.iter().zip(&out) {
-                assert_eq!(o, s.sign(x), "seed {seed} x {x}");
+                assert_eq!(o, s.sign(x), "function {f} x {x}");
             }
         }
     }
@@ -227,13 +271,28 @@ mod tests {
     #[test]
     fn sign_sum_matches_scalar_sum() {
         let xs = inputs();
-        for seed in 0..8u64 {
-            let s = FourWiseSign::new(seed);
-            let mut xr = Vec::new();
-            reduce_inputs(&xs, &mut xr);
+        let mut pw = FieldPowers::default();
+        pw.reduce(&xs);
+        for (f, s) in sign_functions().iter().enumerate() {
             let scalar: i64 = xs.iter().map(|&x| s.sign(x)).sum();
-            assert_eq!(s.sign_sum_batch(&xr), scalar, "seed {seed}");
+            assert_eq!(s.sign_sum_batch(&pw), scalar, "function {f}");
         }
+    }
+
+    #[test]
+    fn field_powers_are_canonical_squares_and_cubes() {
+        let xs = inputs();
+        let mut pw = FieldPowers::default();
+        pw.reduce(&xs);
+        let p = MERSENNE_PRIME_61 as u128;
+        for (i, &x) in xs.iter().enumerate() {
+            let x1 = x as u128 % p;
+            assert_eq!(pw.x1[i] as u128, x1, "x {x}");
+            assert_eq!(pw.x2[i] as u128, x1 * x1 % p, "x {x}");
+            assert_eq!(pw.x3[i] as u128, x1 * x1 % p * x1 % p, "x {x}");
+        }
+        pw.reduce(&[]);
+        assert!(pw.x1.is_empty() && pw.x2.is_empty() && pw.x3.is_empty());
     }
 
     #[test]

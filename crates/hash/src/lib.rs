@@ -25,7 +25,7 @@ pub mod poly;
 pub mod rng;
 pub mod sign;
 
-pub use batch::{reduce_inputs, LANES};
+pub use batch::{reduce_inputs, FieldPowers, LANES};
 pub use map::{fp_hash_map, fp_hash_set, FpHashMap, FpHashSet};
 pub use mix::{fingerprint64, reduce_range, to_unit_f64};
 pub use poly::{PairwiseHash, PolyHash, MERSENNE_PRIME_61};

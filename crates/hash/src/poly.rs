@@ -242,7 +242,8 @@ mod tests {
 
     #[test]
     fn mod_p61_agrees_with_naive_remainder() {
-        let cases: [u128; 8] = [
+        let pm1 = (MERSENNE_PRIME_61 - 1) as u128;
+        let cases: [u128; 9] = [
             0,
             1,
             MERSENNE_PRIME_61 as u128,
@@ -251,6 +252,9 @@ mod tests {
             u64::MAX as u128,
             u128::MAX >> 6,
             (MERSENNE_PRIME_61 as u128) * (MERSENNE_PRIME_61 as u128),
+            // The largest sum the batch sign kernel folds: three products
+            // of canonical residues plus a canonical constant term.
+            3 * pm1 * pm1 + pm1,
         ];
         for &c in &cases {
             assert_eq!(

@@ -11,7 +11,7 @@
 //! `E[F_2(L)] = p²F_2(P) + p(1−p)F_1(P)`.
 
 use sss_codec::{put_packed_i64s, put_varint_u64, CodecError, Reader, WireCodec};
-use sss_hash::{reduce_inputs, FourWiseSign, SplitMix64};
+use sss_hash::{FourWiseSign, SplitMix64};
 
 use crate::batch::{BatchScratch, BATCH_CHUNK};
 use crate::Mismatch;
@@ -157,9 +157,9 @@ impl AmsF2 {
             ..
         } = self;
         for chunk in xs.chunks(BATCH_CHUNK) {
-            reduce_inputs(chunk, &mut scratch.xr);
+            scratch.powers.reduce(chunk);
             for (zi, sign) in z.iter_mut().zip(signs.iter()) {
-                *zi += sign.sign_sum_batch(&scratch.xr);
+                *zi += sign.sign_sum_batch(&scratch.powers);
             }
             *total = total.wrapping_add(chunk.len() as u64);
         }

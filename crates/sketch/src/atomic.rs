@@ -36,7 +36,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use sss_hash::{reduce_inputs, FourWiseSign, PairwiseHash};
+use sss_hash::{reduce_inputs, FieldPowers, FourWiseSign, PairwiseHash};
 
 use crate::ams::AmsF2;
 use crate::batch::BATCH_CHUNK;
@@ -49,6 +49,7 @@ use crate::topk::{positive_estimate, CmHeavyHitters, CsHeavyHitters, TopKTracker
 #[derive(Debug, Default)]
 pub struct AtomicScratch {
     xr: Vec<u64>,
+    powers: FieldPowers,
     idx: Vec<usize>,
     signs: Vec<i64>,
     vals: Vec<i64>,
@@ -225,12 +226,16 @@ impl AtomicCountSketch {
         let d = self.bucket_hashes.len();
         for chunk in xs.chunks(BATCH_CHUNK) {
             let len = chunk.len();
-            reduce_inputs(chunk, &mut scratch.xr);
+            scratch.powers.reduce(chunk);
             scratch.idx.resize(len, 0);
             scratch.signs.resize(len, 0);
             for r in 0..d {
-                self.bucket_hashes[r].hash_range_batch(&scratch.xr, w, &mut scratch.idx);
-                self.sign_hashes[r].signs_batch(&scratch.xr, &mut scratch.signs);
+                self.bucket_hashes[r].hash_range_batch(
+                    scratch.powers.residues(),
+                    w,
+                    &mut scratch.idx,
+                );
+                self.sign_hashes[r].signs_batch(&scratch.powers, &mut scratch.signs);
                 let row = &self.counters[r * w..(r + 1) * w];
                 let mut dsq: i128 = 0;
                 for i in 0..len {
@@ -299,9 +304,9 @@ impl AtomicAmsF2 {
     /// Add one occurrence each of a batch of items.
     pub fn update_batch(&self, xs: &[u64], scratch: &mut AtomicScratch) {
         for chunk in xs.chunks(BATCH_CHUNK) {
-            reduce_inputs(chunk, &mut scratch.xr);
+            scratch.powers.reduce(chunk);
             for (zi, sign) in self.z.iter().zip(self.signs.iter()) {
-                zi.fetch_add(sign.sign_sum_batch(&scratch.xr), Ordering::Relaxed);
+                zi.fetch_add(sign.sign_sum_batch(&scratch.powers), Ordering::Relaxed);
             }
             self.total.fetch_add(chunk.len() as u64, Ordering::Relaxed);
         }
@@ -401,9 +406,14 @@ impl AtomicCmHeavyHitters {
 
 /// Shared-atomic [`CsHeavyHitters`]. The admission threshold `α·√F̂₂`
 /// is refreshed once per chunk from the live atomic Σc² accumulators
-/// rather than per item: `F₂` only grows on insert-only streams, so a
-/// chunk-stale threshold errs toward admitting — recall-safe — and the
-/// report threshold is re-evaluated on the quiesced sketch.
+/// rather than per item. Unlike CountMin's `α·n`, that threshold is not
+/// monotone: an increment of sign `s` on a cell holding `c` changes its
+/// row's Σc² by `2sc + 1`, which is negative when `sc < 0`, so `F̂₂` can
+/// fall within a chunk. A chunk-stale threshold therefore usually sits
+/// below the per-item one (the true `F₂` only grows) but can sit above it
+/// and miss an admission the sequential path would make. Recall rests on
+/// the sketch's `±ε√F₂` accuracy, and the report threshold is
+/// re-evaluated on the quiesced sketch.
 #[derive(Debug)]
 pub struct AtomicCsHeavyHitters {
     cs: AtomicCountSketch,
@@ -423,37 +433,44 @@ impl AtomicCsHeavyHitters {
 
     /// Ingest a batch: batch-hash buckets and signs for every row, then
     /// an item-serial sweep of relaxed `fetch_add`s that medians each
-    /// item's post-update signed counters for the admission check.
+    /// item's post-update signed counters for the admission check. The
+    /// median is at most the largest row value, so an item whose largest
+    /// row value is below the threshold is rejected without it.
     pub fn update_batch(&self, xs: &[u64], scratch: &mut AtomicScratch) {
         let w = self.cs.width;
         let d = self.cs.bucket_hashes.len();
         for chunk in xs.chunks(BATCH_CHUNK) {
             let len = chunk.len();
             let threshold = self.alpha * self.cs.f2_estimate(scratch).sqrt();
-            reduce_inputs(chunk, &mut scratch.xr);
+            scratch.powers.reduce(chunk);
             scratch.idx.resize(d * len, 0);
             scratch.signs.resize(d * len, 0);
             for r in 0..d {
                 self.cs.bucket_hashes[r].hash_range_batch(
-                    &scratch.xr,
+                    scratch.powers.residues(),
                     w,
                     &mut scratch.idx[r * len..(r + 1) * len],
                 );
                 self.cs.sign_hashes[r]
-                    .signs_batch(&scratch.xr, &mut scratch.signs[r * len..(r + 1) * len]);
+                    .signs_batch(&scratch.powers, &mut scratch.signs[r * len..(r + 1) * len]);
             }
             scratch.dsq.clear();
             scratch.dsq.resize(d, 0);
             scratch.admit.clear();
             for (i, &x) in chunk.iter().enumerate() {
                 scratch.vals.clear();
+                let mut hi = i64::MIN;
                 for r in 0..d {
                     let s = scratch.signs[r * len + i];
                     let old = self.cs.counters[r * w + scratch.idx[r * len + i]]
                         .fetch_add(s, Ordering::Relaxed);
                     let new = old + s;
                     scratch.dsq[r] += (new as i128) * (new as i128) - (old as i128) * (old as i128);
+                    hi = hi.max(s * new);
                     scratch.vals.push(s * new);
+                }
+                if (hi as f64) < threshold {
+                    continue;
                 }
                 let est = median_i64(&mut scratch.vals);
                 if est as f64 >= threshold {

@@ -12,9 +12,12 @@
 //! state, is excluded from the wire codecs, and clones as empty (so
 //! snapshots and shard forks don't drag dead buffers along).
 
+use sss_hash::FieldPowers;
+
 /// Maximum number of items processed per internal chunk of a batch pass.
-/// Bounds scratch memory to a few KiB per buffer so the index/sign arrays
-/// stay cache-resident while a row is swept.
+/// Bounds scratch memory to a few KiB per one-chunk buffer so the
+/// index/sign arrays stay cache-resident while a row is swept (the `F_2`
+/// admission buffers hold `depth` chunks' worth).
 pub(crate) const BATCH_CHUNK: usize = 1024;
 
 /// Reusable per-sketch scratch for batch passes. Field use varies by
@@ -23,16 +26,29 @@ pub(crate) const BATCH_CHUNK: usize = 1024;
 pub(crate) struct BatchScratch {
     /// Chunk inputs reduced into the hash field (`x mod (2^61 − 1)`).
     pub xr: Vec<u64>,
+    /// Chunk residues with their squares and cubes, for sketches that
+    /// evaluate degree-3 sign rows.
+    pub powers: FieldPowers,
     /// Bucket indices; either one chunk's worth (row-major sweeps reuse it
     /// per row) or `depth × chunk` when a serial per-item pass needs every
     /// row's index at once.
     pub idx: Vec<usize>,
-    /// `±1` signs, laid out like `idx`.
+    /// `±1` signs, one chunk's worth.
     pub signs: Vec<i64>,
-    /// Per-item signed row values, for point-query medians.
+    /// `F_2` admission: each item's post-update signed row value `s·c`,
+    /// `depth × chunk`, row-major.
     pub vals: Vec<i64>,
-    /// Per-row sum-of-squares snapshot, for `F_2` medians.
+    /// `F_2` admission: each row's running Σc² after each item, laid out
+    /// like `vals`.
     pub sumsq: Vec<u128>,
+    /// `F_2` admission: per item, the largest row value.
+    pub hi: Vec<i64>,
+    /// `F_2` admission: per item, the smallest row Σc².
+    pub lo: Vec<u128>,
+    /// One item's row values, gathered for its point-query median.
+    pub item_vals: Vec<i64>,
+    /// One item's row sums, gathered for its `F_2` median.
+    pub item_sumsq: Vec<u128>,
 }
 
 impl Clone for BatchScratch {

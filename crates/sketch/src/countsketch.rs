@@ -15,7 +15,7 @@
 //! threshold and the level-set bucket selection.
 
 use sss_codec::{put_packed_i64s, put_varint_u64, CodecError, Reader, WireCodec};
-use sss_hash::{reduce_inputs, FourWiseSign, PairwiseHash, SplitMix64};
+use sss_hash::{FourWiseSign, PairwiseHash, SplitMix64};
 
 use crate::batch::{BatchScratch, BATCH_CHUNK};
 use crate::Mismatch;
@@ -164,8 +164,9 @@ impl CountSketch {
     /// counters and row sums as one-by-one updates.
     ///
     /// Structure-of-arrays pass: each chunk is reduced into the hash field
-    /// once, each row's bucket indices and signs come from the SWAR kernels
-    /// into reusable scratch, and the grid is swept row-major. The per-row
+    /// once (with the squares and cubes the sign rows share), each row's
+    /// bucket indices and signs come from the SWAR kernels into reusable
+    /// scratch, and the grid is swept row-major. The per-row
     /// Σc² delta telescopes into a register `i128` and is folded in once at
     /// the end of the row — all exact integer arithmetic, so the reorder is
     /// bit-for-bit equal to the scalar path.
@@ -183,12 +184,12 @@ impl CountSketch {
         } = self;
         for chunk in xs.chunks(BATCH_CHUNK) {
             let len = chunk.len();
-            reduce_inputs(chunk, &mut scratch.xr);
+            scratch.powers.reduce(chunk);
             scratch.idx.resize(len, 0);
             scratch.signs.resize(len, 0);
             for r in 0..d {
-                bucket_hashes[r].hash_range_batch(&scratch.xr, w, &mut scratch.idx);
-                sign_hashes[r].signs_batch(&scratch.xr, &mut scratch.signs);
+                bucket_hashes[r].hash_range_batch(scratch.powers.residues(), w, &mut scratch.idx);
+                sign_hashes[r].signs_batch(&scratch.powers, &mut scratch.signs);
                 let row = &mut counters[r * w..(r + 1) * w];
                 let mut dsq: i128 = 0;
                 for i in 0..len {
@@ -204,19 +205,38 @@ impl CountSketch {
         }
     }
 
-    /// Batch update (one occurrence per item) that also reports, for each
-    /// item, the post-update point query and `F_2` estimate — exactly
-    /// `update(x, 1)` then `query(x)` / `f2_estimate()`, with the hashing
-    /// batched and the per-item median scratch reused instead of allocated.
+    /// Batch update (one occurrence per item) that admits `F_2` heavy
+    /// hitters: `sink(x, est)` runs, in stream order, for every item whose
+    /// post-update point query reaches `alpha·√F̂₂` — exactly `update(x, 1)`
+    /// then `query(x) as f64 >= alpha * f2_estimate().sqrt()` per item.
     /// This is the `F_2` heavy-hitter admission kernel.
+    ///
+    /// **Row-major sweep.** A row's counters and its Σc² evolve
+    /// independently of the other rows, so each chunk sweeps the grid one
+    /// row at a time, like [`CountSketch::update_batch`], and records every
+    /// item's post-update `s·c` and the row's running Σc² into
+    /// `depth × chunk` scratch. Each row takes the chunk in item order, so
+    /// an item repeated within the chunk sees its earlier copies'
+    /// increments: the recorded values are the ones the item-serial scalar
+    /// path reads. An item-serial decision pass then admits in stream
+    /// order, so callers see the same offers in the same order.
+    ///
+    /// **Exact skip.** The sweep also tracks, per item, `hi = max_r s·c_r`
+    /// and `lo = min_r Σc²_r`. The point query is the median of the row
+    /// values, so `est ≤ hi`; the `F_2` estimate is the median of the row
+    /// sums, so `f2 ≥ lo as f64`. Both hold for the even-depth averages of
+    /// the two central values too. The `i64`/`u128`-to-`f64` conversions,
+    /// `sqrt` and multiplication by `alpha > 0` are all monotone, so
+    /// `(hi as f64) < alpha·√(lo as f64)` proves `est as f64 < alpha·√f2`
+    /// and the item is rejected without either median. Only the items the
+    /// bound leaves open gather their rows and take the two medians.
     pub(crate) fn update_batch_admit(
         &mut self,
         xs: &[u64],
-        ests: &mut Vec<i64>,
-        f2s: &mut Vec<f64>,
+        alpha: f64,
+        mut sink: impl FnMut(u64, i64),
     ) {
-        ests.clear();
-        f2s.clear();
+        debug_assert!(alpha > 0.0, "the admission skip bound needs alpha > 0");
         let w = self.width;
         let d = self.bucket_hashes.len();
         let Self {
@@ -229,40 +249,63 @@ impl CountSketch {
             ..
         } = self;
         let BatchScratch {
-            xr,
+            powers,
             idx,
             signs,
             vals,
             sumsq,
+            hi,
+            lo,
+            item_vals,
+            item_sumsq,
+            ..
         } = scratch;
         for chunk in xs.chunks(BATCH_CHUNK) {
             let len = chunk.len();
-            reduce_inputs(chunk, xr);
-            idx.resize(d * len, 0);
-            signs.resize(d * len, 0);
+            powers.reduce(chunk);
+            idx.resize(len, 0);
+            signs.resize(len, 0);
+            vals.resize(d * len, 0);
+            sumsq.resize(d * len, 0);
+            hi.clear();
+            hi.resize(len, i64::MIN);
+            lo.clear();
+            lo.resize(len, u128::MAX);
             for r in 0..d {
-                bucket_hashes[r].hash_range_batch(xr, w, &mut idx[r * len..(r + 1) * len]);
-                sign_hashes[r].signs_batch(xr, &mut signs[r * len..(r + 1) * len]);
-            }
-            // Item-serial: each item's estimate and F2 snapshot must see all
-            // previous items' increments, exactly like the scalar path.
-            for i in 0..len {
-                vals.clear();
-                for r in 0..d {
-                    let s = signs[r * len + i];
-                    let c = &mut counters[r * w + idx[r * len + i]];
+                bucket_hashes[r].hash_range_batch(powers.residues(), w, idx);
+                sign_hashes[r].signs_batch(powers, signs);
+                let row = &mut counters[r * w..(r + 1) * w];
+                let mut sq = row_sumsq[r] as i128;
+                let cells = idx[..len].iter().zip(&signs[..len]);
+                let outs = vals[r * len..(r + 1) * len]
+                    .iter_mut()
+                    .zip(&mut sumsq[r * len..(r + 1) * len])
+                    .zip(hi[..len].iter_mut().zip(&mut lo[..len]));
+                for ((&b, &s), ((v, q), (h, l))) in cells.zip(outs) {
+                    let c = &mut row[b];
                     let old = *c;
                     let new = old + s;
                     *c = new;
-                    row_sumsq[r] = (row_sumsq[r] as i128
-                        + ((new as i128) * (new as i128) - (old as i128) * (old as i128)))
-                        as u128;
-                    vals.push(s * new);
+                    sq += (new as i128) * (new as i128) - (old as i128) * (old as i128);
+                    *v = s * new;
+                    *q = sq as u128;
+                    *h = (*h).max(*v);
+                    *l = (*l).min(*q);
                 }
-                ests.push(median_i64(vals));
-                sumsq.clear();
-                sumsq.extend_from_slice(row_sumsq);
-                f2s.push(median_u128_as_f64(sumsq));
+                row_sumsq[r] = sq as u128;
+            }
+            for (i, &x) in chunk.iter().enumerate() {
+                if (hi[i] as f64) < alpha * (lo[i] as f64).sqrt() {
+                    continue;
+                }
+                item_vals.clear();
+                item_vals.extend((0..d).map(|r| vals[r * len + i]));
+                let est = median_i64(item_vals);
+                item_sumsq.clear();
+                item_sumsq.extend((0..d).map(|r| sumsq[r * len + i]));
+                if est as f64 >= alpha * median_u128_as_f64(item_sumsq).sqrt() {
+                    sink(x, est);
+                }
             }
             *total = total.wrapping_add(len as u64);
         }

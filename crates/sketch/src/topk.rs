@@ -6,9 +6,18 @@
 //! the standard construction tracks candidates online: after updating item
 //! `x`, re-estimate it; if the estimate crosses the current threshold, admit
 //! it to a bounded candidate table. At query time candidates are
-//! re-estimated and filtered against the final threshold. Any item above
-//! the *final* threshold must have crossed every intermediate threshold at
-//! its last arrival (thresholds only grow), so recall is preserved.
+//! re-estimated and filtered against the final threshold.
+//!
+//! For CountMin's `α·n` the threshold only grows and the estimate never
+//! falls below the true count, so an item whose frequency reaches the
+//! *final* threshold was estimated at least that high at its last arrival,
+//! above the threshold then in force: recall is preserved. CountSketch's
+//! `α·√F̂₂` carries no such guarantee. An increment of sign `s` on a cell
+//! holding `c` changes that row's Σc² by `2sc + 1`, which is negative when
+//! `sc < 0`, so `F̂₂` — and with it the threshold — can fall, and a point
+//! estimate can fall too. The true `F_2` only grows, so the `F_2`
+//! reporter's recall rests on the sketch's `±ε√F_2` accuracy (Theorem 7's
+//! `ε`), not on a monotone threshold.
 
 use sss_codec::{put_packed_sorted_u64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{fp_hash_map, FpHashMap};
@@ -312,11 +321,6 @@ pub struct CsHeavyHitters {
     cs: CountSketch,
     tracker: TopKTracker,
     alpha: f64,
-    /// Reusable buffers of post-update estimates and `F_2` snapshots from
-    /// the batched sketch kernel; working memory only (excluded from the
-    /// wire codec).
-    ests: Vec<i64>,
-    f2s: Vec<f64>,
 }
 
 impl CsHeavyHitters {
@@ -330,8 +334,6 @@ impl CsHeavyHitters {
             cs: CountSketch::with_error(eps, delta, seed),
             tracker: TopKTracker::new(cap),
             alpha,
-            ests: Vec::new(),
-            f2s: Vec::new(),
         }
     }
 
@@ -353,13 +355,7 @@ impl CsHeavyHitters {
     /// Reassemble a reporter from raw parts — the atomic variant's
     /// quiesce path.
     pub(crate) fn from_parts(cs: CountSketch, tracker: TopKTracker, alpha: f64) -> Self {
-        Self {
-            cs,
-            tracker,
-            alpha,
-            ests: Vec::new(),
-            f2s: Vec::new(),
-        }
+        Self { cs, tracker, alpha }
     }
 
     /// Stream length ingested.
@@ -387,23 +383,18 @@ impl CsHeavyHitters {
     }
 
     /// Ingest a batch of occurrences — same admissions, bit for bit, as
-    /// the per-item path. The fused sketch kernel batches the hashing and
-    /// reuses a scratch median for the per-item `F_2` threshold (the
-    /// scalar path's per-item clone-and-sort was this reporter's dominant
-    /// cost).
+    /// the per-item path. The sketch's admission kernel sweeps the grid
+    /// row-major and skips both medians for every item its exact bound
+    /// rejects (see `CountSketch::update_batch_admit`); admitted items
+    /// arrive in stream order, so offers happen in the same order at the
+    /// same values.
     pub fn update_batch(&mut self, xs: &[u64]) {
-        let mut ests = std::mem::take(&mut self.ests);
-        let mut f2s = std::mem::take(&mut self.f2s);
-        self.cs.update_batch_admit(xs, &mut ests, &mut f2s);
+        let Self { cs, tracker, alpha } = self;
         let mut pending = OfferCoalescer::new();
-        for ((&x, &est), &f2) in xs.iter().zip(ests.iter()).zip(f2s.iter()) {
-            if est as f64 >= self.alpha * f2.sqrt() {
-                pending.offer(&mut self.tracker, x, est as f64);
-            }
-        }
-        pending.flush(&mut self.tracker);
-        self.ests = ests;
-        self.f2s = f2s;
+        cs.update_batch_admit(xs, *alpha, |x, est| {
+            pending.offer(tracker, x, est as f64);
+        });
+        pending.flush(tracker);
     }
 
     /// Whether `other` can merge into `self`: same `α`, CountSketch and
@@ -543,13 +534,7 @@ impl WireCodec for CsHeavyHitters {
         let alpha = decode_alpha(r)?;
         let cs = CountSketch::decode(r)?;
         let tracker = TopKTracker::decode(r)?;
-        Ok(CsHeavyHitters {
-            cs,
-            tracker,
-            alpha,
-            ests: Vec::new(),
-            f2s: Vec::new(),
-        })
+        Ok(CsHeavyHitters { cs, tracker, alpha })
     }
 }
 

@@ -45,6 +45,33 @@ fn leadered(seed: u64) -> Vec<u64> {
     xs
 }
 
+/// Frequencies laddered around the `F_2` admission cutoff `α·√F_2`: two
+/// items at 0.5×, three at 1× and one at 2× the cutoff over a light tail
+/// of near-singletons, shuffled together. Fed to a narrow sketch whose
+/// cells collide, this puts many items' skip bound (`max_r s·c_r` against
+/// `α·√(min_r Σc²_r)`) right next to the exact decision.
+fn cutoff_ladder(alpha: f64) -> impl Fn(u64) -> Vec<u64> {
+    const TAIL: u64 = 6_000;
+    const RUNGS: [f64; 6] = [0.5, 0.5, 1.0, 1.0, 1.0, 2.0];
+    move |seed| {
+        let mut rng = Xoshiro256pp::new(seed);
+        let mut xs: Vec<u64> = (0..TAIL)
+            .map(|_| RUNGS.len() as u64 + rng.next_below(1 << 20))
+            .collect();
+        // Solve F_2 ≈ TAIL + Σ (m·cutoff)² for the cutoff α·√F_2.
+        let rung_sq: f64 = RUNGS.iter().map(|m| m * m).sum();
+        let cutoff = alpha * (TAIL as f64 / (1.0 - alpha * alpha * rung_sq)).sqrt();
+        for (item, m) in RUNGS.iter().enumerate() {
+            let freq = (m * cutoff).round() as usize;
+            xs.extend(std::iter::repeat_n(item as u64, freq));
+        }
+        for i in (1..xs.len()).rev() {
+            xs.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        xs
+    }
+}
+
 fn pairs_to_f64(v: Vec<(u64, u64)>) -> Vec<f64> {
     v.into_iter()
         .flat_map(|(i, c)| [i as f64, c as f64])
@@ -181,4 +208,18 @@ fn cs_heavy_hitters() {
         |s, xs| s.update_batch(xs),
         |s| pairs_to_f64(s.report()),
     );
+}
+
+#[test]
+fn cs_heavy_hitters_at_the_skip_bound_edge() {
+    for alpha in [0.05, 0.2] {
+        assert_batch_equals_scalar(
+            &format!("CsHeavyHitters(cutoff ladder, alpha {alpha})"),
+            cutoff_ladder(alpha),
+            |seed| CsHeavyHitters::new(alpha, 0.3, 0.3, seed),
+            |s, x| s.update(x),
+            |s, xs| s.update_batch(xs),
+            |s| pairs_to_f64(s.report()),
+        );
+    }
 }
