@@ -186,9 +186,7 @@ impl NaiveScaledFk {
 
     /// Ingest a batch of consecutive elements of `L`.
     pub fn update_batch(&mut self, xs: &[u64]) {
-        for &x in xs {
-            self.update(x);
-        }
+        self.freqs.update_batch(xs);
     }
 
     /// Merge a second baseline (same `k` and `p`): exact frequency-map

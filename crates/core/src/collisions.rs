@@ -103,6 +103,10 @@ impl CollisionOracle for ExactCollisions {
         self.freqs.update(x);
     }
 
+    fn update_batch(&mut self, xs: &[u64]) {
+        self.freqs.update_batch(xs);
+    }
+
     fn check_merge(&self, other: &Self) -> Result<(), Mismatch> {
         Mismatch::unless(self.k == other.k, "ExactCollisions order")
     }

@@ -35,6 +35,7 @@
 use sss_codec::{
     fnv1a64, put_varint_i64, put_varint_u64, CodecError, Reader, WireCodec, FRAME_HEADER_BYTES,
 };
+use sss_hash::FpHashMap;
 use sss_obs::MetricId;
 
 /// Matching granularity of the rolling-hash scan: windows of this many
@@ -308,8 +309,8 @@ fn diff_ops(base: &[u8], target: &[u8]) -> Vec<DeltaOp> {
 
     // Index the aligned base blocks. First writer wins; runs of equal
     // blocks (zeroed regions) all extend from one anchor anyway.
-    let mut index: std::collections::HashMap<u64, u32> =
-        std::collections::HashMap::with_capacity(base.len() / BLOCK + 1);
+    let mut index: FpHashMap<u64, u32> =
+        FpHashMap::with_capacity_and_hasher(base.len() / BLOCK + 1, Default::default());
     for (b, chunk) in base.chunks_exact(BLOCK).enumerate() {
         index.entry(roll_init(chunk)).or_insert((b * BLOCK) as u32);
     }
@@ -464,6 +465,43 @@ mod tests {
         roundtrip(&[1, 2, 3], &[]);
         roundtrip(&[1, 2, 3], &[4, 5]);
         roundtrip(&(0..255u8).collect::<Vec<_>>(), &[7; 40]);
+    }
+
+    #[test]
+    fn delta_frame_is_pinned_for_a_fixed_pair() {
+        // A pseudo-random base with zeroed runs (equal aligned blocks, so
+        // the first-writer-wins index rule shows) and a target with an
+        // insertion, point edits, a tail block copied to the front and a
+        // cut end. The op stream, and so every frame byte, follows from
+        // the diff's rules alone, never from the block index's hasher:
+        // the pin was taken while the index was still a SipHash map.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut base: Vec<u8> = (0..20_000)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect();
+        base[4_096..6_144].fill(0);
+        base[12_000..13_000].fill(0);
+        let mut target = base.clone();
+        target.splice(300..300, [1u8, 2, 3, 4, 5]);
+        for i in (1_000..target.len()).step_by(1_777) {
+            target[i] ^= 0x5A;
+        }
+        let tail = target[18_000..18_512].to_vec();
+        target.splice(0..0, tail);
+        target.truncate(19_500);
+
+        let frame = snapshot_delta(&base, &target);
+        assert_eq!(apply_snapshot_delta(&base, &frame).unwrap(), target);
+        assert_eq!(
+            (frame.len(), fnv1a64(&frame)),
+            (163, 0x5D05_5291_884B_7EC9),
+            "the delta frame bytes moved"
+        );
     }
 
     #[test]

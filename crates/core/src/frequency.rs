@@ -3,43 +3,147 @@
 //! holds integer counts and their total, so merges are exact `u64` adds
 //! in any order, and statistics are read from its frequency histogram in
 //! ascending `g`: every result depends only on what the map holds.
+//!
+//! A map holds its rows in one of two forms, and what it has done picks
+//! the form. A map that counts items is a hash map, for O(1) upserts at
+//! ingest. A map read from the wire keeps the v2 layout it arrived in —
+//! strictly ascending keys and their counts, index-aligned — so restore,
+//! copy, sorted ⊕ sorted merges and every read touch each row once, in
+//! key order, without hashing. Counting converts a sorted map once.
 
-use sss_codec::{put_packed_sorted_u64s, put_varint_u64, put_varint_u64s, CodecError, Reader};
+use std::cmp::Ordering;
+
+use sss_codec::{put_varint_u64, CodecError, Reader};
 use sss_hash::{fp_hash_map, FpHashMap};
 
+/// A sorted ⊕ sorted merge joins the two column pairs only while `self`
+/// has at most this many times `other`'s rows; past that, `self` turns
+/// into the counting form once and upserts `other`. Without the guard a
+/// fold of many small maps re-copies the growing accumulator on every
+/// merge. Folding decoded disjoint `ExactCollisions` maps into an empty
+/// oracle on one core of a 2-vCPU host, in ms (medians of 10 interleaved
+/// runs; "hashed" upserts on every merge, as the counting form alone did;
+/// "unguarded" is the median of 3):
+///
+/// | maps           | hashed | ratio 2 | ratio 4 | unguarded |
+/// |----------------|--------|---------|---------|-----------|
+/// | 128 × 10k keys | 115    | 94      | 115     | ~380      |
+/// | 32 × 50k keys  | 126    | 135     | 109     | ~180      |
+///
+/// Two 50k-key maps join in 0.8 ms against 3.8 ms hashed.
+const MERGE_JOIN_MAX_RATIO: usize = 4;
+
+/// Counts below this are tallied in a dense array by
+/// [`FrequencyMap::histogram`]; larger ones go to a hash map.
+const DENSE_TALLY: usize = 1024;
+
 /// Item → count, plus the number of counted occurrences `n`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct FrequencyMap {
-    counts: FpHashMap<u64, u64>,
+    rows: Rows,
     n: u64,
+}
+
+#[derive(Debug, Clone)]
+enum Rows {
+    /// Item → count, for random upserts.
+    Counting(FpHashMap<u64, u64>),
+    /// `keys` strictly ascending, `counts[i] ≥ 1` the count of `keys[i]`.
+    Sorted { keys: Vec<u64>, counts: Vec<u64> },
+}
+
+impl Default for FrequencyMap {
+    fn default() -> Self {
+        Self {
+            rows: Rows::Counting(fp_hash_map()),
+            n: 0,
+        }
+    }
 }
 
 impl FrequencyMap {
     pub(crate) fn update(&mut self, x: u64) {
-        *self.counts.entry(x).or_insert(0) += 1;
+        *self.counting().entry(x).or_insert(0) += 1;
         self.n += 1;
     }
 
-    /// Add `other`'s counts entry by entry. Into an empty map — the first
-    /// merge of every fold from a pristine prototype — this is a copy.
+    /// [`FrequencyMap::update`] for each of `xs`, picking the form once.
+    pub(crate) fn update_batch(&mut self, xs: &[u64]) {
+        let counts = self.counting();
+        for &x in xs {
+            *counts.entry(x).or_insert(0) += 1;
+        }
+        self.n += xs.len() as u64;
+    }
+
+    /// The counting form: a sorted map converts once, into a hash map
+    /// pre-sized to its length.
+    fn counting(&mut self) -> &mut FpHashMap<u64, u64> {
+        if let Rows::Sorted { keys, counts } = &self.rows {
+            let mut map = FpHashMap::with_capacity_and_hasher(keys.len(), Default::default());
+            map.extend(keys.iter().copied().zip(counts.iter().copied()));
+            self.rows = Rows::Counting(map);
+        }
+        match &mut self.rows {
+            Rows::Counting(map) => map,
+            Rows::Sorted { .. } => unreachable!("converted to the counting form above"),
+        }
+    }
+
+    /// Add `other`'s counts. Into an empty map — the first merge of every
+    /// fold from a pristine prototype — this is a copy in `other`'s form.
+    /// Two sorted maps of comparable size (see [`MERGE_JOIN_MAX_RATIO`])
+    /// merge-join and stay sorted; every other pair upserts `other`'s
+    /// rows into the counting form.
     pub(crate) fn merge(&mut self, other: &FrequencyMap) {
-        if self.counts.is_empty() {
-            self.counts.clone_from(&other.counts);
-        } else {
-            // sss-lint: allow(canonical_iteration) — u64 adds commute; the merged counts do not depend on visit order
-            for (&x, &g) in &other.counts {
-                *self.counts.entry(x).or_insert(0) += g;
+        if self.distinct() == 0 {
+            self.rows.clone_from(&other.rows);
+        } else if other.distinct() > 0 {
+            match (&mut self.rows, &other.rows) {
+                (
+                    Rows::Sorted { keys, counts },
+                    Rows::Sorted {
+                        keys: other_keys,
+                        counts: other_counts,
+                    },
+                ) if keys.len() <= MERGE_JOIN_MAX_RATIO * other_keys.len() => {
+                    merge_join(keys, counts, other_keys, other_counts);
+                }
+                _ => {
+                    let counts = self.counting();
+                    other.for_each_row(|x, g| *counts.entry(x).or_insert(0) += g);
+                }
             }
         }
         self.n += other.n;
     }
 
+    /// Every `(item, count)` row, in key order in the sorted form and in
+    /// hash order in the counting form.
+    fn for_each_row(&self, mut f: impl FnMut(u64, u64)) {
+        match &self.rows {
+            // sss-lint: allow(canonical_iteration) — callers add u64 counts, which commute
+            Rows::Counting(map) => map.iter().for_each(|(&x, &g)| f(x, g)),
+            Rows::Sorted { keys, counts } => keys.iter().zip(counts).for_each(|(&x, &g)| f(x, g)),
+        }
+    }
+
     pub(crate) fn get(&self, x: u64) -> u64 {
-        self.counts.get(&x).copied().unwrap_or(0)
+        match &self.rows {
+            Rows::Counting(map) => map.get(&x).copied(),
+            Rows::Sorted { keys, counts } => keys
+                .binary_search(&x)
+                .ok()
+                .and_then(|i| counts.get(i).copied()),
+        }
+        .unwrap_or(0)
     }
 
     pub(crate) fn distinct(&self) -> usize {
-        self.counts.len()
+        match &self.rows {
+            Rows::Counting(map) => map.len(),
+            Rows::Sorted { keys, .. } => keys.len(),
+        }
     }
 
     pub(crate) fn n(&self) -> u64 {
@@ -49,13 +153,21 @@ impl FrequencyMap {
     /// `(g, N_g)` for every count `g` present, `N_g` items having been
     /// seen exactly `g` times, in ascending `g`.
     pub(crate) fn histogram(&self) -> Vec<(u64, u64)> {
-        let mut tally: FpHashMap<u64, u64> = fp_hash_map();
-        // sss-lint: allow(canonical_iteration) — tallies of u64 ones commute; the sort below fixes the output order
-        for &g in self.counts.values() {
-            *tally.entry(g).or_insert(0) += 1;
+        let mut dense = vec![0u64; DENSE_TALLY];
+        let mut sparse: FpHashMap<u64, u64> = fp_hash_map();
+        let mut tally = |g: u64| match usize::try_from(g).ok().and_then(|i| dense.get_mut(i)) {
+            Some(n_g) => *n_g += 1,
+            None => *sparse.entry(g).or_insert(0) += 1,
+        };
+        match &self.rows {
+            // sss-lint: allow(canonical_iteration) — tallies of u64 ones commute; the output is sorted below
+            Rows::Counting(map) => map.values().for_each(|&g| tally(g)),
+            Rows::Sorted { counts, .. } => counts.iter().for_each(|&g| tally(g)),
         }
-        let mut hist: Vec<(u64, u64)> = tally.into_iter().collect();
-        hist.sort_unstable();
+        let mut hist: Vec<(u64, u64)> = (0u64..).zip(dense).filter(|&(_, n_g)| n_g > 0).collect();
+        let mut high: Vec<(u64, u64)> = sparse.into_iter().collect();
+        high.sort_unstable();
+        hist.extend(high);
         hist
     }
 
@@ -69,26 +181,37 @@ impl FrequencyMap {
 
     /// v2 layout: `varint n ‖ sorted-delta ids ‖ varint counts`.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut rows: Vec<(u64, u64)> = self.counts.iter().map(|(&x, &g)| (x, g)).collect();
-        rows.sort_unstable();
-        put_varint_u64(out, self.n);
-        put_packed_sorted_u64s(out, &rows.iter().map(|r| r.0).collect::<Vec<_>>());
-        put_varint_u64s(out, &rows.iter().map(|r| r.1).collect::<Vec<_>>());
+        match &self.rows {
+            Rows::Counting(map) => {
+                let mut rows: Vec<(u64, u64)> = map.iter().map(|(&x, &g)| (x, g)).collect();
+                rows.sort_unstable_by_key(|&(x, _)| x);
+                put_columns(out, self.n, rows.iter().copied());
+            }
+            Rows::Sorted { keys, counts } => {
+                put_columns(
+                    out,
+                    self.n,
+                    keys.iter().copied().zip(counts.iter().copied()),
+                );
+            }
+        }
     }
 
-    /// Decode the v2 layout, or v1's `u64 n ‖ len ‖ (u64 id, u64 count)*`,
-    /// rejecting zero counts, duplicate ids and counts that do not sum to
-    /// `n`.
+    /// Decode the v2 layout, or v1's `u64 n ‖ len ‖ (u64 id, u64 count)*`
+    /// with rows in any order, into the sorted form, rejecting zero
+    /// counts, duplicate ids and counts that do not sum to `n`.
     pub(crate) fn decode(r: &mut Reader) -> Result<Self, CodecError> {
         let invalid = |what| CodecError::Invalid { what };
-        let (n, rows) = if r.v2() {
+        let (n, keys, counts) = if r.v2() {
+            // `packed_sorted_u64s` rejects keys that are not strictly
+            // ascending, so the key column arrives sorted and unique.
             let n = r.varint_u64()?;
-            let items = r.packed_sorted_u64s()?;
-            let gs = r.varint_u64s()?;
-            if gs.len() != items.len() {
+            let keys = r.packed_sorted_u64s()?;
+            let counts = r.varint_u64s()?;
+            if counts.len() != keys.len() {
                 return Err(invalid("frequency map column length mismatch"));
             }
-            (n, items.into_iter().zip(gs).collect())
+            (n, keys, counts)
         } else {
             let n = r.u64()?;
             let len = r.len_prefix(16)?;
@@ -96,28 +219,100 @@ impl FrequencyMap {
             for _ in 0..len {
                 rows.push((r.u64()?, r.u64()?));
             }
-            (n, rows)
-        };
-        let mut map = FrequencyMap::default();
-        for (x, g) in rows {
-            if g == 0 || map.counts.insert(x, g).is_some() {
+            // Sorted, a repeated id sits next to its twin.
+            rows.sort_unstable_by_key(|&(x, _)| x);
+            rows.dedup_by_key(|&mut (x, _)| x);
+            if rows.len() != len {
                 return Err(invalid("frequency map row invalid"));
             }
-            map.n = map
-                .n
+            let (keys, counts) = rows.into_iter().unzip();
+            (n, keys, counts)
+        };
+        let mut sum = 0u64;
+        for &g in &counts {
+            if g == 0 {
+                return Err(invalid("frequency map row invalid"));
+            }
+            sum = sum
                 .checked_add(g)
                 .ok_or(invalid("frequency map counts overflow u64"))?;
         }
-        if map.n != n {
+        if sum != n {
             return Err(invalid("frequency map counts do not sum to n"));
         }
-        Ok(map)
+        Ok(FrequencyMap {
+            rows: Rows::Sorted { keys, counts },
+            n,
+        })
+    }
+}
+
+/// One linear pass over two sorted column pairs, leaving their sum in
+/// `keys` and `counts`.
+fn merge_join(
+    keys: &mut Vec<u64>,
+    counts: &mut Vec<u64>,
+    other_keys: &[u64],
+    other_counts: &[u64],
+) {
+    let cap = keys.len() + other_keys.len();
+    let (mut merged_keys, mut merged_counts) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+    let (mut i, mut j) = (0, 0);
+    while i < keys.len() && j < other_keys.len() {
+        let (x, y) = (keys[i], other_keys[j]);
+        match x.cmp(&y) {
+            Ordering::Less => {
+                merged_keys.push(x);
+                merged_counts.push(counts[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                merged_keys.push(y);
+                merged_counts.push(other_counts[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                merged_keys.push(x);
+                merged_counts.push(counts[i] + other_counts[j]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    merged_keys.extend_from_slice(&keys[i..]);
+    merged_counts.extend_from_slice(&counts[i..]);
+    merged_keys.extend_from_slice(&other_keys[j..]);
+    merged_counts.extend_from_slice(&other_counts[j..]);
+    *keys = merged_keys;
+    *counts = merged_counts;
+}
+
+/// `varint n`, then the `(key, count)` rows — in strictly ascending key
+/// order — as the columns `put_packed_sorted_u64s` and `put_varint_u64s`
+/// write: `varint len ‖ varint first key ‖ varint key gaps` and `varint
+/// len ‖ varint counts`.
+fn put_columns<I>(out: &mut Vec<u8>, n: u64, rows: I)
+where
+    I: ExactSizeIterator<Item = (u64, u64)> + Clone,
+{
+    put_varint_u64(out, n);
+    put_varint_u64(out, rows.len() as u64);
+    let mut prev = None;
+    for (x, _) in rows.clone() {
+        debug_assert!(prev.is_none_or(|p| x > p), "frequency map keys not sorted");
+        put_varint_u64(out, x - prev.unwrap_or(0));
+        prev = Some(x);
+    }
+    put_varint_u64(out, rows.len() as u64);
+    for (_, g) in rows {
+        put_varint_u64(out, g);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sss_codec::{put_packed_sorted_u64s, put_varint_u64s};
 
     fn map_of(xs: &[u64]) -> FrequencyMap {
         let mut m = FrequencyMap::default();
@@ -125,11 +320,65 @@ mod tests {
         m
     }
 
+    fn encoded(m: &FrequencyMap) -> Vec<u8> {
+        let mut out = Vec::new();
+        m.encode_into(&mut out);
+        out
+    }
+
+    /// The same multiset in the sorted form, as a decode leaves it.
+    fn sorted_of(xs: &[u64]) -> FrequencyMap {
+        let m = FrequencyMap::decode(&mut Reader::new(&encoded(&map_of(xs)))).unwrap();
+        assert!(is_sorted(&m));
+        m
+    }
+
+    fn is_sorted(m: &FrequencyMap) -> bool {
+        matches!(m.rows, Rows::Sorted { .. })
+    }
+
+    /// Everything a reader can see of a map agrees between `a` and `b`.
+    fn assert_same(a: &FrequencyMap, b: &FrequencyMap) {
+        assert_eq!((a.n(), a.distinct()), (b.n(), b.distinct()));
+        assert_eq!(a.histogram(), b.histogram());
+        assert_eq!(encoded(a), encoded(b));
+        for x in 0..40 {
+            assert_eq!(a.get(x), b.get(x), "get({x})");
+        }
+    }
+
+    fn merged(a: &FrequencyMap, b: &FrequencyMap) -> FrequencyMap {
+        let mut m = a.clone();
+        m.merge(b);
+        m
+    }
+
+    const A: &[u64] = &[5, 5, 5, 9, 9, 1, 2, 3, 30];
+    const B: &[u64] = &[2, 2, 3, 7, 9, 9, 9, 31];
+    const DISJOINT: &[u64] = &[0, 4, 4, 6, 8, 8, 8, 8, 12];
+
     #[test]
     fn histogram_counts_items_per_frequency_ascending() {
         let m = map_of(&[5, 5, 5, 9, 9, 1, 2, 3]);
         assert_eq!(m.histogram(), vec![(1, 3), (2, 1), (3, 1)]);
         assert_eq!((m.n(), m.distinct(), m.get(5), m.get(4)), (8, 5, 3, 0));
+    }
+
+    #[test]
+    fn histogram_is_ascending_across_the_dense_tally_bound() {
+        let mut xs = vec![7; DENSE_TALLY + 5];
+        xs.extend(vec![8; DENSE_TALLY - 1]);
+        xs.extend(vec![9; 3 * DENSE_TALLY]);
+        xs.extend([1, 2, 2]);
+        let want = vec![
+            (1, 1),
+            (2, 1),
+            (DENSE_TALLY as u64 - 1, 1),
+            (DENSE_TALLY as u64 + 5, 1),
+            (3 * DENSE_TALLY as u64, 1),
+        ];
+        assert_eq!(map_of(&xs).histogram(), want);
+        assert_eq!(sorted_of(&xs).histogram(), want);
     }
 
     #[test]
@@ -150,5 +399,95 @@ mod tests {
     fn empty_sum_is_positive_zero() {
         let s = FrequencyMap::sum_over(&FrequencyMap::default().histogram(), |g| g as f64);
         assert_eq!(s.to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn both_forms_read_and_encode_the_same() {
+        let (counting, sorted) = (map_of(A), sorted_of(A));
+        assert!(!is_sorted(&counting));
+        assert_same(&counting, &sorted);
+        // The encoder writes what the codec's column writers write.
+        let mut want = Vec::new();
+        put_varint_u64(&mut want, 9);
+        put_packed_sorted_u64s(&mut want, &[1, 2, 3, 5, 9, 30]);
+        put_varint_u64s(&mut want, &[1, 1, 1, 3, 2, 1]);
+        assert_eq!(encoded(&sorted), want);
+        assert_same(&FrequencyMap::default(), &sorted_of(&[]));
+    }
+
+    #[test]
+    fn sorted_merges_sorted_by_a_join() {
+        for (a, b) in [(A, B), (A, DISJOINT), (DISJOINT, A), (B, A)] {
+            let joined = merged(&sorted_of(a), &sorted_of(b));
+            assert!(is_sorted(&joined));
+            assert_same(&joined, &map_of(&[a, b].concat()));
+        }
+        // Either side empty: the other side's rows, still sorted.
+        for (a, b) in [(A, &[][..]), (&[][..], A)] {
+            let joined = merged(&sorted_of(a), &sorted_of(b));
+            assert!(is_sorted(&joined));
+            assert_same(&joined, &map_of(A));
+        }
+    }
+
+    #[test]
+    fn merge_into_empty_copies_either_form() {
+        for empty in [FrequencyMap::default(), sorted_of(&[])] {
+            let copied = merged(&empty, &sorted_of(A));
+            assert!(is_sorted(&copied));
+            assert_same(&copied, &map_of(A));
+            let copied = merged(&empty, &map_of(A));
+            assert!(!is_sorted(&copied));
+            assert_same(&copied, &map_of(A));
+        }
+    }
+
+    #[test]
+    fn mixed_forms_merge_into_the_counting_form() {
+        let want = map_of(&[A, B].concat());
+        for m in [
+            merged(&map_of(A), &sorted_of(B)),
+            merged(&sorted_of(A), &map_of(B)),
+        ] {
+            assert!(!is_sorted(&m));
+            assert_same(&m, &want);
+        }
+    }
+
+    #[test]
+    fn ingest_after_decode_continues_like_the_live_map() {
+        let (head, tail) = ([A, B].concat(), [DISJOINT, A].concat());
+        let mut live = map_of(&head);
+        let mut restored = sorted_of(&head);
+        live.update_batch(&tail);
+        restored.update_batch(&tail);
+        assert!(!is_sorted(&restored));
+        assert_same(&live, &restored);
+        live.update(3);
+        restored.update(3);
+        assert_same(&live, &restored);
+    }
+
+    #[test]
+    fn many_small_sorted_maps_fold_by_hashing_two_equal_ones_by_a_join() {
+        let keys = |from: u64, len: u64| (from..from + len).collect::<Vec<_>>();
+        let mut fold = sorted_of(&keys(0, 1_000));
+        for site in 1..40 {
+            fold.merge(&sorted_of(&keys(1_000 * site, 50)));
+        }
+        // The join would copy all 1,000+ rows on every merge; the guard
+        // turns the accumulator into the counting form instead.
+        assert!(!is_sorted(&fold));
+        assert_eq!(
+            (fold.n(), fold.distinct()),
+            (1_000 + 39 * 50, 1_000 + 39 * 50)
+        );
+
+        let pair = merged(&sorted_of(&keys(0, 1_000)), &sorted_of(&keys(500, 1_000)));
+        assert!(is_sorted(&pair));
+        assert_eq!(
+            (pair.n(), pair.distinct(), pair.get(700)),
+            (2_000, 1_500, 2)
+        );
     }
 }

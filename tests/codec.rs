@@ -413,9 +413,12 @@ fn collector_merge_of_decoded_snapshots_equals_in_memory_merge() {
 
     assert_reports_bitwise_equal(&in_memory, &over_wire);
 
-    // Fold order and decode history do not matter either: the exact
-    // frequency maps merge by integer addition, so all six orders over
-    // live and over restored sites answer the same F2 and F2_naive bits.
+    // Fold order, decode history and the form each exact frequency map
+    // holds do not matter either. Every site is in turn live (its maps
+    // count items in a hash map) or restored (its maps keep the sorted
+    // wire columns), and all 8 mixes × 6 fold orders answer the same F2
+    // and F2_naive bits. Within one order every mix also checkpoints the
+    // same bytes: the merged maps hold the same rows whatever their form.
     let restored: Vec<Monitor> = wires
         .iter()
         .map(|w| Monitor::restore(w).expect("site decode"))
@@ -429,23 +432,91 @@ fn collector_merge_of_decoded_snapshots_equals_in_memory_merge() {
         [2, 0, 1],
         [2, 1, 0],
     ] {
-        for fleet in [&sites, &restored] {
+        let mut checkpoints = Vec::new();
+        for mix in 0..8usize {
             let mut view = full_monitor(p);
             for &i in &order {
-                view.try_merge(&fleet[i]).expect("fold");
+                let site = if mix >> i & 1 == 1 {
+                    &restored[i]
+                } else {
+                    &sites[i]
+                };
+                view.try_merge(site).expect("fold");
             }
             let bits = |label: &str| view.estimate_labeled(label).expect(label).value.to_bits();
-            folds.push((order, bits("F2"), bits("F2_naive")));
+            folds.push((order, mix, bits("F2"), bits("F2_naive")));
+            checkpoints.push(view.checkpoint().expect("folded view"));
+        }
+        for (mix, bytes) in checkpoints.iter().enumerate() {
+            assert!(
+                *bytes == checkpoints[0],
+                "fold order {order:?}: mix {mix:03b} checkpoints different bytes than all-live"
+            );
         }
     }
-    assert_eq!(folds.len(), 12);
-    for &(order, f2, naive) in &folds {
+    assert_eq!(folds.len(), 48);
+    for &(order, mix, f2, naive) in &folds {
         assert_eq!(
             (f2, naive),
-            (folds[0].1, folds[0].2),
-            "fold order {order:?}"
+            (folds[0].2, folds[0].3),
+            "fold order {order:?}, restored sites {mix:03b}"
         );
     }
+}
+
+#[test]
+fn v1_frequency_map_rows_decode_in_any_order() {
+    // v1 shipped an exact frequency map as `u64 n ‖ u64 len ‖ (u64 id,
+    // u64 count)*`, rows in whatever order the writer's hash map held
+    // them. Decode still takes them in any order, and re-encodes them as
+    // the v2 bytes of the same rows sorted.
+    use subsampled_streams::codec::Reader;
+
+    fn v1_naive_f2(rows: &[(u64, u64)]) -> Vec<u8> {
+        let mut payload = 2u32.to_le_bytes().to_vec(); // k
+        payload.extend(0.5f64.to_le_bytes()); // p
+        let n: u64 = rows.iter().map(|&(_, g)| g).sum();
+        payload.extend(n.to_le_bytes());
+        payload.extend((rows.len() as u64).to_le_bytes());
+        for &(x, g) in rows {
+            payload.extend(x.to_le_bytes());
+            payload.extend(g.to_le_bytes());
+        }
+        payload
+    }
+    fn decode_v1(payload: &[u8]) -> Result<NaiveScaledFk, CodecError> {
+        let mut r = Reader::with_version(payload, 1);
+        let decoded = NaiveScaledFk::decode(&mut r)?;
+        r.expect_empty()?;
+        Ok(decoded)
+    }
+
+    let shuffled = [(9, 2), (1, 1), (u64::MAX, 3), (4, 1), (2, 5)];
+    let mut in_order = shuffled;
+    in_order.sort_unstable();
+    let mut live = NaiveScaledFk::new(2, 0.5);
+    for &(x, g) in &shuffled {
+        (0..g).for_each(|_| live.update(x));
+    }
+    for rows in [&shuffled, &in_order] {
+        let decoded = decode_v1(&v1_naive_f2(rows)).expect("v1 rows decode in any order");
+        assert_eq!(decoded.encode(), live.encode(), "rows {rows:?}");
+        assert_eq!(decoded.estimate().to_bits(), live.estimate().to_bits());
+    }
+
+    let row_invalid = CodecError::Invalid {
+        what: "frequency map row invalid",
+    };
+    let duplicate_id = [(9, 2), (1, 1), (4, 1), (9, 1)];
+    assert_eq!(
+        decode_v1(&v1_naive_f2(&duplicate_id)).unwrap_err(),
+        row_invalid
+    );
+    let zero_count = [(9, 2), (1, 0), (4, 1)];
+    assert_eq!(
+        decode_v1(&v1_naive_f2(&zero_count)).unwrap_err(),
+        row_invalid
+    );
 }
 
 #[test]
