@@ -231,6 +231,15 @@ impl SubsampledEstimator for NaiveScaledFk {
         NaiveScaledFk::merge(self, other);
     }
 
+    /// Folds the frequency maps with one `FrequencyMap::merge_all`.
+    fn merge_all(&mut self, others: &[&Self]) {
+        for o in others {
+            self.merge_compatible(o).unwrap_or_else(|e| panic!("{e}"));
+        }
+        let maps: Vec<_> = others.iter().map(|o| &o.freqs).collect();
+        self.freqs.merge_all(&maps);
+    }
+
     fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
         check_rates(self.p, other.p)?;
         Ok(Mismatch::unless(

@@ -48,6 +48,18 @@ pub trait CollisionOracle {
     where
         Self: Sized;
 
+    /// [`CollisionOracle::merge`] of each of `others` in turn: a fold of
+    /// several sites into `self`, which an oracle may do in one pass.
+    ///
+    /// # Panics
+    /// When [`CollisionOracle::check_merge`] fails for any of `others`.
+    fn merge_all(&mut self, others: &[&Self])
+    where
+        Self: Sized,
+    {
+        others.iter().for_each(|o| self.merge(o));
+    }
+
     /// Exact number of elements ingested (`F_1(L)`; a single counter).
     fn n(&self) -> u64;
 
@@ -114,6 +126,14 @@ impl CollisionOracle for ExactCollisions {
     fn merge(&mut self, other: &Self) {
         self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         self.freqs.merge(&other.freqs);
+    }
+
+    fn merge_all(&mut self, others: &[&Self]) {
+        for o in others {
+            self.check_merge(o).unwrap_or_else(|e| panic!("{e}"));
+        }
+        let maps: Vec<_> = others.iter().map(|o| &o.freqs).collect();
+        self.freqs.merge_all(&maps);
     }
 
     fn n(&self) -> u64 {

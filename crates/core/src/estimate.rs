@@ -332,6 +332,21 @@ pub trait SubsampledEstimator {
     where
         Self: Sized;
 
+    /// [`SubsampledEstimator::merge`] of each of `others` in turn, with
+    /// the same result: a fold of several shards into `self`, which an
+    /// estimator may do in one pass (the exact frequency map joins
+    /// decoded shards in one tree instead of upserting them one by one).
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails for any of
+    /// `others`.
+    fn merge_all(&mut self, others: &[&Self])
+    where
+        Self: Sized,
+    {
+        others.iter().for_each(|o| self.merge(o));
+    }
+
     /// Whether `other` could merge into `self`, **without mutating
     /// anything** — the one compatibility decision behind `merge` and
     /// `try_merge`. Default: the tolerant rate check (beyond

@@ -182,6 +182,15 @@ impl<O: CollisionOracle> SubsampledEstimator for SampledFkEstimator<O> {
         SampledFkEstimator::merge(self, other);
     }
 
+    /// Folds the oracles with [`CollisionOracle::merge_all`].
+    fn merge_all(&mut self, others: &[&Self]) {
+        for o in others {
+            self.merge_compatible(o).unwrap_or_else(|e| panic!("{e}"));
+        }
+        let oracles: Vec<_> = others.iter().map(|o| &o.oracle).collect();
+        self.oracle.merge_all(&oracles);
+    }
+
     fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
         check_rates(self.p, other.p)?;
         Mismatch::unless(self.k == other.k, "SampledFkEstimator moment order")?;

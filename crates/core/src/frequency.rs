@@ -6,35 +6,25 @@
 //!
 //! A map holds its rows in one of two forms, and what it has done picks
 //! the form. A map that counts items is a hash map, for O(1) upserts at
-//! ingest. A map read from the wire keeps the v2 layout it arrived in —
-//! strictly ascending keys and their counts, index-aligned — so restore,
-//! copy, sorted ⊕ sorted merges and every read touch each row once, in
-//! key order, without hashing. Counting converts a sorted map once.
+//! ingest and merge. A map read from the wire keeps the v2 layout it
+//! arrived in — strictly ascending keys and their counts, index-aligned —
+//! so restore, a copy into an empty map, a fold of decoded maps
+//! ([`FrequencyMap::merge_all`]) and every read touch the rows in key
+//! order, without hashing. Counting into a sorted map, or merging one map
+//! into a non-empty one, converts it to counting once.
 
 use std::cmp::Ordering;
 
-use sss_codec::{put_varint_u64, CodecError, Reader};
+use sss_codec::{put_packed_sorted_u64s, put_varint_u64, put_varint_u64s, CodecError, Reader};
 use sss_hash::{fp_hash_map, FpHashMap};
 
-/// A sorted ⊕ sorted merge joins the two column pairs only while `self`
-/// has at most this many times `other`'s rows; past that, `self` turns
-/// into the counting form once and upserts `other`. Without the guard a
-/// fold of many small maps re-copies the growing accumulator on every
-/// merge. Folding decoded disjoint `ExactCollisions` maps into an empty
-/// oracle on one core of a 2-vCPU host, in ms (medians of 10 interleaved
-/// runs; "hashed" upserts on every merge, as the counting form alone did;
-/// "unguarded" is the median of 3):
-///
-/// | maps           | hashed | ratio 2 | ratio 4 | unguarded |
-/// |----------------|--------|---------|---------|-----------|
-/// | 128 × 10k keys | 115    | 94      | 115     | ~380      |
-/// | 32 × 50k keys  | 126    | 135     | 109     | ~180      |
-///
-/// Two 50k-key maps join in 0.8 ms against 3.8 ms hashed.
-const MERGE_JOIN_MAX_RATIO: usize = 4;
-
 /// Counts below this are tallied in a dense array by
-/// [`FrequencyMap::histogram`]; larger ones go to a hash map.
+/// [`FrequencyMap::histogram`]; larger ones go to a hash map. On one core
+/// of a 2-vCPU host, `ExactCollisions::estimate(2)` over a decoded
+/// 720k-key map with geometric counts (medians of 31, three interleaved
+/// runs) takes 1.2–1.3 ms this way against 4.1–4.3 ms with every count
+/// tallied in a hash map, and 4.0–4.4 ms against 7.3–7.7 ms on the
+/// counting form; on a 100-key map zeroing the array costs under 1 µs.
 const DENSE_TALLY: usize = 1024;
 
 /// Item → count, plus the number of counted occurrences `n`.
@@ -91,31 +81,69 @@ impl FrequencyMap {
     }
 
     /// Add `other`'s counts. Into an empty map — the first merge of every
-    /// fold from a pristine prototype — this is a copy in `other`'s form.
-    /// Two sorted maps of comparable size (see [`MERGE_JOIN_MAX_RATIO`])
-    /// merge-join and stay sorted; every other pair upserts `other`'s
-    /// rows into the counting form.
+    /// fold from a pristine prototype — this is a copy in `other`'s form;
+    /// otherwise `other`'s rows are upserted into the counting form.
     pub(crate) fn merge(&mut self, other: &FrequencyMap) {
         if self.distinct() == 0 {
             self.rows.clone_from(&other.rows);
         } else if other.distinct() > 0 {
-            match (&mut self.rows, &other.rows) {
-                (
-                    Rows::Sorted { keys, counts },
-                    Rows::Sorted {
-                        keys: other_keys,
-                        counts: other_counts,
-                    },
-                ) if keys.len() <= MERGE_JOIN_MAX_RATIO * other_keys.len() => {
-                    merge_join(keys, counts, other_keys, other_counts);
-                }
-                _ => {
-                    let counts = self.counting();
-                    other.for_each_row(|x, g| *counts.entry(x).or_insert(0) += g);
-                }
-            }
+            let counts = self.counting();
+            other.for_each_row(|x, g| *counts.entry(x).or_insert(0) += g);
         }
         self.n += other.n;
+    }
+
+    /// [`FrequencyMap::merge`] of each of `others` in turn, with the same
+    /// counts. When `self` and every map in `others` are sorted or empty —
+    /// a fold of decoded sites — the maps are joined pairwise in a
+    /// balanced tree instead: O(rows · log maps) sequential copies, no
+    /// hashing, and the sum stays sorted.
+    pub(crate) fn merge_all(&mut self, others: &[&FrequencyMap]) {
+        let sorted_or_empty = |m: &FrequencyMap| m.distinct() == 0 || m.sorted_columns().is_some();
+        if !(sorted_or_empty(self) && others.iter().all(|m| sorted_or_empty(m))) {
+            others.iter().for_each(|m| self.merge(m));
+            return;
+        }
+        let leaves: Vec<(&[u64], &[u64])> = std::iter::once(&*self)
+            .chain(others.iter().copied())
+            .filter_map(FrequencyMap::sorted_columns)
+            .filter(|(keys, _)| !keys.is_empty())
+            .collect();
+        if leaves.len() < 2 {
+            // At most one map has rows: a copy, or nothing to add.
+            others.iter().for_each(|m| self.merge(m));
+            return;
+        }
+        let mut level: Vec<(Vec<u64>, Vec<u64>)> = leaves
+            .chunks(2)
+            .map(|pair| match *pair {
+                [a, b] => join(a, b),
+                [(keys, counts)] => (keys.to_vec(), counts.to_vec()),
+                _ => unreachable!("chunks of one or two"),
+            })
+            .collect();
+        while level.len() > 1 {
+            let mut pairs = level.into_iter();
+            level = std::iter::from_fn(|| {
+                let a = pairs.next()?;
+                Some(match pairs.next() {
+                    Some(b) => join((&a.0, &a.1), (&b.0, &b.1)),
+                    None => a,
+                })
+            })
+            .collect();
+        }
+        let (keys, counts) = level.pop().expect("two or more leaves join into one");
+        self.rows = Rows::Sorted { keys, counts };
+        self.n += others.iter().map(|m| m.n).sum::<u64>();
+    }
+
+    /// The key and count columns of the sorted form.
+    fn sorted_columns(&self) -> Option<(&[u64], &[u64])> {
+        match &self.rows {
+            Rows::Sorted { keys, counts } => Some((keys, counts)),
+            Rows::Counting(_) => None,
+        }
     }
 
     /// Every `(item, count)` row, in key order in the sorted form and in
@@ -181,18 +209,18 @@ impl FrequencyMap {
 
     /// v2 layout: `varint n ‖ sorted-delta ids ‖ varint counts`.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        put_varint_u64(out, self.n);
         match &self.rows {
             Rows::Counting(map) => {
                 let mut rows: Vec<(u64, u64)> = map.iter().map(|(&x, &g)| (x, g)).collect();
-                rows.sort_unstable_by_key(|&(x, _)| x);
-                put_columns(out, self.n, rows.iter().copied());
+                rows.sort_unstable();
+                let (keys, counts): (Vec<u64>, Vec<u64>) = rows.into_iter().unzip();
+                put_packed_sorted_u64s(out, &keys);
+                put_varint_u64s(out, &counts);
             }
             Rows::Sorted { keys, counts } => {
-                put_columns(
-                    out,
-                    self.n,
-                    keys.iter().copied().zip(counts.iter().copied()),
-                );
+                put_packed_sorted_u64s(out, keys);
+                put_varint_u64s(out, counts);
             }
         }
     }
@@ -247,72 +275,43 @@ impl FrequencyMap {
     }
 }
 
-/// One linear pass over two sorted column pairs, leaving their sum in
-/// `keys` and `counts`.
-fn merge_join(
-    keys: &mut Vec<u64>,
-    counts: &mut Vec<u64>,
-    other_keys: &[u64],
-    other_counts: &[u64],
-) {
-    let cap = keys.len() + other_keys.len();
-    let (mut merged_keys, mut merged_counts) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+/// The row-wise sum of two sorted column pairs, in one linear pass.
+fn join(
+    (a_keys, a_counts): (&[u64], &[u64]),
+    (b_keys, b_counts): (&[u64], &[u64]),
+) -> (Vec<u64>, Vec<u64>) {
+    let cap = a_keys.len() + b_keys.len();
+    let (mut keys, mut counts) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
     let (mut i, mut j) = (0, 0);
-    while i < keys.len() && j < other_keys.len() {
-        let (x, y) = (keys[i], other_keys[j]);
-        match x.cmp(&y) {
+    while i < a_keys.len() && j < b_keys.len() {
+        let (x, y) = (a_keys[i], b_keys[j]);
+        keys.push(x.min(y));
+        counts.push(match x.cmp(&y) {
             Ordering::Less => {
-                merged_keys.push(x);
-                merged_counts.push(counts[i]);
                 i += 1;
+                a_counts[i - 1]
             }
             Ordering::Greater => {
-                merged_keys.push(y);
-                merged_counts.push(other_counts[j]);
                 j += 1;
+                b_counts[j - 1]
             }
             Ordering::Equal => {
-                merged_keys.push(x);
-                merged_counts.push(counts[i] + other_counts[j]);
                 i += 1;
                 j += 1;
+                a_counts[i - 1] + b_counts[j - 1]
             }
-        }
+        });
     }
-    merged_keys.extend_from_slice(&keys[i..]);
-    merged_counts.extend_from_slice(&counts[i..]);
-    merged_keys.extend_from_slice(&other_keys[j..]);
-    merged_counts.extend_from_slice(&other_counts[j..]);
-    *keys = merged_keys;
-    *counts = merged_counts;
-}
-
-/// `varint n`, then the `(key, count)` rows — in strictly ascending key
-/// order — as the columns `put_packed_sorted_u64s` and `put_varint_u64s`
-/// write: `varint len ‖ varint first key ‖ varint key gaps` and `varint
-/// len ‖ varint counts`.
-fn put_columns<I>(out: &mut Vec<u8>, n: u64, rows: I)
-where
-    I: ExactSizeIterator<Item = (u64, u64)> + Clone,
-{
-    put_varint_u64(out, n);
-    put_varint_u64(out, rows.len() as u64);
-    let mut prev = None;
-    for (x, _) in rows.clone() {
-        debug_assert!(prev.is_none_or(|p| x > p), "frequency map keys not sorted");
-        put_varint_u64(out, x - prev.unwrap_or(0));
-        prev = Some(x);
-    }
-    put_varint_u64(out, rows.len() as u64);
-    for (_, g) in rows {
-        put_varint_u64(out, g);
-    }
+    keys.extend_from_slice(&a_keys[i..]);
+    counts.extend_from_slice(&a_counts[i..]);
+    keys.extend_from_slice(&b_keys[j..]);
+    counts.extend_from_slice(&b_counts[j..]);
+    (keys, counts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sss_codec::{put_packed_sorted_u64s, put_varint_u64s};
 
     fn map_of(xs: &[u64]) -> FrequencyMap {
         let mut m = FrequencyMap::default();
@@ -406,28 +405,7 @@ mod tests {
         let (counting, sorted) = (map_of(A), sorted_of(A));
         assert!(!is_sorted(&counting));
         assert_same(&counting, &sorted);
-        // The encoder writes what the codec's column writers write.
-        let mut want = Vec::new();
-        put_varint_u64(&mut want, 9);
-        put_packed_sorted_u64s(&mut want, &[1, 2, 3, 5, 9, 30]);
-        put_varint_u64s(&mut want, &[1, 1, 1, 3, 2, 1]);
-        assert_eq!(encoded(&sorted), want);
         assert_same(&FrequencyMap::default(), &sorted_of(&[]));
-    }
-
-    #[test]
-    fn sorted_merges_sorted_by_a_join() {
-        for (a, b) in [(A, B), (A, DISJOINT), (DISJOINT, A), (B, A)] {
-            let joined = merged(&sorted_of(a), &sorted_of(b));
-            assert!(is_sorted(&joined));
-            assert_same(&joined, &map_of(&[a, b].concat()));
-        }
-        // Either side empty: the other side's rows, still sorted.
-        for (a, b) in [(A, &[][..]), (&[][..], A)] {
-            let joined = merged(&sorted_of(a), &sorted_of(b));
-            assert!(is_sorted(&joined));
-            assert_same(&joined, &map_of(A));
-        }
     }
 
     #[test]
@@ -443,15 +421,40 @@ mod tests {
     }
 
     #[test]
-    fn mixed_forms_merge_into_the_counting_form() {
-        let want = map_of(&[A, B].concat());
-        for m in [
-            merged(&map_of(A), &sorted_of(B)),
-            merged(&sorted_of(A), &map_of(B)),
-        ] {
-            assert!(!is_sorted(&m));
-            assert_same(&m, &want);
+    fn merge_into_a_non_empty_map_counts_in_every_form_pair() {
+        let form = |xs: &[u64], sorted: bool| if sorted { sorted_of(xs) } else { map_of(xs) };
+        for (a, b) in [(A, B), (A, DISJOINT), (DISJOINT, A), (B, A)] {
+            for (a_sorted, b_sorted) in [(true, true), (true, false), (false, true)] {
+                let m = merged(&form(a, a_sorted), &form(b, b_sorted));
+                assert!(!is_sorted(&m));
+                assert_same(&m, &map_of(&[a, b].concat()));
+            }
         }
+        // An empty `other` leaves a sorted map as it was.
+        let m = merged(&sorted_of(A), &sorted_of(&[]));
+        assert!(is_sorted(&m));
+        assert_same(&m, &map_of(A));
+    }
+
+    #[test]
+    fn merge_all_joins_sorted_maps_and_adds_like_merge() {
+        let all = [A, B, &[][..], DISJOINT, A, B].map(sorted_of);
+        for into in [FrequencyMap::default(), sorted_of(&[]), sorted_of(DISJOINT)] {
+            for len in 1..=all.len() {
+                let maps: Vec<&FrequencyMap> = all[..len].iter().collect();
+                let mut one_by_one = into.clone();
+                maps.iter().for_each(|m| one_by_one.merge(m));
+                let mut joined = into.clone();
+                joined.merge_all(&maps);
+                assert!(is_sorted(&joined), "{len} sorted maps");
+                assert_same(&joined, &one_by_one);
+            }
+        }
+        // With a counting map among them the merges run one by one.
+        let mut joined = sorted_of(B);
+        joined.merge_all(&[&sorted_of(A), &map_of(B), &sorted_of(DISJOINT)]);
+        assert!(!is_sorted(&joined));
+        assert_same(&joined, &map_of(&[B, A, B, DISJOINT].concat()));
     }
 
     #[test]
@@ -466,28 +469,5 @@ mod tests {
         live.update(3);
         restored.update(3);
         assert_same(&live, &restored);
-    }
-
-    #[test]
-    fn many_small_sorted_maps_fold_by_hashing_two_equal_ones_by_a_join() {
-        let keys = |from: u64, len: u64| (from..from + len).collect::<Vec<_>>();
-        let mut fold = sorted_of(&keys(0, 1_000));
-        for site in 1..40 {
-            fold.merge(&sorted_of(&keys(1_000 * site, 50)));
-        }
-        // The join would copy all 1,000+ rows on every merge; the guard
-        // turns the accumulator into the counting form instead.
-        assert!(!is_sorted(&fold));
-        assert_eq!(
-            (fold.n(), fold.distinct()),
-            (1_000 + 39 * 50, 1_000 + 39 * 50)
-        );
-
-        let pair = merged(&sorted_of(&keys(0, 1_000)), &sorted_of(&keys(500, 1_000)));
-        assert!(is_sorted(&pair));
-        assert_eq!(
-            (pair.n(), pair.distinct(), pair.get(700)),
-            (2_000, 1_500, 2)
-        );
     }
 }

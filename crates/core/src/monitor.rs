@@ -78,6 +78,9 @@ pub(crate) trait DynEstimator: Send + Sync {
     fn check_merge(&self, other: &dyn Any, label: &str) -> Result<(), MergeError>;
     /// Merge a slot that passed [`DynEstimator::check_merge`].
     fn merge_dyn(&mut self, other: &dyn Any);
+    /// [`DynEstimator::merge_dyn`] of every slot in `others`, through
+    /// [`SubsampledEstimator::merge_all`].
+    fn merge_all_dyn(&mut self, others: &[&dyn Any]);
     fn reseed_shard_local_dyn(&mut self, seed: u64);
     fn clone_box(&self) -> Box<dyn DynEstimator>;
     /// The concrete type's wire tag ([`WireCodec::WIRE_TAG`]).
@@ -129,6 +132,17 @@ impl<T: SubsampledEstimator + Any + Clone + Send + Sync + WireCodec> DynEstimato
             .downcast_ref::<T>()
             .expect("check_merge proved both slots hold the same type");
         SubsampledEstimator::merge(self, other);
+    }
+
+    fn merge_all_dyn(&mut self, others: &[&dyn Any]) {
+        let others: Vec<&T> = others
+            .iter()
+            .map(|o| {
+                o.downcast_ref::<T>()
+                    .expect("check_merge proved both slots hold the same type")
+            })
+            .collect();
+        SubsampledEstimator::merge_all(self, &others);
     }
 
     fn reseed_shard_local_dyn(&mut self, seed: u64) {
@@ -511,6 +525,27 @@ impl Monitor {
         Ok(())
     }
 
+    /// [`Monitor::merge`] of each of `others` in turn, with the same
+    /// result, in one fold per estimator
+    /// ([`SubsampledEstimator::merge_all`]): a collector's view of its
+    /// sites, or a window's fold of its buckets.
+    ///
+    /// # Panics
+    /// When [`Monitor::check_mergeable`] fails for any of `others`;
+    /// `self` is then unchanged.
+    pub fn merge_all(&mut self, others: &[&Monitor]) {
+        for other in others {
+            if let Err(e) = self.check_mergeable(other) {
+                panic!("monitor merge: {e}");
+            }
+        }
+        for (i, mine) in self.entries.iter_mut().enumerate() {
+            let slots: Vec<&dyn Any> = others.iter().map(|o| o.entries[i].est.as_any()).collect();
+            mine.est.merge_all_dyn(&slots);
+        }
+        self.samples += others.iter().map(|o| o.samples).sum::<u64>();
+    }
+
     /// A shard clone for worker `shard` of a sharded deployment: identical
     /// estimator configuration (labels, parameters and — crucially — the
     /// hash seeds that make sketch merges valid), with **shard-local**
@@ -861,6 +896,26 @@ mod tests {
         let mut a = MonitorBuilder::with_seed(0.5, 1).f0(0.05).build();
         let b = MonitorBuilder::with_seed(0.5, 1).fk(2).build();
         a.merge(&b);
+    }
+
+    #[test]
+    fn merge_all_checks_every_monitor_before_merging_any() {
+        let build = |seed| MonitorBuilder::with_seed(0.5, seed).f0(0.05).fk(2).build();
+        let (mut a, mut good, mut bad) = (build(1), build(1), build(2));
+        a.update_batch(&[1, 2, 2, 3]);
+        good.update_batch(&[2, 4]);
+        bad.update_batch(&[5]);
+        let before = a.checkpoint().unwrap();
+        let fold = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            a.merge_all(&[&good, &bad]);
+        }));
+        let msg = fold.expect_err("a mismatched monitor panics");
+        assert!(msg
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.starts_with("monitor merge: ")));
+        assert_eq!(a.checkpoint().unwrap(), before, "nothing was merged");
+        a.merge_all(&[&good]);
+        assert_eq!(a.samples_seen(), 6);
     }
 
     #[test]

@@ -484,13 +484,10 @@ impl CollectorServer {
     pub fn merged(&self) -> Monitor {
         let sites = self.shared.sites.lock().expect("sites lock");
         let mut view = self.shared.prototype.clone();
-        for site in sites.values() {
-            if let Some(snap) = &site.latest {
-                // Accept proved `check_mergeable` against the immutable
-                // prototype, so this merge cannot fail.
-                view.merge(snap);
-            }
-        }
+        let snaps: Vec<&Monitor> = sites.values().filter_map(|s| s.latest.as_ref()).collect();
+        // Accept proved `check_mergeable` against the immutable
+        // prototype, so this merge cannot fail.
+        view.merge_all(&snaps);
         view
     }
 

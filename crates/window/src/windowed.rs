@@ -426,9 +426,8 @@ impl WindowedMonitor {
     /// fold, bitwise-reproducible run to run.
     pub fn fold(&self) -> Monitor {
         let mut acc = self.prototype.clone();
-        for b in &self.buckets {
-            acc.merge(&b.monitor);
-        }
+        let buckets: Vec<&Monitor> = self.buckets.iter().map(|b| &b.monitor).collect();
+        acc.merge_all(&buckets);
         acc
     }
 

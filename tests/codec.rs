@@ -419,6 +419,9 @@ fn collector_merge_of_decoded_snapshots_equals_in_memory_merge() {
     // wire columns), and all 8 mixes × 6 fold orders answer the same F2
     // and F2_naive bits. Within one order every mix also checkpoints the
     // same bytes: the merged maps hold the same rows whatever their form.
+    // `merge_all` — the collector's and the window's fold, which joins
+    // the sorted maps of an all-restored fleet in one tree — checkpoints
+    // the same bytes as the merges one by one.
     let restored: Vec<Monitor> = wires
         .iter()
         .map(|w| Monitor::restore(w).expect("site decode"))
@@ -434,18 +437,30 @@ fn collector_merge_of_decoded_snapshots_equals_in_memory_merge() {
     ] {
         let mut checkpoints = Vec::new();
         for mix in 0..8usize {
+            let picked: Vec<&Monitor> = order
+                .iter()
+                .map(|&i| {
+                    if mix >> i & 1 == 1 {
+                        &restored[i]
+                    } else {
+                        &sites[i]
+                    }
+                })
+                .collect();
             let mut view = full_monitor(p);
-            for &i in &order {
-                let site = if mix >> i & 1 == 1 {
-                    &restored[i]
-                } else {
-                    &sites[i]
-                };
+            for site in &picked {
                 view.try_merge(site).expect("fold");
             }
+            let mut folded = full_monitor(p);
+            folded.merge_all(&picked);
             let bits = |label: &str| view.estimate_labeled(label).expect(label).value.to_bits();
             folds.push((order, mix, bits("F2"), bits("F2_naive")));
-            checkpoints.push(view.checkpoint().expect("folded view"));
+            let bytes = view.checkpoint().expect("folded view");
+            assert!(
+                folded.checkpoint().expect("merge_all view") == bytes,
+                "fold order {order:?}: mix {mix:03b} merge_all checkpoints different bytes"
+            );
+            checkpoints.push(bytes);
         }
         for (mix, bytes) in checkpoints.iter().enumerate() {
             assert!(
