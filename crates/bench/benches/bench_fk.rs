@@ -2,7 +2,7 @@
 //! Indyk–Woodruff level-set structure itself, per-item vs batched.
 
 use sss_bench::BenchGroup;
-use sss_core::{recommended_levelset_config, SampledFkEstimator};
+use sss_core::{recommended_levelset_config, SampledFkEstimator, SubsampledEstimator};
 use sss_sketch::levelset::{LevelSetConfig, LevelSetEstimator};
 use sss_stream::{BernoulliSampler, StreamGen, ZipfStream};
 use std::hint::black_box;
@@ -20,14 +20,14 @@ fn main() {
             for &x in &sampled {
                 est.update(x);
             }
-            est.estimate()
+            est.estimate().value
         });
         g.bench(&format!("alg1_exact_k{k}_batched"), || {
             let mut est = SampledFkEstimator::exact(k, 0.2);
             for chunk in sampled.chunks(4096) {
                 est.update_batch(chunk);
             }
-            est.estimate()
+            est.estimate().value
         });
     }
 
@@ -37,7 +37,7 @@ fn main() {
         for &x in &sampled {
             est.update(x);
         }
-        est.estimate()
+        est.estimate().value
     });
 
     g.bench("levelset_update_only_w512", || {
@@ -57,5 +57,5 @@ fn main() {
     for &x in &sampled {
         est.update(x);
     }
-    q.bench("alg1_sketched_estimate", || black_box(est.estimate()));
+    q.bench("alg1_sketched_estimate", || black_box(est.estimate().value));
 }

@@ -12,7 +12,7 @@
 
 use sss_bench::table::fmt_g;
 use sss_bench::{print_header, run_trials, Summary, Table};
-use sss_core::{AdaptiveF2Estimator, ApproxParams, TargetCollisionsPolicy};
+use sss_core::{AdaptiveF2Estimator, ApproxParams, SubsampledEstimator, TargetCollisionsPolicy};
 use sss_hash::{RngCore64, Xoshiro256pp};
 use sss_stream::{ExactStats, StreamGen, UniformStream, ZipfStream};
 
@@ -24,7 +24,7 @@ fn run_fixed(stream: &[u64], p: f64, seed: u64) -> (f64, u64) {
             est.update(x);
         }
     }
-    (est.estimate(), est.samples_seen())
+    (est.estimate().value, est.samples_seen())
 }
 
 fn run_policy(stream: &[u64], policy: &TargetCollisionsPolicy, seed: u64) -> (f64, u64) {
@@ -39,7 +39,7 @@ fn run_policy(stream: &[u64], policy: &TargetCollisionsPolicy, seed: u64) -> (f6
             est.update(x);
         }
     }
-    (est.estimate(), est.samples_seen())
+    (est.estimate().value, est.samples_seen())
 }
 
 fn main() {

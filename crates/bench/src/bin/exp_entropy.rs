@@ -9,7 +9,7 @@
 
 use sss_bench::table::fmt_g;
 use sss_bench::{print_header, run_trials, Summary, Table};
-use sss_core::SampledEntropyEstimator;
+use sss_core::{SampledEntropyEstimator, SubsampledEstimator};
 use sss_stream::{BernoulliSampler, ExactStats, StreamGen, UniformStream, ZipfStream};
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
                 let mut est = SampledEntropyEstimator::new(p, 3000, seed);
                 let mut sampler = BernoulliSampler::new(p, seed ^ 0xE6);
                 sampler.sample_slice(stream, |x| est.update(x));
-                est.estimate() / h
+                est.estimate().value / h
             });
             let s = Summary::of(&ratios);
             let min = ratios.iter().copied().fold(f64::INFINITY, f64::min);

@@ -12,7 +12,7 @@
 
 use sss_bench::table::fmt_g;
 use sss_bench::{print_header, run_trials, Table};
-use sss_core::SampledEntropyEstimator;
+use sss_core::{SampledEntropyEstimator, SubsampledEstimator};
 use sss_stream::{BernoulliSampler, EntropyScenarioPair, ExactStats};
 
 fn main() {
@@ -62,7 +62,7 @@ fn main() {
             let mut e = SampledEntropyEstimator::new(p, 2000, 31);
             let mut sampler = BernoulliSampler::new(p, 33);
             sampler.sample_slice(&s2, |x| e.update(x));
-            e.estimate()
+            e.estimate().value
         };
         t1.row(vec![
             format!("{p}"),
@@ -89,7 +89,7 @@ fn main() {
             let mut e = SampledEntropyEstimator::new(p, 2000, 35);
             let mut sampler = BernoulliSampler::new(p, 37);
             sampler.sample_slice(&stream, |x| e.update(x));
-            e.estimate()
+            e.estimate().value
         };
         t2.row(vec![format!("{p}"), fmt_g(hf), fmt_g(expected), fmt_g(est)]);
     }

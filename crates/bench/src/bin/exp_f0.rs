@@ -12,7 +12,7 @@
 
 use sss_bench::table::fmt_g;
 use sss_bench::{print_header, run_trials, Summary, Table};
-use sss_core::{f0_lower_bound_factor, ApproxParams, SampledF0Estimator};
+use sss_core::{f0_lower_bound_factor, ApproxParams, SampledF0Estimator, SubsampledEstimator};
 use sss_stream::{BernoulliSampler, ExactStats, F0HardPair, StreamGen, UniformStream};
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
             let mut est = SampledF0Estimator::new(p, 0.01, seed);
             let mut sampler = BernoulliSampler::new(p, seed ^ 0xF0);
             sampler.sample_slice(&stream, |x| est.update(x));
-            ApproxParams::mult_error(est.estimate(), truth)
+            ApproxParams::mult_error(est.estimate().value, truth)
         });
         let s = Summary::of(&errs);
         let bound = 4.0 / p.sqrt();
@@ -75,7 +75,7 @@ fn main() {
                 let mut est = SampledF0Estimator::new(p, 0.01, seed);
                 let mut sampler = BernoulliSampler::new(p, seed ^ 0xF1);
                 sampler.sample_slice(stream, |x| est.update(x));
-                ApproxParams::mult_error(est.estimate(), truth)
+                ApproxParams::mult_error(est.estimate().value, truth)
             });
             Summary::of(&errs).median
         };

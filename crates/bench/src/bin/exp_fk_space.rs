@@ -11,7 +11,9 @@
 
 use sss_bench::table::fmt_g;
 use sss_bench::{print_header, run_trials, Summary, Table};
-use sss_core::{recommended_levelset_config, ApproxParams, SampledFkEstimator};
+use sss_core::{
+    recommended_levelset_config, ApproxParams, SampledFkEstimator, SubsampledEstimator,
+};
 use sss_sketch::levelset::LevelSetConfig;
 use sss_stream::{BernoulliSampler, ExactStats, StreamGen, ZipfStream};
 
@@ -46,7 +48,7 @@ fn main() {
             let mut sampler = BernoulliSampler::new(p, seed ^ 0x5EED);
             sampler.sample_slice(&stream, |x| est.update(x));
             space = est.space_words();
-            ApproxParams::mult_error(est.estimate(), truth) - 1.0
+            ApproxParams::mult_error(est.estimate().value, truth) - 1.0
         });
         let s = Summary::of(&errs);
         ta.row(vec![
@@ -71,7 +73,7 @@ fn main() {
             let mut sampler = BernoulliSampler::new(p, seed ^ 0xBEEF);
             sampler.sample_slice(&stream, |x| est.update(x));
             space = est.space_words();
-            ApproxParams::mult_error(est.estimate(), truth) - 1.0
+            ApproxParams::mult_error(est.estimate().value, truth) - 1.0
         });
         let s = Summary::of(&errs);
         tb.row(vec![

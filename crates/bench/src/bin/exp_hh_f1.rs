@@ -11,7 +11,7 @@ use sss_bench::table::{fmt_g, fmt_pct};
 use sss_bench::{print_header, Table};
 use sss_stream::{BernoulliSampler, ExactStats, PlantedHeavyHitters, StreamGen};
 
-use sss_core::SampledF1HeavyHitters;
+use sss_core::{SampledF1HeavyHitters, SubsampledEstimator};
 
 fn main() {
     print_header(

@@ -10,7 +10,7 @@
 
 use sss_bench::table::{fmt_g, fmt_pct};
 use sss_bench::{print_header, Table};
-use sss_core::SampledF2HeavyHitters;
+use sss_core::{SampledF2HeavyHitters, SubsampledEstimator};
 use sss_hash::RngCore64;
 use sss_stream::{BernoulliSampler, ExactStats};
 

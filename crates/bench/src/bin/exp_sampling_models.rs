@@ -13,7 +13,7 @@
 
 use sss_bench::table::fmt_g;
 use sss_bench::{mean, print_header, Table};
-use sss_core::SampledFkEstimator;
+use sss_core::{SampledFkEstimator, SubsampledEstimator};
 use sss_stream::{
     BernoulliSampler, ExactStats, NetFlowStream, OneInNSampler, SampleAndHold, StreamGen,
 };
@@ -113,7 +113,7 @@ fn main() {
         let mut est = SampledFkEstimator::exact(2, p);
         let mut sampler = BernoulliSampler::new(p, 51 + t);
         sampler.sample_slice(&trace, |x| est.update(x));
-        errs.push((est.estimate() / f2_true).max(f2_true / est.estimate()));
+        errs.push((est.estimate().value / f2_true).max(f2_true / est.estimate().value));
     }
     agg.row(vec![
         "Bernoulli".to_string(),
@@ -129,7 +129,7 @@ fn main() {
                 est.update(x);
             }
         }
-        errs.push((est.estimate() / f2_true).max(f2_true / est.estimate()));
+        errs.push((est.estimate().value / f2_true).max(f2_true / est.estimate().value));
     }
     agg.row(vec![
         "1-in-N".to_string(),

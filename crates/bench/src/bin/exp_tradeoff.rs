@@ -8,7 +8,7 @@
 
 use sss_bench::table::fmt_g;
 use sss_bench::{print_header, run_trials, Table};
-use sss_core::{ApproxParams, SampledFkEstimator};
+use sss_core::{ApproxParams, SampledFkEstimator, SubsampledEstimator};
 use sss_stream::{BernoulliSampler, ExactStats, StreamGen, ZipfStream};
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
             sampler.sample_slice(&stream, |x| est.update(x));
             seen += est.samples_seen() as f64 / trials as f64;
             space += est.space_words() as f64 / trials as f64;
-            ApproxParams::mult_error(est.estimate(), truth) - 1.0
+            ApproxParams::mult_error(est.estimate().value, truth) - 1.0
         });
         let mut sorted = errs.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));

@@ -73,26 +73,10 @@ impl AdaptiveF2Estimator {
         self.current_p = p;
     }
 
-    /// Sampled elements ingested — the "elements observed" cost the open
-    /// problem asks to minimise.
-    pub fn samples_seen(&self) -> u64 {
-        self.samples
-    }
-
     /// Unweighted count of observed collisions (pairs within the sample),
     /// the signal adaptive policies throttle on.
     pub fn observed_c2_weighted(&self) -> f64 {
         self.c2_hat
-    }
-
-    /// Ingest one element of the sampled stream, taken at the current rate.
-    pub fn update(&mut self, x: u64) {
-        self.samples += 1;
-        let inv_p = 1.0 / self.current_p;
-        let w = self.weighted.entry(x).or_insert(0.0);
-        self.c2_hat += *w * inv_p;
-        *w += inv_p;
-        self.f1_hat += inv_p;
     }
 
     /// Unbiased estimate of `F_1(P)`.
@@ -103,40 +87,6 @@ impl AdaptiveF2Estimator {
     /// Unbiased estimate of `C_2(P)`.
     pub fn estimate_c2(&self) -> f64 {
         self.c2_hat
-    }
-
-    /// The `F_2(P)` estimate `2·Ĉ_2 + F̂_1` (Lemma 1, `k = 2`).
-    pub fn estimate(&self) -> f64 {
-        2.0 * self.c2_hat + self.f1_hat
-    }
-
-    /// Ingest a batch of consecutive sampled elements, all taken at the
-    /// current rate.
-    pub fn update_batch(&mut self, xs: &[u64]) {
-        for &x in xs {
-            self.update(x);
-        }
-    }
-
-    /// Merge a second monitor's estimator over a **disjoint** slice of
-    /// `P`. The cross-shard pairs of each shared item contribute
-    /// `w_self(i)·w_other(i) = Σ_{(s,t) cross} 1/(p_s·p_t)` — exactly the
-    /// importance-weighted count of the pairs neither shard saw alone, so
-    /// the merged estimator is still unbiased.
-    /// Cross terms apply in ascending item order so the float
-    /// accumulation is canonical — merging a deserialized shard lands on
-    /// bitwise the same `Ĉ_2` as merging the original.
-    pub fn merge(&mut self, other: &AdaptiveF2Estimator) {
-        self.c2_hat += other.c2_hat;
-        self.f1_hat += other.f1_hat;
-        self.samples += other.samples;
-        let mut rows: Vec<(u64, f64)> = other.weighted.iter().map(|(&i, &w)| (i, w)).collect();
-        rows.sort_unstable_by_key(|&(i, _)| i);
-        for (i, wb) in rows {
-            let w = self.weighted.entry(i).or_insert(0.0);
-            self.c2_hat += *w * wb;
-            *w += wb;
-        }
     }
 
     /// Memory footprint in 64-bit words.
@@ -150,16 +100,34 @@ impl SubsampledEstimator for AdaptiveF2Estimator {
         Statistic::Fk(2)
     }
 
+    /// Ingest one element of the sampled stream, taken at the current rate.
     fn update(&mut self, x: u64) {
-        AdaptiveF2Estimator::update(self, x);
+        self.samples += 1;
+        let inv_p = 1.0 / self.current_p;
+        let w = self.weighted.entry(x).or_insert(0.0);
+        self.c2_hat += *w * inv_p;
+        *w += inv_p;
+        self.f1_hat += inv_p;
     }
 
-    fn update_batch(&mut self, xs: &[u64]) {
-        AdaptiveF2Estimator::update_batch(self, xs);
-    }
-
+    /// The cross-shard pairs of each shared item contribute
+    /// `w_self(i)·w_other(i) = Σ_{(s,t) cross} 1/(p_s·p_t)` — exactly the
+    /// importance-weighted count of the pairs neither shard saw alone, so
+    /// the merged estimator is still unbiased.
+    /// Cross terms apply in ascending item order so the float
+    /// accumulation is canonical — merging a deserialized shard lands on
+    /// bitwise the same `Ĉ_2` as merging the original.
     fn merge(&mut self, other: &Self) {
-        AdaptiveF2Estimator::merge(self, other);
+        self.c2_hat += other.c2_hat;
+        self.f1_hat += other.f1_hat;
+        self.samples += other.samples;
+        let mut rows: Vec<(u64, f64)> = other.weighted.iter().map(|(&i, &w)| (i, w)).collect();
+        rows.sort_unstable_by_key(|&(i, _)| i);
+        for (i, wb) in rows {
+            let w = self.weighted.entry(i).or_insert(0.0);
+            self.c2_hat += *w * wb;
+            *w += wb;
+        }
     }
 
     fn merge_compatible(&self, _other: &Self) -> Result<(), crate::estimate::MergeError> {
@@ -169,11 +137,12 @@ impl SubsampledEstimator for AdaptiveF2Estimator {
         Ok(())
     }
 
+    /// The `F_2(P)` estimate `2·Ĉ_2 + F̂_1` (Lemma 1, `k = 2`).
     fn estimate(&self) -> Estimate {
         // Unbiased under any past-measurable rate schedule, but the paper
         // proves no worst-case (ε, δ) for it — an extension, not a theorem.
         Estimate::scalar(
-            AdaptiveF2Estimator::estimate(self),
+            2.0 * self.c2_hat + self.f1_hat,
             Guarantee::Heuristic,
             self.current_p,
             self.samples,
@@ -188,6 +157,8 @@ impl SubsampledEstimator for AdaptiveF2Estimator {
         self.current_p
     }
 
+    /// Sampled elements ingested — the "elements observed" cost the open
+    /// problem asks to minimise.
     fn samples_seen(&self) -> u64 {
         self.samples
     }
@@ -297,8 +268,8 @@ mod tests {
             adaptive.update(x);
             alg1.update(x);
         });
-        let a = adaptive.estimate();
-        let b = alg1.estimate();
+        let a = adaptive.estimate().value;
+        let b = alg1.estimate().value;
         assert!((a - b).abs() <= 1e-6 * b, "{a} vs {b}");
     }
 
@@ -326,7 +297,7 @@ mod tests {
                     est.update(x);
                 }
             }
-            sum += est.estimate();
+            sum += est.estimate().value;
         }
         let mean = sum / trials as f64;
         assert!(
@@ -364,8 +335,8 @@ mod tests {
                     naive.update(x);
                 }
             }
-            adaptive_sum += est.estimate();
-            naive_sum += naive.estimate();
+            adaptive_sum += est.estimate().value;
+            naive_sum += naive.estimate().value;
         }
         let adaptive_err = (adaptive_sum / trials as f64 - truth).abs() / truth;
         let naive_err = (naive_sum / trials as f64 - truth).abs() / truth;
@@ -407,7 +378,7 @@ mod tests {
                 }
             }
             fixed_samples += est.samples_seen();
-            fixed_err += (est.estimate() - truth).abs() / truth / trials as f64;
+            fixed_err += (est.estimate().value - truth).abs() / truth / trials as f64;
             // Adaptive.
             let mut est = AdaptiveF2Estimator::new(policy.p_high);
             let mut rng = sss_hash::Xoshiro256pp::new(3000 + seed);
@@ -421,7 +392,7 @@ mod tests {
                 }
             }
             adaptive_samples += est.samples_seen();
-            adaptive_err += (est.estimate() - truth).abs() / truth / trials as f64;
+            adaptive_err += (est.estimate().value - truth).abs() / truth / trials as f64;
         }
         assert!(
             adaptive_samples * 2 < fixed_samples,
@@ -434,7 +405,7 @@ mod tests {
     #[test]
     fn empty_estimator_is_zero() {
         let est = AdaptiveF2Estimator::new(0.5);
-        assert_eq!(est.estimate(), 0.0);
+        assert_eq!(est.estimate().value, 0.0);
         assert_eq!(est.estimate_f1(), 0.0);
         assert_eq!(est.samples_seen(), 0);
     }

@@ -57,11 +57,6 @@ impl RusuDobraF2 {
         }
     }
 
-    /// Elements of the sampled stream ingested.
-    pub fn samples_seen(&self) -> u64 {
-        self.n_sampled
-    }
-
     /// The underlying AMS sketch (concurrent pipeline promotes it to a
     /// shared-atomic grid).
     pub(crate) fn ams(&self) -> &AmsF2 {
@@ -78,38 +73,6 @@ impl RusuDobraF2 {
     pub fn space_words(&self) -> usize {
         self.ams.space_words()
     }
-
-    /// Ingest one element of the sampled stream `L`.
-    pub fn update(&mut self, x: u64) {
-        self.n_sampled += 1;
-        self.ams.update(x, 1);
-    }
-
-    /// Ingest a batch of consecutive elements of `L` (estimator-major
-    /// inner loop; see [`AmsF2::update_batch`]).
-    pub fn update_batch(&mut self, xs: &[u64]) {
-        self.n_sampled += xs.len() as u64;
-        self.ams.update_batch(xs);
-    }
-
-    /// Merge a second monitor's estimator (same dimensions, seed and `p`):
-    /// AMS sketches are linear, so the merge is exact.
-    ///
-    /// # Panics
-    /// When [`SubsampledEstimator::merge_compatible`] fails.
-    pub fn merge(&mut self, other: &RusuDobraF2) {
-        self.merge_compatible(other)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.ams.merge(&other.ams);
-        self.n_sampled += other.n_sampled;
-    }
-
-    /// The inversion `F̂_2(P) = (F̂_2(L) − (1−p)·F_1(L)) / p²`.
-    pub fn estimate(&self) -> f64 {
-        let f2_l = self.ams.estimate();
-        let f1_l = self.n_sampled as f64;
-        ((f2_l - (1.0 - self.p) * f1_l) / (self.p * self.p)).max(0.0)
-    }
 }
 
 impl SubsampledEstimator for RusuDobraF2 {
@@ -118,15 +81,24 @@ impl SubsampledEstimator for RusuDobraF2 {
     }
 
     fn update(&mut self, x: u64) {
-        RusuDobraF2::update(self, x);
+        self.n_sampled += 1;
+        self.ams.update(x, 1);
     }
 
     fn update_batch(&mut self, xs: &[u64]) {
-        RusuDobraF2::update_batch(self, xs);
+        self.n_sampled += xs.len() as u64;
+        self.ams.update_batch(xs);
     }
 
+    /// AMS sketches are linear, so the merge is exact.
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     fn merge(&mut self, other: &Self) {
-        RusuDobraF2::merge(self, other);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.ams.merge(&other.ams);
+        self.n_sampled += other.n_sampled;
     }
 
     fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
@@ -134,11 +106,14 @@ impl SubsampledEstimator for RusuDobraF2 {
         Ok(self.ams.check_merge(&other.ams)?)
     }
 
+    /// The inversion `F̂_2(P) = (F̂_2(L) − (1−p)·F_1(L)) / p²`.
     fn estimate(&self) -> Estimate {
+        let f2_l = self.ams.estimate();
+        let f1_l = self.n_sampled as f64;
         // Unbiased, but the (1+ε, δ) translation to F_2(P) costs Õ(1/p²)
         // space (E9) — no packaged worst-case guarantee at this size.
         Estimate::scalar(
-            RusuDobraF2::estimate(self),
+            ((f2_l - (1.0 - self.p) * f1_l) / (self.p * self.p)).max(0.0),
             Guarantee::Heuristic,
             self.p,
             self.n_sampled,
@@ -178,40 +153,6 @@ impl NaiveScaledFk {
             p,
         }
     }
-
-    /// Ingest one element of the sampled stream `L`.
-    pub fn update(&mut self, x: u64) {
-        self.freqs.update(x);
-    }
-
-    /// Ingest a batch of consecutive elements of `L`.
-    pub fn update_batch(&mut self, xs: &[u64]) {
-        self.freqs.update_batch(xs);
-    }
-
-    /// Merge a second baseline (same `k` and `p`): exact frequency-map
-    /// union.
-    ///
-    /// # Panics
-    /// When [`SubsampledEstimator::merge_compatible`] fails.
-    pub fn merge(&mut self, other: &NaiveScaledFk) {
-        self.merge_compatible(other)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.freqs.merge(&other.freqs);
-    }
-
-    /// Elements of the sampled stream ingested.
-    pub fn samples_seen(&self) -> u64 {
-        self.freqs.n()
-    }
-
-    /// `F_k(L) / p^k`, with `F_k(L) = Σ_g N_g·g^k` read from the frequency
-    /// histogram.
-    pub fn estimate(&self) -> f64 {
-        let fk_l =
-            FrequencyMap::sum_over(&self.freqs.histogram(), |g| (g as f64).powi(self.k as i32));
-        fk_l / self.p.powi(self.k as i32)
-    }
 }
 
 impl SubsampledEstimator for NaiveScaledFk {
@@ -220,15 +161,21 @@ impl SubsampledEstimator for NaiveScaledFk {
     }
 
     fn update(&mut self, x: u64) {
-        NaiveScaledFk::update(self, x);
+        self.freqs.update(x);
     }
 
     fn update_batch(&mut self, xs: &[u64]) {
-        NaiveScaledFk::update_batch(self, xs);
+        self.freqs.update_batch(xs);
     }
 
+    /// Exact frequency-map union.
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     fn merge(&mut self, other: &Self) {
-        NaiveScaledFk::merge(self, other);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.freqs.merge(&other.freqs);
     }
 
     /// Folds the frequency maps with one `FrequencyMap::merge_all`.
@@ -248,12 +195,16 @@ impl SubsampledEstimator for NaiveScaledFk {
         )?)
     }
 
+    /// `F_k(L) / p^k`, with `F_k(L) = Σ_g N_g·g^k` read from the frequency
+    /// histogram.
     fn estimate(&self) -> Estimate {
+        let fk_l =
+            FrequencyMap::sum_over(&self.freqs.histogram(), |g| (g as f64).powi(self.k as i32));
         Estimate::scalar(
-            NaiveScaledFk::estimate(self),
+            fk_l / self.p.powi(self.k as i32),
             Guarantee::Heuristic,
             self.p,
-            self.samples_seen(),
+            self.freqs.n(),
         )
     }
 
@@ -266,7 +217,7 @@ impl SubsampledEstimator for NaiveScaledFk {
     }
 
     fn samples_seen(&self) -> u64 {
-        NaiveScaledFk::samples_seen(self)
+        self.freqs.n()
     }
 }
 
@@ -288,35 +239,6 @@ impl NaiveScaledF0 {
             n_sampled: 0,
         }
     }
-
-    /// Ingest one element of the sampled stream `L`.
-    pub fn update(&mut self, x: u64) {
-        self.n_sampled += 1;
-        self.inner.update(x);
-    }
-
-    /// Ingest a batch of consecutive elements of `L`.
-    pub fn update_batch(&mut self, xs: &[u64]) {
-        self.n_sampled += xs.len() as u64;
-        self.inner.update_batch(xs);
-    }
-
-    /// Merge a second baseline built with the same seed and `p` (bottom-k
-    /// union).
-    ///
-    /// # Panics
-    /// When [`SubsampledEstimator::merge_compatible`] fails.
-    pub fn merge(&mut self, other: &NaiveScaledF0) {
-        self.merge_compatible(other)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.inner.merge(&other.inner);
-        self.n_sampled += other.n_sampled;
-    }
-
-    /// `F̂_0(L) / p`.
-    pub fn estimate(&self) -> f64 {
-        self.inner.estimate() / self.p
-    }
 }
 
 impl SubsampledEstimator for NaiveScaledF0 {
@@ -325,15 +247,24 @@ impl SubsampledEstimator for NaiveScaledF0 {
     }
 
     fn update(&mut self, x: u64) {
-        NaiveScaledF0::update(self, x);
+        self.n_sampled += 1;
+        self.inner.update(x);
     }
 
     fn update_batch(&mut self, xs: &[u64]) {
-        NaiveScaledF0::update_batch(self, xs);
+        self.n_sampled += xs.len() as u64;
+        self.inner.update_batch(xs);
     }
 
+    /// Bottom-k union.
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     fn merge(&mut self, other: &Self) {
-        NaiveScaledF0::merge(self, other);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.inner.merge(&other.inner);
+        self.n_sampled += other.n_sampled;
     }
 
     fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
@@ -341,9 +272,10 @@ impl SubsampledEstimator for NaiveScaledF0 {
         Ok(self.inner.check_merge(&other.inner)?)
     }
 
+    /// `F̂_0(L) / p`.
     fn estimate(&self) -> Estimate {
         Estimate::scalar(
-            NaiveScaledF0::estimate(self),
+            self.inner.estimate() / self.p,
             Guarantee::Heuristic,
             self.p,
             self.n_sampled,
@@ -438,7 +370,7 @@ mod tests {
             let mut rd = RusuDobraF2::new(p, 7, 96, seed);
             let mut sampler = BernoulliSampler::new(p, seed ^ 55);
             sampler.sample_slice(&stream, |x| rd.update(x));
-            errs.push((rd.estimate() - truth).abs() / truth);
+            errs.push((rd.estimate().value - truth).abs() / truth);
         }
         errs.sort_by(|a, b| a.total_cmp(b));
         assert!(errs[4] < 0.15, "median err {}", errs[4]);
@@ -463,8 +395,8 @@ mod tests {
                 rd.update(x);
                 ours.update(x);
             });
-            rd_errs.push((rd.estimate() - truth).abs() / truth);
-            ours_errs.push((ours.estimate() - truth).abs() / truth);
+            rd_errs.push((rd.estimate().value - truth).abs() / truth);
+            ours_errs.push((ours.estimate().value - truth).abs() / truth);
         }
         let med = |v: &mut Vec<f64>| {
             v.sort_by(|a, b| a.total_cmp(b));
@@ -488,7 +420,7 @@ mod tests {
         let mut naive = NaiveScaledFk::new(2, p);
         let mut sampler = BernoulliSampler::new(p, 3);
         sampler.sample_slice(&stream, |x| naive.update(x));
-        let est = naive.estimate();
+        let est = naive.estimate().value;
         let ratio = est / n as f64;
         assert!(
             (ratio - 1.0 / p).abs() / (1.0 / p) < 0.15,
@@ -505,7 +437,7 @@ mod tests {
         for &x in &stream {
             naive.update(x);
         }
-        assert!((naive.estimate() - truth).abs() < 1e-6 * truth);
+        assert!((naive.estimate().value - truth).abs() < 1e-6 * truth);
     }
 
     #[test]
@@ -520,7 +452,7 @@ mod tests {
         let mut naive = NaiveScaledF0::new(p, 5);
         let mut sampler = BernoulliSampler::new(p, 6);
         sampler.sample_slice(&stream, |x| naive.update(x));
-        let ratio = naive.estimate() / 2000.0;
+        let ratio = naive.estimate().value / 2000.0;
         assert!((ratio - 1.0 / p).abs() / (1.0 / p) < 0.3, "ratio = {ratio}");
     }
 }

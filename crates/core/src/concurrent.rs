@@ -46,11 +46,10 @@
 //! **Seeding.** Shared-atomic and key-sharded slots keep the prototype's
 //! hash seeds (the grids *are* the prototype's grids; key-shard parts
 //! must agree with each other to merge). Replicated slots follow
-//! [`Monitor::fork_shard`]'s seed schedule exactly — worker `i` derives
-//! per-entry seeds from `SplitMix64::new(split_seed(builder_seed, i))`
-//! in registration order — and worker `i` samples with
-//! `split_seed(sampler_seed, i)`, so survival decisions across workers
-//! are independent.
+//! [`Monitor::fork_shard`]'s seed schedule exactly (one module owns it:
+//! worker `i` takes shard `i`'s per-entry seeds), and worker `i` samples
+//! with `split_seed(sampler_seed, i)`, so survival decisions across
+//! workers are independent.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,12 +58,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use sss_codec::WireCodec;
-use sss_hash::{fingerprint64, split_seed, SplitMix64};
+use sss_hash::{fingerprint64, split_seed};
 use sss_obs::MetricId;
 use sss_sketch::{AtomicAmsF2, AtomicCmHeavyHitters, AtomicCsHeavyHitters, AtomicScratch};
 use sss_stream::{BernoulliSampler, Item};
 
 use crate::baselines::RusuDobraF2;
+use crate::estimate::SubsampledEstimator;
 use crate::heavy_hitters::{SampledF1HeavyHitters, SampledF2HeavyHitters};
 use crate::monitor::{DynEstimator, Monitor};
 
@@ -277,20 +277,17 @@ impl ConcurrentMonitor {
             .collect();
         let workers = (0..cfg.threads)
             .map(|i| {
-                // Replicated slots follow fork_shard's schedule: one
-                // derived seed per entry in registration order (all
-                // slots advance the schedule so alignment is
-                // seed-for-seed, only the replicated ones clone).
-                let mut seeds = SplitMix64::new(split_seed(prototype.builder_seed(), i as u64));
+                // Replicated slots follow fork_shard's schedule seed for
+                // seed; only the replicated ones clone.
                 let locals: WorkerLocals = prototype
                     .entries()
                     .iter()
                     .zip(&slots)
-                    .map(|(e, slot)| {
-                        let seed = seeds.derive();
+                    .zip(prototype.shard_seeds(i as u64))
+                    .map(|((e, slot), seed)| {
                         matches!(slot, SlotState::Replicated).then(|| {
                             let mut local = e.est.clone_box();
-                            local.reseed_shard_local_dyn(seed);
+                            local.reseed_shard_local(seed);
                             local
                         })
                     })

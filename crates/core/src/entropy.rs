@@ -45,69 +45,9 @@ impl SampledEntropyEstimator {
         }
     }
 
-    /// The sampling probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Elements of the sampled stream ingested (`n′ = |L|`), including
-    /// merged shards.
-    pub fn samples_seen(&self) -> u64 {
-        self.inner.n() + self.merged_n
-    }
-
     /// Memory footprint in 64-bit words.
     pub fn space_words(&self) -> usize {
         self.inner.space_words()
-    }
-
-    /// Ingest one element of the sampled stream `L`.
-    pub fn update(&mut self, x: u64) {
-        self.inner.update(x);
-    }
-
-    /// Ingest a batch of consecutive elements of `L`.
-    pub fn update_batch(&mut self, xs: &[u64]) {
-        self.inner.update_batch(xs);
-    }
-
-    /// Merge a second monitor's estimator (same `p`): afterwards `self`
-    /// reports the length-weighted average of the shard entropies,
-    /// `Σ n_s·Ĥ_s / Σ n_s`.
-    ///
-    /// Unlike the collision and bottom-k merges this is **approximate**:
-    /// the suffix-count reservoir is not mergeable, and the weighted
-    /// average is the entropy of the *mixture* of the shard distributions
-    /// minus their Jensen–Shannon divergence. When shards carry slices of
-    /// the same traffic mix (the sharded-monitor deployment) the
-    /// divergence term vanishes and the merge is consistent; adversarially
-    /// disjoint shards can lose up to `lg(#shards)` bits — still inside
-    /// Theorem 5's constant-factor contract whenever `H(f)` is above its
-    /// admissibility threshold by that margin.
-    ///
-    /// # Panics
-    /// When [`SubsampledEstimator::merge_compatible`] (the rate check)
-    /// fails.
-    pub fn merge(&mut self, other: &SampledEntropyEstimator) {
-        self.merge_compatible(other)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.merged_weight += other.inner.n() as f64 * other.inner.estimate() + other.merged_weight;
-        self.merged_n += other.inner.n() + other.merged_n;
-    }
-
-    /// The estimate of `H(g)` (entropy of the sampled stream, bits) —
-    /// Theorem 5's constant-factor approximation of `H(f)` in its regime.
-    /// After [`Self::merge`], the length-weighted average over shards.
-    pub fn estimate(&self) -> f64 {
-        let n_local = self.inner.n();
-        if self.merged_n == 0 {
-            return self.inner.estimate();
-        }
-        let total = (n_local + self.merged_n) as f64;
-        if total == 0.0 {
-            return 0.0;
-        }
-        (n_local as f64 * self.inner.estimate() + self.merged_weight) / total
     }
 
     /// The `pn`-normalised entropy `H_pn(g) = Σ (g_i/pn)·lg(pn/g_i)` of
@@ -125,7 +65,7 @@ impl SampledEntropyEstimator {
         }
         let pn = self.p * n_original as f64;
         let scale = n_prime / pn;
-        (scale * (self.estimate() + (pn / n_prime).log2())).max(0.0)
+        (scale * (self.estimate().value + (pn / n_prime).log2())).max(0.0)
     }
 
     /// The Theorem 5 admissibility threshold: the guarantee holds when
@@ -139,14 +79,6 @@ impl SampledEntropyEstimator {
     pub fn rate_admissible(&self, n_original: u64) -> bool {
         self.p >= (n_original as f64).powf(-1.0 / 3.0)
     }
-
-    /// Re-seed the reservoir replacement randomness (pre-ingestion only) —
-    /// the entropy estimator's only shard-local randomness. The merge is a
-    /// length-weighted average with no shared hash state, so shards with
-    /// different reservoir seeds stay fully mergeable.
-    pub fn reseed(&mut self, seed: u64) {
-        self.inner.reseed(seed);
-    }
 }
 
 impl SubsampledEstimator for SampledEntropyEstimator {
@@ -155,24 +87,57 @@ impl SubsampledEstimator for SampledEntropyEstimator {
     }
 
     fn update(&mut self, x: u64) {
-        SampledEntropyEstimator::update(self, x);
+        self.inner.update(x);
     }
 
     fn update_batch(&mut self, xs: &[u64]) {
-        SampledEntropyEstimator::update_batch(self, xs);
+        self.inner.update_batch(xs);
     }
 
+    /// Afterwards `self` reports the length-weighted average of the shard
+    /// entropies, `Σ n_s·Ĥ_s / Σ n_s`.
+    ///
+    /// Unlike the collision and bottom-k merges this is **approximate**:
+    /// the suffix-count reservoir is not mergeable, and the weighted
+    /// average is the entropy of the *mixture* of the shard distributions
+    /// minus their Jensen–Shannon divergence. When shards carry slices of
+    /// the same traffic mix (the sharded-monitor deployment) the
+    /// divergence term vanishes and the merge is consistent; adversarially
+    /// disjoint shards can lose up to `lg(#shards)` bits — still inside
+    /// Theorem 5's constant-factor contract whenever `H(f)` is above its
+    /// admissibility threshold by that margin.
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] (the rate check)
+    /// fails.
     fn merge(&mut self, other: &Self) {
-        SampledEntropyEstimator::merge(self, other);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.merged_weight += other.inner.n() as f64 * other.inner.estimate() + other.merged_weight;
+        self.merged_n += other.inner.n() + other.merged_n;
     }
 
+    /// The reservoir replacement randomness is the estimator's only
+    /// shard-local randomness. The merge is a length-weighted average
+    /// with no shared hash state, so shards with different reservoir
+    /// seeds stay fully mergeable.
     fn reseed_shard_local(&mut self, seed: u64) {
-        SampledEntropyEstimator::reseed(self, seed);
+        self.inner.reseed(seed);
     }
 
+    /// The estimate of `H(g)` (entropy of the sampled stream, bits) —
+    /// Theorem 5's constant-factor approximation of `H(f)` in its regime.
+    /// After a merge, the length-weighted average over shards.
     fn estimate(&self) -> Estimate {
+        let n_local = self.inner.n();
+        let value = if self.merged_n == 0 {
+            self.inner.estimate()
+        } else {
+            (n_local as f64 * self.inner.estimate() + self.merged_weight)
+                / (n_local + self.merged_n) as f64
+        };
         Estimate::scalar(
-            SampledEntropyEstimator::estimate(self),
+            value,
             Guarantee::ConstantFactor,
             self.p,
             self.samples_seen(),
@@ -187,8 +152,9 @@ impl SubsampledEstimator for SampledEntropyEstimator {
         self.p
     }
 
+    /// `n′ = |L|`, including merged shards.
     fn samples_seen(&self) -> u64 {
-        SampledEntropyEstimator::samples_seen(self)
+        self.inner.n() + self.merged_n
     }
 }
 
@@ -237,11 +203,11 @@ mod tests {
         let h = ExactStats::from_stream(stream.iter().copied()).entropy();
         for &p in &[0.1f64, 0.5] {
             let est = run(&stream, p, 3000, 2);
-            let ratio = est.estimate() / h;
+            let ratio = est.estimate().value / h;
             assert!(
                 (0.5..=2.0).contains(&ratio),
                 "p={p}: ratio {ratio} (est {} vs H {h})",
-                est.estimate()
+                est.estimate().value
             );
         }
     }
@@ -251,7 +217,7 @@ mod tests {
         let stream = ZipfStream::new(10_000, 1.2).generate(300_000, 3);
         let h = ExactStats::from_stream(stream.iter().copied()).entropy();
         let est = run(&stream, 0.2, 3000, 4);
-        let ratio = est.estimate() / h;
+        let ratio = est.estimate().value / h;
         assert!((0.5..=2.0).contains(&ratio), "ratio {ratio}");
     }
 
@@ -281,8 +247,8 @@ mod tests {
         let s2 = pair.scenario_two(7);
         let h2 = ExactStats::from_stream(s2.iter().copied()).entropy();
         assert!(h2 > 0.0);
-        let e1 = run(&s1, p, 2000, 8).estimate();
-        let e2 = run(&s2, p, 2000, 8).estimate();
+        let e1 = run(&s1, p, 2000, 8).estimate().value;
+        let e2 = run(&s2, p, 2000, 8).estimate().value;
         assert!(e1 < 0.01, "e1 = {e1}");
         assert!(e2 < 0.01, "e2 = {e2} (cannot see the singletons)");
         // Both streams sit below the guarantee threshold — exactly why
@@ -301,7 +267,7 @@ mod tests {
         let est = run(&stream, p, 2000, 10);
         let hf = (n as f64).log2(); // 17 bits
         let hg_expected = hf + p.log2(); // ≈ 11 bits
-        let e = est.estimate();
+        let e = est.estimate().value;
         assert!(
             (e - hg_expected).abs() < 0.5,
             "estimate {e} vs expected H(g) {hg_expected}"
@@ -323,7 +289,7 @@ mod tests {
     #[test]
     fn empty_estimator_is_zero() {
         let est = SampledEntropyEstimator::new(0.5, 10, 1);
-        assert_eq!(est.estimate(), 0.0);
+        assert_eq!(est.estimate().value, 0.0);
         assert_eq!(est.estimate_hpn(100), 0.0);
     }
 }

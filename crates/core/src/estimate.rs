@@ -19,7 +19,6 @@
 //! The [`Monitor`](crate::monitor::Monitor) front-end drives any set of
 //! these in a single pass.
 
-use sss_codec::{CodecError, Reader, WireCodec};
 use sss_sketch::Mismatch;
 
 use crate::params::ApproxParams;
@@ -50,8 +49,9 @@ pub(crate) fn check_rates(left: f64, right: f64) -> Result<(), MergeError> {
 /// Why two summaries refused to merge. Returned by
 /// [`SubsampledEstimator::merge_compatible`],
 /// [`Monitor::check_mergeable`](crate::monitor::Monitor::check_mergeable)
-/// and their `try_merge` forms, so a release deployment can reject an
-/// incompatible shard instead of panicking mid-collection.
+/// and [`Monitor::try_merge`](crate::monitor::Monitor::try_merge), so a
+/// release deployment can reject an incompatible shard instead of
+/// panicking mid-collection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MergeError {
     /// The sampling rates differ beyond [`RATE_MERGE_RTOL`].
@@ -220,72 +220,6 @@ impl Estimate {
     }
 }
 
-impl WireCodec for Guarantee {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            Guarantee::Multiplicative { target } => {
-                out.push(0);
-                target.encode_into(out);
-            }
-            Guarantee::BoundedFactor { factor } => {
-                out.push(1);
-                factor.encode_into(out);
-            }
-            Guarantee::ConstantFactor => out.push(2),
-            Guarantee::HeavyHitters { alpha, eps, delta } => {
-                out.push(3);
-                alpha.encode_into(out);
-                eps.encode_into(out);
-                delta.encode_into(out);
-            }
-            Guarantee::Heuristic => out.push(4),
-        }
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => Guarantee::Multiplicative {
-                target: Option::decode(r)?,
-            },
-            1 => Guarantee::BoundedFactor { factor: r.f64()? },
-            2 => Guarantee::ConstantFactor,
-            3 => Guarantee::HeavyHitters {
-                alpha: r.f64()?,
-                eps: r.f64()?,
-                delta: r.f64()?,
-            },
-            4 => Guarantee::Heuristic,
-            _ => {
-                return Err(CodecError::Invalid {
-                    what: "unknown Guarantee discriminant",
-                })
-            }
-        })
-    }
-}
-
-impl WireCodec for Estimate {
-    const WIRE_TAG: u16 = 0x040D;
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.value.encode_into(out);
-        self.guarantee.encode_into(out);
-        self.p.encode_into(out);
-        self.samples_seen.encode_into(out);
-        self.report.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        Ok(Estimate {
-            value: r.f64()?,
-            guarantee: Guarantee::decode(r)?,
-            p: r.f64()?,
-            samples_seen: r.u64()?,
-            report: Vec::decode(r)?,
-        })
-    }
-}
-
 /// A one-pass estimator of a statistic of the original stream `P`,
 /// observing only the Bernoulli-sampled stream `L`.
 ///
@@ -299,11 +233,6 @@ impl WireCodec for Estimate {
 /// [`NaiveScaledFk`](crate::NaiveScaledFk),
 /// [`NaiveScaledF0`](crate::NaiveScaledF0)) and the adaptive-rate
 /// extension ([`AdaptiveF2Estimator`](crate::AdaptiveF2Estimator)).
-///
-/// **Name resolution note.** Most implementors also expose an inherent
-/// `estimate(&self) -> f64` returning the raw point value; method-call
-/// syntax picks the inherent one, while generic code bounded on this
-/// trait gets the typed [`Estimate`].
 pub trait SubsampledEstimator {
     /// The statistic of `P` this estimator targets.
     fn statistic(&self) -> Statistic;
@@ -349,7 +278,7 @@ pub trait SubsampledEstimator {
 
     /// Whether `other` could merge into `self`, **without mutating
     /// anything** — the one compatibility decision behind `merge` and
-    /// `try_merge`. Default: the tolerant rate check (beyond
+    /// `Monitor::try_merge`. Default: the tolerant rate check (beyond
     /// [`RATE_MERGE_RTOL`] relative ⇒ [`MergeError::RateMismatch`]).
     /// In-tree estimators add their substrate's `check_merge`
     /// (dimensions, hash seeds, parameters); rate-agnostic ones (the
@@ -361,18 +290,6 @@ pub trait SubsampledEstimator {
         Self: Sized,
     {
         check_rates(self.p(), other.p())
-    }
-
-    /// Fallible [`SubsampledEstimator::merge`]: reject an incompatible
-    /// shard (per [`SubsampledEstimator::merge_compatible`]) with a typed
-    /// [`MergeError`] instead of panicking.
-    fn try_merge(&mut self, other: &Self) -> Result<(), MergeError>
-    where
-        Self: Sized,
-    {
-        self.merge_compatible(other)?;
-        self.merge(other);
-        Ok(())
     }
 
     /// Re-seed randomness that is **shard-local** — i.e. does not

@@ -15,10 +15,16 @@ use crate::estimate::{
     check_rates, Estimate, Guarantee, MergeError, Statistic, SubsampledEstimator,
 };
 
+/// Slots in the batch path's direct-mapped duplicate filter (256 KiB).
+/// Sized well above the hot-item working set of skewed streams so
+/// conflict evictions (which only cost re-hashing, never correctness)
+/// stay rare.
+const SEEN_SLOTS: usize = 32768;
+
 /// Algorithm 2: `F_0(P)` estimation by scaled streaming `F_0(L)`.
 ///
 /// ```
-/// use sss_core::SampledF0Estimator;
+/// use sss_core::{SampledF0Estimator, SubsampledEstimator};
 ///
 /// let p = 0.25;
 /// let mut est = SampledF0Estimator::new(p, 0.05, 42);
@@ -28,22 +34,16 @@ use crate::estimate::{
 /// // Output is F̂_0(L)/√p; whatever the original stream was, the
 /// // multiplicative error is at most 4/√p = 8 (Lemma 8).
 /// assert_eq!(est.error_factor(), 8.0);
-/// let e = est.estimate();
+/// let e = est.estimate().value;
 /// assert!(e >= 500.0 / 8.0 && e <= 500.0 * 8.0);
 /// ```
-/// Slots in the batch path's direct-mapped duplicate filter (256 KiB).
-/// Sized well above the hot-item working set of skewed streams so
-/// conflict evictions (which only cost re-hashing, never correctness)
-/// stay rare.
-const SEEN_SLOTS: usize = 32768;
-
 #[derive(Debug, Clone)]
 pub struct SampledF0Estimator {
     inner: MedianF0,
     p: f64,
     n_sampled: u64,
     /// Direct-mapped filter over items the inner sketch has already
-    /// ingested, used by [`Self::update_batch`] to skip provable no-ops.
+    /// ingested, used by `update_batch` to skip provable no-ops.
     ///
     /// Soundness: once a bottom-k copy has processed `x`, reprocessing it
     /// can never change that copy again — the hash is either still in the
@@ -76,35 +76,43 @@ impl SampledF0Estimator {
         }
     }
 
-    /// The sampling probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Elements of the sampled stream ingested.
-    pub fn samples_seen(&self) -> u64 {
-        self.n_sampled
-    }
-
     /// Memory footprint in 64-bit words.
     pub fn space_words(&self) -> usize {
         self.inner.space_words()
     }
 
-    /// Ingest one element of the sampled stream `L`.
-    pub fn update(&mut self, x: u64) {
+    /// The streaming estimate `X ≈ F_0(L)` before rescaling.
+    pub fn estimate_sampled(&self) -> f64 {
+        self.inner.estimate()
+    }
+
+    /// Lemma 8's multiplicative error ceiling `4/√p`.
+    pub fn error_factor(&self) -> f64 {
+        4.0 / self.p.sqrt()
+    }
+
+    /// Lemma 8's success probability `1 − (δ + e^{−p·F_0/8})`, given the
+    /// (unknown to the algorithm) true `F_0(P)` and the inner sketch's `δ`.
+    pub fn success_probability(&self, true_f0: u64, delta: f64) -> f64 {
+        1.0 - (delta + (-self.p * true_f0 as f64 / 8.0).exp())
+    }
+}
+
+impl SubsampledEstimator for SampledF0Estimator {
+    fn statistic(&self) -> Statistic {
+        Statistic::F0
+    }
+
+    fn update(&mut self, x: u64) {
         self.n_sampled += 1;
         self.inner.update(x);
     }
 
-    /// Ingest a batch of consecutive elements of `L`.
-    ///
     /// Items the duplicate filter proves already-seen are skipped before
-    /// the copy-major inner loop ([`MedianF0::update_batch`]) — on skewed
-    /// streams most occurrences are repeats, and a repeat is an exact
-    /// no-op for every bottom-k copy (see the `seen` field docs). The
-    /// result is bit-identical to per-item [`Self::update`] calls.
-    pub fn update_batch(&mut self, xs: &[u64]) {
+    /// the copy-major inner loop ([`MedianF0::update_batch`]): a repeat is
+    /// an exact no-op for every bottom-k copy (see the `seen` field docs),
+    /// so the result is bit-identical to per-item updates.
+    fn update_batch(&mut self, xs: &[u64]) {
         self.n_sampled += xs.len() as u64;
         if self.seen.is_empty() {
             self.seen.resize(SEEN_SLOTS, u64::MAX);
@@ -125,58 +133,16 @@ impl SampledF0Estimator {
         self.inner.update_batch(&self.fresh);
     }
 
-    /// The streaming estimate `X ≈ F_0(L)` before rescaling.
-    pub fn estimate_sampled(&self) -> f64 {
-        self.inner.estimate()
-    }
-
-    /// Algorithm 2's output: `X/√p`, an estimate of `F_0(P)` with
-    /// multiplicative error at most [`Self::error_factor`].
-    pub fn estimate(&self) -> f64 {
-        self.estimate_sampled() / self.p.sqrt()
-    }
-
-    /// Lemma 8's multiplicative error ceiling `4/√p`.
-    pub fn error_factor(&self) -> f64 {
-        4.0 / self.p.sqrt()
-    }
-
-    /// Lemma 8's success probability `1 − (δ + e^{−p·F_0/8})`, given the
-    /// (unknown to the algorithm) true `F_0(P)` and the inner sketch's `δ`.
-    pub fn success_probability(&self, true_f0: u64, delta: f64) -> f64 {
-        1.0 - (delta + (-self.p * true_f0 as f64 / 8.0).exp())
-    }
-
-    /// Merge a second monitor's estimator (same `p`, `delta` and seed):
-    /// afterwards `self` estimates `F_0` of the union of both original
-    /// streams — bottom-k sketches are exactly mergeable, so distributed
-    /// monitors lose nothing.
+    /// Bottom-k sketches are exactly mergeable: afterwards `self`
+    /// estimates `F_0` of the union of both original streams.
     ///
     /// # Panics
     /// When [`SubsampledEstimator::merge_compatible`] fails.
-    pub fn merge(&mut self, other: &SampledF0Estimator) {
+    fn merge(&mut self, other: &Self) {
         self.merge_compatible(other)
             .unwrap_or_else(|e| panic!("{e}"));
         self.inner.merge(&other.inner);
         self.n_sampled += other.n_sampled;
-    }
-}
-
-impl SubsampledEstimator for SampledF0Estimator {
-    fn statistic(&self) -> Statistic {
-        Statistic::F0
-    }
-
-    fn update(&mut self, x: u64) {
-        SampledF0Estimator::update(self, x);
-    }
-
-    fn update_batch(&mut self, xs: &[u64]) {
-        SampledF0Estimator::update_batch(self, xs);
-    }
-
-    fn merge(&mut self, other: &Self) {
-        SampledF0Estimator::merge(self, other);
     }
 
     fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
@@ -184,9 +150,11 @@ impl SubsampledEstimator for SampledF0Estimator {
         Ok(self.inner.check_merge(&other.inner)?)
     }
 
+    /// Algorithm 2's output `X/√p`, an estimate of `F_0(P)` with
+    /// multiplicative error at most [`SampledF0Estimator::error_factor`].
     fn estimate(&self) -> Estimate {
         Estimate::scalar(
-            SampledF0Estimator::estimate(self),
+            self.estimate_sampled() / self.p.sqrt(),
             Guarantee::BoundedFactor {
                 factor: self.error_factor(),
             },
@@ -268,7 +236,7 @@ mod tests {
             let mut est = SampledF0Estimator::new(p, 0.01, 7);
             let mut sampler = BernoulliSampler::new(p, 11);
             sampler.sample_slice(&stream, |x| est.update(x));
-            let err = mult_error(est.estimate(), truth);
+            let err = mult_error(est.estimate().value, truth);
             assert!(
                 err <= est.error_factor(),
                 "p={p}: error {err} > bound {}",
@@ -290,7 +258,7 @@ mod tests {
         let mut sampler = BernoulliSampler::new(p, 4);
         sampler.sample_slice(&stream, |x| est.update(x));
         // F0(L) ≈ 1000 (every item survives w.h.p.), estimate ≈ 1000/0.5.
-        let e = est.estimate();
+        let e = est.estimate().value;
         assert!((e - 2000.0).abs() / 2000.0 < 0.2, "estimate = {e}");
         assert!(mult_error(e, 1000.0) <= est.error_factor());
     }
@@ -309,7 +277,7 @@ mod tests {
             let mut est = SampledF0Estimator::new(p, 0.01, 5);
             let mut sampler = BernoulliSampler::new(p, 6);
             sampler.sample_slice(stream, |x| est.update(x));
-            let err = mult_error(est.estimate(), truth);
+            let err = mult_error(est.estimate().value, truth);
             assert!(err <= est.error_factor(), "err {err} above ceiling");
             worst = worst.max(err);
         }

@@ -28,7 +28,7 @@ use crate::stirling::{beta_coefficients, epsilon_schedule, factorial_f64, MAX_K}
 /// The paper's Algorithm 1, generic over the collision oracle.
 ///
 /// ```
-/// use sss_core::SampledFkEstimator;
+/// use sss_core::{SampledFkEstimator, SubsampledEstimator};
 ///
 /// // The monitor sees a p = 0.5 Bernoulli sample of a stream whose
 /// // true F_2 is 3² + 2² + 1² = 14. Feed it the sampled elements:
@@ -37,7 +37,7 @@ use crate::stirling::{beta_coefficients, epsilon_schedule, factorial_f64, MAX_K}
 ///     est.update(x); // the surviving half of <7,7,7,9,9,4>
 /// }
 /// // φ̃_2 = 2·C_2(L)/p² + F_1(L)/p = 2·1/0.25 + 4/0.5 = 16 ≈ F_2(P).
-/// assert_eq!(est.estimate(), 16.0);
+/// assert_eq!(est.estimate().value, 16.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SampledFkEstimator<O: CollisionOracle> {
@@ -90,16 +90,6 @@ impl<O: CollisionOracle> SampledFkEstimator<O> {
         self.k
     }
 
-    /// The sampling probability `p` the estimator corrects for.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Elements of the *sampled* stream seen so far.
-    pub fn samples_seen(&self) -> u64 {
-        self.oracle.n()
-    }
-
     /// Memory footprint in 64-bit words.
     pub fn space_words(&self) -> usize {
         self.oracle.space_words()
@@ -108,32 +98,6 @@ impl<O: CollisionOracle> SampledFkEstimator<O> {
     /// Access the collision oracle (diagnostics, tests).
     pub fn oracle(&self) -> &O {
         &self.oracle
-    }
-
-    /// Ingest one element of the sampled stream `L`.
-    pub fn update(&mut self, x: u64) {
-        self.oracle.update(x);
-    }
-
-    /// Ingest a batch of consecutive elements of `L`.
-    pub fn update_batch(&mut self, xs: &[u64]) {
-        self.oracle.update_batch(xs);
-    }
-
-    /// Merge a second monitor's estimator (same `k`, `p` and oracle
-    /// configuration): afterwards `self` estimates the moments of the
-    /// *concatenated* original stream. Both monitors must have observed
-    /// **disjoint parts** of `P`, each Bernoulli-sampled at the same rate
-    /// — the distributed deployment of the paper's router scenario. Exact
-    /// for [`ExactCollisions`] (frequency algebra); within sketch error
-    /// for [`LevelSetCollisions`] (linear CountSketch merge).
-    ///
-    /// # Panics
-    /// When [`SubsampledEstimator::merge_compatible`] fails.
-    pub fn merge(&mut self, other: &Self) {
-        self.merge_compatible(other)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.oracle.merge(&other.oracle);
     }
 
     /// The recursion of Algorithm 1: `φ̃_1 … φ̃_k`
@@ -153,11 +117,6 @@ impl<O: CollisionOracle> SampledFkEstimator<O> {
         phi
     }
 
-    /// The `(1+ε, δ)` estimate `φ̃_k` of `F_k(P)`.
-    pub fn estimate(&self) -> f64 {
-        *self.estimate_all().last().expect("k >= 2")
-    }
-
     /// Estimate of a single intermediate moment `F_ℓ(P)`, `1 ≤ ℓ ≤ k`.
     pub fn estimate_moment(&self, ell: u32) -> f64 {
         assert!(ell >= 1 && ell <= self.k);
@@ -171,15 +130,22 @@ impl<O: CollisionOracle> SubsampledEstimator for SampledFkEstimator<O> {
     }
 
     fn update(&mut self, x: u64) {
-        SampledFkEstimator::update(self, x);
+        self.oracle.update(x);
     }
 
     fn update_batch(&mut self, xs: &[u64]) {
-        SampledFkEstimator::update_batch(self, xs);
+        self.oracle.update_batch(xs);
     }
 
+    /// Exact for [`ExactCollisions`] (frequency algebra); within sketch
+    /// error for [`LevelSetCollisions`] (linear CountSketch merge).
+    ///
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     fn merge(&mut self, other: &Self) {
-        SampledFkEstimator::merge(self, other);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.oracle.merge(&other.oracle);
     }
 
     /// Folds the oracles with [`CollisionOracle::merge_all`].
@@ -197,14 +163,15 @@ impl<O: CollisionOracle> SubsampledEstimator for SampledFkEstimator<O> {
         Ok(self.oracle.check_merge(&other.oracle)?)
     }
 
+    /// The `(1+ε, δ)` estimate `φ̃_k` of `F_k(P)`.
     fn estimate(&self) -> Estimate {
         Estimate::scalar(
-            SampledFkEstimator::estimate(self),
+            *self.estimate_all().last().expect("k >= 2"),
             Guarantee::Multiplicative {
                 target: self.target,
             },
             self.p,
-            self.samples_seen(),
+            self.oracle.n(),
         )
     }
 
@@ -217,7 +184,7 @@ impl<O: CollisionOracle> SubsampledEstimator for SampledFkEstimator<O> {
     }
 
     fn samples_seen(&self) -> u64 {
-        SampledFkEstimator::samples_seen(self)
+        self.oracle.n()
     }
 }
 
@@ -352,7 +319,7 @@ mod tests {
             let mut est = SampledFkEstimator::exact(2, p);
             let mut sampler = BernoulliSampler::new(p, seed);
             sampler.sample_slice(&stream, |x| est.update(x));
-            errs.push((est.estimate() - truth).abs() / truth);
+            errs.push((est.estimate().value - truth).abs() / truth);
         }
         errs.sort_by(|a, b| a.total_cmp(b));
         // Median trial within 5%, no trial catastrophically off.
@@ -370,7 +337,7 @@ mod tests {
             let mut est = SampledFkEstimator::exact(3, p);
             let mut sampler = BernoulliSampler::new(p, seed);
             sampler.sample_slice(&stream, |x| est.update(x));
-            errs.push((est.estimate() - truth).abs() / truth);
+            errs.push((est.estimate().value - truth).abs() / truth);
         }
         errs.sort_by(|a, b| a.total_cmp(b));
         assert!(errs[4] < 0.1, "median err {}", errs[4]);
@@ -385,7 +352,7 @@ mod tests {
         let mut est = SampledFkEstimator::sketched(2, p, &cfg, 5);
         let mut sampler = BernoulliSampler::new(p, 6);
         sampler.sample_slice(&stream, |x| est.update(x));
-        let rel = (est.estimate() - truth).abs() / truth;
+        let rel = (est.estimate().value - truth).abs() / truth;
         assert!(rel < 0.3, "rel err {rel}");
     }
 
@@ -400,7 +367,7 @@ mod tests {
         for ell in 1..=4u32 {
             assert_eq!(est.estimate_moment(ell), all[ell as usize - 1]);
         }
-        assert_eq!(est.estimate(), all[3]);
+        assert_eq!(est.estimate().value, all[3]);
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn check_params(left: [f64; 4], right: [f64; 4], what: &'static str) -> Result<(
 /// Theorem 6: `F_1` heavy hitters of `P` from CountMin over `L`.
 ///
 /// ```
-/// use sss_core::SampledF1HeavyHitters;
+/// use sss_core::{SampledF1HeavyHitters, SubsampledEstimator};
 ///
 /// let p = 0.5;
 /// let mut hh = SampledF1HeavyHitters::new(0.3, 0.2, 0.05, p, 7);
@@ -98,39 +98,11 @@ impl SampledF1HeavyHitters {
         self.inner = inner;
     }
 
-    /// Elements of the sampled stream ingested.
-    pub fn samples_seen(&self) -> u64 {
-        self.inner.n()
-    }
-
     /// Memory footprint in 64-bit words — `O(ε⁻¹·log²(n/(αδ)))` bits per
     /// the theorem; note it is *independent of `p`* (the premise on
     /// `F_1(P)` is what moves with `p`).
     pub fn space_words(&self) -> usize {
         self.inner.space_words()
-    }
-
-    /// Ingest one element of the sampled stream `L`.
-    pub fn update(&mut self, x: u64) {
-        self.inner.update(x);
-    }
-
-    /// Ingest a batch of consecutive elements of `L` (fused sketch
-    /// kernel with inline per-item candidate admission).
-    pub fn update_batch(&mut self, xs: &[u64]) {
-        self.inner.update_batch(xs);
-    }
-
-    /// Merge a second monitor's reporter (same parameters and sketch
-    /// seed): afterwards the report covers the concatenated original
-    /// stream.
-    ///
-    /// # Panics
-    /// When [`SubsampledEstimator::merge_compatible`] fails.
-    pub fn merge(&mut self, other: &SampledF1HeavyHitters) {
-        self.merge_compatible(other)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.inner.merge(&other.inner);
     }
 
     /// Report `(item, estimated f_i in P)` sorted by decreasing estimate;
@@ -162,15 +134,19 @@ impl SubsampledEstimator for SampledF1HeavyHitters {
     }
 
     fn update(&mut self, x: u64) {
-        SampledF1HeavyHitters::update(self, x);
+        self.inner.update(x);
     }
 
     fn update_batch(&mut self, xs: &[u64]) {
-        SampledF1HeavyHitters::update_batch(self, xs);
+        self.inner.update_batch(xs);
     }
 
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     fn merge(&mut self, other: &Self) {
-        SampledF1HeavyHitters::merge(self, other);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.inner.merge(&other.inner);
     }
 
     fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
@@ -191,7 +167,7 @@ impl SubsampledEstimator for SampledF1HeavyHitters {
                 delta: self.delta,
             },
             self.p,
-            self.samples_seen(),
+            self.inner.n(),
         )
     }
 
@@ -204,7 +180,7 @@ impl SubsampledEstimator for SampledF1HeavyHitters {
     }
 
     fn samples_seen(&self) -> u64 {
-        SampledF1HeavyHitters::samples_seen(self)
+        self.inner.n()
     }
 }
 
@@ -262,37 +238,11 @@ impl SampledF2HeavyHitters {
         self.inner = inner;
     }
 
-    /// Elements of the sampled stream ingested.
-    pub fn samples_seen(&self) -> u64 {
-        self.inner.n()
-    }
-
     /// Memory footprint in 64-bit words. The `α′ ∝ √p` shift makes the
     /// CountSketch width scale as `Õ(1/p)` — the paper's `Õ(1/p)` bound
     /// for `k = 2` (§1.2, item 4).
     pub fn space_words(&self) -> usize {
         self.inner.space_words()
-    }
-
-    /// Ingest one element of the sampled stream `L`.
-    pub fn update(&mut self, x: u64) {
-        self.inner.update(x);
-    }
-
-    /// Ingest a batch of consecutive elements of `L`.
-    pub fn update_batch(&mut self, xs: &[u64]) {
-        self.inner.update_batch(xs);
-    }
-
-    /// Merge a second monitor's reporter (same parameters and sketch
-    /// seed).
-    ///
-    /// # Panics
-    /// When [`SubsampledEstimator::merge_compatible`] fails.
-    pub fn merge(&mut self, other: &SampledF2HeavyHitters) {
-        self.merge_compatible(other)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.inner.merge(&other.inner);
     }
 
     /// Report `(item, estimated f_i in P)` sorted by decreasing estimate.
@@ -327,15 +277,19 @@ impl SubsampledEstimator for SampledF2HeavyHitters {
     }
 
     fn update(&mut self, x: u64) {
-        SampledF2HeavyHitters::update(self, x);
+        self.inner.update(x);
     }
 
     fn update_batch(&mut self, xs: &[u64]) {
-        SampledF2HeavyHitters::update_batch(self, xs);
+        self.inner.update_batch(xs);
     }
 
+    /// # Panics
+    /// When [`SubsampledEstimator::merge_compatible`] fails.
     fn merge(&mut self, other: &Self) {
-        SampledF2HeavyHitters::merge(self, other);
+        self.merge_compatible(other)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.inner.merge(&other.inner);
     }
 
     fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
@@ -356,7 +310,7 @@ impl SubsampledEstimator for SampledF2HeavyHitters {
                 delta: self.delta,
             },
             self.p,
-            self.samples_seen(),
+            self.inner.n(),
         )
     }
 
@@ -369,7 +323,7 @@ impl SubsampledEstimator for SampledF2HeavyHitters {
     }
 
     fn samples_seen(&self) -> u64 {
-        SampledF2HeavyHitters::samples_seen(self)
+        self.inner.n()
     }
 }
 

@@ -53,22 +53,18 @@ use crate::fk::{recommended_levelset_config, SampledFkEstimator};
 use crate::heavy_hitters::{SampledF1HeavyHitters, SampledF2HeavyHitters};
 use crate::params::ApproxParams;
 
-/// Object-safe adapter over [`SubsampledEstimator`] so a [`Monitor`] can
-/// hold heterogeneous estimators. `merge` is recovered through `Any`
-/// downcasting (both sides must be the same concrete type).
-/// `Send + Sync + Clone` are required so monitors can be forked onto
-/// worker threads
+/// Object-safe extension of [`SubsampledEstimator`] so a [`Monitor`] can
+/// hold heterogeneous estimators: ingest, estimates and accounting go
+/// through the supertrait; this adds only what type erasure needs.
+/// `merge` is recovered through `Any` downcasting (both sides must be the
+/// same concrete type). `Send + Sync + Clone` are required so monitors
+/// can be forked onto worker threads
 /// ([`crate::concurrent::ConcurrentMonitor`]) and shared read-only by a
 /// collector server (`sss-transport`); `WireCodec` so monitors can be
 /// checkpointed and shipped ([`Monitor::checkpoint`]). Every estimator
 /// in the tree is plain data (no interior mutability), so the `Sync`
 /// bound costs nothing.
-pub(crate) trait DynEstimator: Send + Sync {
-    fn update(&mut self, x: u64);
-    fn update_batch(&mut self, xs: &[u64]);
-    fn estimate(&self) -> Estimate;
-    fn statistic(&self) -> Statistic;
-    fn space_bytes(&self) -> usize;
+pub(crate) trait DynEstimator: SubsampledEstimator + Send + Sync {
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
     /// Whether `other` could merge into this slot (same concrete type and
@@ -81,7 +77,6 @@ pub(crate) trait DynEstimator: Send + Sync {
     /// [`DynEstimator::merge_dyn`] of every slot in `others`, through
     /// [`SubsampledEstimator::merge_all`].
     fn merge_all_dyn(&mut self, others: &[&dyn Any]);
-    fn reseed_shard_local_dyn(&mut self, seed: u64);
     fn clone_box(&self) -> Box<dyn DynEstimator>;
     /// The concrete type's wire tag ([`WireCodec::WIRE_TAG`]).
     fn wire_tag(&self) -> u16;
@@ -90,26 +85,6 @@ pub(crate) trait DynEstimator: Send + Sync {
 }
 
 impl<T: SubsampledEstimator + Any + Clone + Send + Sync + WireCodec> DynEstimator for T {
-    fn update(&mut self, x: u64) {
-        SubsampledEstimator::update(self, x);
-    }
-
-    fn update_batch(&mut self, xs: &[u64]) {
-        SubsampledEstimator::update_batch(self, xs);
-    }
-
-    fn estimate(&self) -> Estimate {
-        SubsampledEstimator::estimate(self)
-    }
-
-    fn statistic(&self) -> Statistic {
-        SubsampledEstimator::statistic(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        SubsampledEstimator::space_bytes(self)
-    }
-
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -124,14 +99,14 @@ impl<T: SubsampledEstimator + Any + Clone + Send + Sync + WireCodec> DynEstimato
             .ok_or_else(|| MergeError::TypeMismatch {
                 label: label.to_string(),
             })?;
-        SubsampledEstimator::merge_compatible(self, other)
+        self.merge_compatible(other)
     }
 
     fn merge_dyn(&mut self, other: &dyn Any) {
         let other = other
             .downcast_ref::<T>()
             .expect("check_merge proved both slots hold the same type");
-        SubsampledEstimator::merge(self, other);
+        self.merge(other);
     }
 
     fn merge_all_dyn(&mut self, others: &[&dyn Any]) {
@@ -142,11 +117,7 @@ impl<T: SubsampledEstimator + Any + Clone + Send + Sync + WireCodec> DynEstimato
                     .expect("check_merge proved both slots hold the same type")
             })
             .collect();
-        SubsampledEstimator::merge_all(self, &others);
-    }
-
-    fn reseed_shard_local_dyn(&mut self, seed: u64) {
-        SubsampledEstimator::reseed_shard_local(self, seed);
+        self.merge_all(&others);
     }
 
     fn clone_box(&self) -> Box<dyn DynEstimator> {
@@ -158,7 +129,7 @@ impl<T: SubsampledEstimator + Any + Clone + Send + Sync + WireCodec> DynEstimato
     }
 
     fn encode_wire(&self, out: &mut Vec<u8>) {
-        WireCodec::encode_into(self, out);
+        self.encode_into(out);
     }
 }
 
@@ -570,11 +541,19 @@ impl Monitor {
         );
         let mut forked = self.clone();
         forked.seed = split_seed(self.seed, shard);
-        let mut seeds = SplitMix64::new(forked.seed);
-        for e in &mut forked.entries {
-            e.est.reseed_shard_local_dyn(seeds.derive());
+        for (e, seed) in forked.entries.iter_mut().zip(self.shard_seeds(shard)) {
+            e.est.reseed_shard_local(seed);
         }
         forked
+    }
+
+    /// Shard `shard`'s shard-local seeds, one per registered entry in
+    /// registration order: derived from `split_seed(builder seed, shard)`.
+    /// [`Monitor::fork_shard`] and the concurrent pipeline's replicas
+    /// both follow this one schedule.
+    pub(crate) fn shard_seeds(&self, shard: u64) -> impl Iterator<Item = u64> {
+        let mut seeds = SplitMix64::new(split_seed(self.seed, shard));
+        (0..self.entries.len()).map(move |_| seeds.derive())
     }
 
     /// The estimate registered under the default label of `stat`
@@ -673,12 +652,6 @@ impl Monitor {
     /// shared-atomic state through this.
     pub(crate) fn entries_mut(&mut self) -> &mut [Entry] {
         &mut self.entries
-    }
-
-    /// The builder seed (per-worker seed derivation in the concurrent
-    /// pipeline follows [`Monitor::fork_shard`]'s contract).
-    pub(crate) fn builder_seed(&self) -> u64 {
-        self.seed
     }
 
     /// Set the monitor-level sample count — the concurrent quiesce's

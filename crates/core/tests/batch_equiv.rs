@@ -6,7 +6,7 @@
 use sss_core::{
     recommended_levelset_config, AdaptiveF2Estimator, MonitorBuilder, NaiveScaledF0, NaiveScaledFk,
     RusuDobraF2, SampledEntropyEstimator, SampledF0Estimator, SampledF1HeavyHitters,
-    SampledF2HeavyHitters, SampledFkEstimator,
+    SampledF2HeavyHitters, SampledFkEstimator, SubsampledEstimator,
 };
 use sss_hash::{RngCore64, Xoshiro256pp};
 use sss_sketch::equiv::assert_batch_equals_scalar;
@@ -39,7 +39,7 @@ fn sampled_f0() {
         |seed| SampledF0Estimator::new(P, 0.05, seed),
         |s, x| s.update(x),
         |s, xs| s.update_batch(xs),
-        |s| vec![s.estimate(), s.samples_seen() as f64],
+        |s| vec![s.estimate().value, s.samples_seen() as f64],
     );
 }
 
@@ -51,7 +51,7 @@ fn sampled_entropy() {
         |seed| SampledEntropyEstimator::new(P, 128, seed),
         |s, x| s.update(x),
         |s, xs| s.update_batch(xs),
-        |s| vec![s.estimate()],
+        |s| vec![s.estimate().value],
     );
 }
 
@@ -63,7 +63,7 @@ fn sampled_fk_exact() {
         |_seed| SampledFkEstimator::exact(2, P),
         |s, x| s.update(x),
         |s, xs| s.update_batch(xs),
-        |s| vec![s.estimate()],
+        |s| vec![s.estimate().value],
     );
 }
 
@@ -78,7 +78,7 @@ fn sampled_fk_level_sets() {
         },
         |s, x| s.update(x),
         |s, xs| s.update_batch(xs),
-        |s| vec![s.estimate()],
+        |s| vec![s.estimate().value],
     );
 }
 
@@ -114,7 +114,7 @@ fn rusu_dobra_baseline() {
         |seed| RusuDobraF2::new(P, 16, 5, seed),
         |s, x| s.update(x),
         |s, xs| s.update_batch(xs),
-        |s| vec![s.estimate()],
+        |s| vec![s.estimate().value],
     );
 }
 
@@ -126,7 +126,7 @@ fn naive_scaled_baselines() {
         |_seed| NaiveScaledFk::new(2, P),
         |s, x| s.update(x),
         |s, xs| s.update_batch(xs),
-        |s| vec![s.estimate()],
+        |s| vec![s.estimate().value],
     );
     assert_batch_equals_scalar(
         "NaiveScaledF0",
@@ -134,7 +134,7 @@ fn naive_scaled_baselines() {
         |seed| NaiveScaledF0::new(P, seed),
         |s, x| s.update(x),
         |s, xs| s.update_batch(xs),
-        |s| vec![s.estimate()],
+        |s| vec![s.estimate().value],
     );
 }
 
@@ -146,7 +146,7 @@ fn adaptive_f2() {
         |_seed| AdaptiveF2Estimator::new(P),
         |s, x| s.update(x),
         |s, xs| s.update_batch(xs),
-        |s| vec![s.estimate()],
+        |s| vec![s.estimate().value],
     );
 }
 

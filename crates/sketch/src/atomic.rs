@@ -96,9 +96,10 @@ fn f64_fetch_add(cell: &AtomicU64, delta: f64, retries: &mut u64) {
 // ---------------------------------------------------------------------
 
 /// Shared-atomic [`CountMin`]: the same row-major d×w grid with
-/// `AtomicU64` cells, updatable through `&self` from many threads.
+/// `AtomicU64` cells. [`AtomicCmHeavyHitters`]'s sweep writes them from
+/// many threads through `&self`.
 #[derive(Debug)]
-pub struct AtomicCountMin {
+struct AtomicCountMin {
     width: usize,
     counters: Vec<AtomicU64>,
     hashes: Vec<PairwiseHash>,
@@ -110,7 +111,7 @@ impl AtomicCountMin {
     /// conservative-update sketches: their raise-to-max pass is
     /// item-serial and order-dependent, so concurrent updates would not
     /// quiesce to the sequential grid (they are not mergeable either).
-    pub fn from_plain(cm: &CountMin) -> Option<Self> {
+    fn from_plain(cm: &CountMin) -> Option<Self> {
         if cm.is_conservative() {
             return None;
         }
@@ -122,34 +123,9 @@ impl AtomicCountMin {
         })
     }
 
-    /// Total weight inserted so far (racy snapshot).
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Add one occurrence each of a batch of items. Hashing runs through
-    /// the same SWAR lane kernels as the single-writer batch path; the
-    /// counter sweep is row-major relaxed `fetch_add`s.
-    pub fn update_batch(&self, xs: &[u64], scratch: &mut AtomicScratch) {
-        let w = self.width;
-        for chunk in xs.chunks(BATCH_CHUNK) {
-            let len = chunk.len();
-            reduce_inputs(chunk, &mut scratch.xr);
-            scratch.idx.resize(len, 0);
-            for (r, h) in self.hashes.iter().enumerate() {
-                h.hash_range_batch(&scratch.xr, w, &mut scratch.idx);
-                let row = &self.counters[r * w..(r + 1) * w];
-                for &b in &scratch.idx[..len] {
-                    row[b].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.total.fetch_add(len as u64, Ordering::Relaxed);
-        }
-    }
-
     /// Quiesce to a plain sketch. Callers must have joined or paused
     /// every writer first; the relaxed loads then read a settled grid.
-    pub fn to_plain(&self) -> CountMin {
+    fn to_plain(&self) -> CountMin {
         CountMin::from_parts(
             self.width,
             self.counters
@@ -170,8 +146,9 @@ impl AtomicCountMin {
 /// Shared-atomic [`CountSketch`]: `AtomicI64` cells plus a live per-row
 /// Σc² approximation (f64 bits in `AtomicU64`, CAS-accumulated) so the
 /// F₂ admission threshold stays available during concurrent ingestion.
+/// [`AtomicCsHeavyHitters`]'s sweep writes the cells.
 #[derive(Debug)]
-pub struct AtomicCountSketch {
+struct AtomicCountSketch {
     width: usize,
     counters: Vec<AtomicI64>,
     bucket_hashes: Vec<PairwiseHash>,
@@ -182,7 +159,7 @@ pub struct AtomicCountSketch {
 
 impl AtomicCountSketch {
     /// Lift a plain sketch into shared-atomic form.
-    pub fn from_plain(cs: &CountSketch) -> Self {
+    fn from_plain(cs: &CountSketch) -> Self {
         Self {
             width: cs.width(),
             counters: cs.counters().iter().map(|&c| AtomicI64::new(c)).collect(),
@@ -197,17 +174,12 @@ impl AtomicCountSketch {
         }
     }
 
-    /// Total weight inserted so far (racy snapshot).
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
     /// Live `F_2` estimate: median over rows of the approximate Σc²
     /// accumulators. Each per-cell `fetch_add` returns the old value, so
     /// per-thread `new² − old²` deltas telescope exactly over the
     /// per-cell modification order; only the f64 fold order varies, so
     /// this tracks the exact value to rounding.
-    pub fn f2_estimate(&self, scratch: &mut AtomicScratch) -> f64 {
+    fn f2_estimate(&self, scratch: &mut AtomicScratch) -> f64 {
         scratch.rows.clear();
         scratch.rows.extend(
             self.row_sumsq
@@ -217,43 +189,10 @@ impl AtomicCountSketch {
         median_u128_as_f64(&mut scratch.rows)
     }
 
-    /// Add one occurrence each of a batch of items. The per-row Σc²
-    /// delta telescopes in a register `i128` per chunk and is folded
-    /// into the shared accumulator once per row per chunk through the
-    /// CAS loop (retries land in `scratch.cas_retries`).
-    pub fn update_batch(&self, xs: &[u64], scratch: &mut AtomicScratch) {
-        let w = self.width;
-        let d = self.bucket_hashes.len();
-        for chunk in xs.chunks(BATCH_CHUNK) {
-            let len = chunk.len();
-            scratch.powers.reduce(chunk);
-            scratch.idx.resize(len, 0);
-            scratch.signs.resize(len, 0);
-            for r in 0..d {
-                self.bucket_hashes[r].hash_range_batch(
-                    scratch.powers.residues(),
-                    w,
-                    &mut scratch.idx,
-                );
-                self.sign_hashes[r].signs_batch(&scratch.powers, &mut scratch.signs);
-                let row = &self.counters[r * w..(r + 1) * w];
-                let mut dsq: i128 = 0;
-                for i in 0..len {
-                    let s = scratch.signs[i];
-                    let old = row[scratch.idx[i]].fetch_add(s, Ordering::Relaxed);
-                    let new = old + s;
-                    dsq += (new as i128) * (new as i128) - (old as i128) * (old as i128);
-                }
-                f64_fetch_add(&self.row_sumsq[r], dsq as f64, &mut scratch.cas_retries);
-            }
-            self.total.fetch_add(len as u64, Ordering::Relaxed);
-        }
-    }
-
     /// Quiesce to a plain sketch: relaxed-load the final grid and
     /// recompute the exact integer Σc² from it (the same derived-state
     /// recompute merge and decode already perform).
-    pub fn to_plain(&self) -> CountSketch {
+    fn to_plain(&self) -> CountSketch {
         CountSketch::from_parts(
             self.width,
             self.counters
@@ -542,12 +481,13 @@ mod tests {
     #[test]
     fn countmin_single_thread_roundtrip_is_bitwise() {
         let xs = stream(20_000, 1);
-        let mut plain = CountMin::new(4, 256, 2);
+        let mut plain = CmHeavyHitters::new(0.1, 0.01, 0.01, 2);
         plain.update_batch(&xs);
-        let atomic = AtomicCountMin::from_plain(&CountMin::new(4, 256, 2)).unwrap();
+        let atomic =
+            AtomicCmHeavyHitters::from_plain(&CmHeavyHitters::new(0.1, 0.01, 0.01, 2)).unwrap();
         let mut scratch = AtomicScratch::new();
         atomic.update_batch(&xs, &mut scratch);
-        assert_eq!(encode(&plain), encode(&atomic.to_plain()));
+        assert_eq!(encode(plain.cm()), encode(atomic.to_plain().cm()));
     }
 
     #[test]
@@ -558,15 +498,15 @@ mod tests {
     #[test]
     fn countsketch_single_thread_roundtrip_is_bitwise() {
         let xs = stream(20_000, 3);
-        let mut plain = CountSketch::new(5, 256, 4);
+        let mut plain = CsHeavyHitters::new(0.5, 0.05, 0.01, 4);
         plain.update_batch(&xs);
-        let atomic = AtomicCountSketch::from_plain(&CountSketch::new(5, 256, 4));
+        let atomic = AtomicCsHeavyHitters::from_plain(&CsHeavyHitters::new(0.5, 0.05, 0.01, 4));
         let mut scratch = AtomicScratch::new();
         atomic.update_batch(&xs, &mut scratch);
         let quiesced = atomic.to_plain();
-        assert_eq!(encode(&plain), encode(&quiesced));
+        assert_eq!(encode(plain.cs()), encode(quiesced.cs()));
         // The quiesced Σc² is the exact recompute, not the f64 track.
-        assert_eq!(plain.f2_estimate(), quiesced.f2_estimate());
+        assert_eq!(plain.f2_sqrt(), quiesced.f2_sqrt());
     }
 
     #[test]
@@ -580,18 +520,22 @@ mod tests {
         assert_eq!(encode(&plain), encode(&atomic.to_plain()));
     }
 
+    /// The grids are reached only through the heavy-hitter wrappers (and
+    /// AMS directly), so the wrappers' sweeps are what must commute.
     #[test]
     fn multithreaded_grids_quiesce_to_sequential_state() {
         let xs = stream(40_000, 7);
-        let mut seq_cm = CountMin::new(4, 512, 8);
+        let cm_proto = CmHeavyHitters::new(0.1, 0.01, 0.01, 8);
+        let cs_proto = CsHeavyHitters::new(0.5, 0.05, 0.01, 9);
+        let mut seq_cm = cm_proto.clone();
         seq_cm.update_batch(&xs);
-        let mut seq_cs = CountSketch::new(5, 512, 9);
+        let mut seq_cs = cs_proto.clone();
         seq_cs.update_batch(&xs);
         let mut seq_ams = AmsF2::new(5, 8, 10);
         seq_ams.update_batch(&xs);
 
-        let cm = Arc::new(AtomicCountMin::from_plain(&CountMin::new(4, 512, 8)).unwrap());
-        let cs = Arc::new(AtomicCountSketch::from_plain(&CountSketch::new(5, 512, 9)));
+        let cm = Arc::new(AtomicCmHeavyHitters::from_plain(&cm_proto).unwrap());
+        let cs = Arc::new(AtomicCsHeavyHitters::from_plain(&cs_proto));
         let ams = Arc::new(AtomicAmsF2::from_plain(&AmsF2::new(5, 8, 10)));
         let threads = 4;
         let slices: Vec<Vec<u64>> = xs
@@ -615,8 +559,8 @@ mod tests {
         }
         // Integer adds commute: any interleaving quiesces to the
         // sequential grids bit for bit.
-        assert_eq!(encode(&seq_cm), encode(&cm.to_plain()));
-        assert_eq!(encode(&seq_cs), encode(&cs.to_plain()));
+        assert_eq!(encode(seq_cm.cm()), encode(cm.to_plain().cm()));
+        assert_eq!(encode(seq_cs.cs()), encode(cs.to_plain().cs()));
         assert_eq!(encode(&seq_ams), encode(&ams.to_plain()));
     }
 
@@ -665,7 +609,7 @@ mod tests {
 
     #[test]
     fn cas_retry_counter_drains() {
-        let cs = AtomicCountSketch::from_plain(&CountSketch::new(3, 64, 15));
+        let cs = AtomicCsHeavyHitters::from_plain(&CsHeavyHitters::new(0.5, 0.2, 0.1, 15));
         let mut scratch = AtomicScratch::new();
         cs.update_batch(&stream(5000, 16), &mut scratch);
         // Single-threaded: the CAS loop never loses a race.

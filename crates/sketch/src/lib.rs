@@ -36,10 +36,7 @@ pub mod misra_gries;
 pub mod topk;
 
 pub use ams::AmsF2;
-pub use atomic::{
-    AtomicAmsF2, AtomicCmHeavyHitters, AtomicCountMin, AtomicCountSketch, AtomicCsHeavyHitters,
-    AtomicScratch,
-};
+pub use atomic::{AtomicAmsF2, AtomicCmHeavyHitters, AtomicCsHeavyHitters, AtomicScratch};
 pub use countmin::CountMin;
 pub use countsketch::CountSketch;
 pub use entropy::EntropyEstimator;

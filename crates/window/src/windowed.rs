@@ -323,15 +323,9 @@ impl WindowedMonitor {
     /// means the item is older than the live window (and was counted
     /// as one late drop).
     fn route_to(&mut self, epoch: u64) -> bool {
-        if !self.started {
-            self.started = true;
-            self.cur_epoch = epoch;
-            return true;
-        }
-        if epoch > self.cur_epoch {
-            self.roll_to(epoch);
-            return true;
-        }
+        self.advance_to(epoch);
+        // After the advance `epoch ≤ cur_epoch`, so only an older epoch
+        // can fall outside the live window.
         if epoch < self.oldest_live_epoch() {
             self.late_dropped += 1;
             sss_obs::global().inc(MetricId::WindowLateDropsTotal);

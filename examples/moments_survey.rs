@@ -14,6 +14,7 @@
 
 use subsampled_streams::core::{
     recommended_levelset_config, ApproxParams, NaiveScaledFk, RusuDobraF2, SampledFkEstimator,
+    SubsampledEstimator,
 };
 use subsampled_streams::stream::{
     BernoulliSampler, ExactStats, StreamGen, UniformStream, ZipfStream,
@@ -52,10 +53,10 @@ fn survey(label: &str, stream: &[u64], m: u64) {
                 rd.update(x);
                 naive.update(x);
             });
-            e1.push(ApproxParams::mult_error(alg1.estimate(), truth));
-            e2.push(ApproxParams::mult_error(alg1s.estimate(), truth));
-            e3.push(ApproxParams::mult_error(rd.estimate(), truth));
-            e4.push(ApproxParams::mult_error(naive.estimate(), truth));
+            e1.push(ApproxParams::mult_error(alg1.estimate().value, truth));
+            e2.push(ApproxParams::mult_error(alg1s.estimate().value, truth));
+            e3.push(ApproxParams::mult_error(rd.estimate().value, truth));
+            e4.push(ApproxParams::mult_error(naive.estimate().value, truth));
         }
         println!(
             "{:>6}  {:>12.4}  {:>14.4}  {:>12.4}  {:>12.4}",

@@ -1,13 +1,14 @@
 //! Equivalence battery for the parallel-ingest pipeline: a
-//! `ConcurrentMonitor` under the `Auto` strategy must match the
-//! sequential `Monitor` **exactly** on exact substrates (at `p = 1`
-//! shared-atomic grids quiesce to the sequential grids bit for bit, and
-//! key-partitioned maps and bottom-k unions merge exactly), and within
-//! each estimator's typed `Estimate` guarantee on the sketched/
-//! statistical ones under real sampling — for thread counts
-//! {1, 2, 4, 7} and the zipf, netflow and planted workloads
-//! (`tests/sharded.rs` runs the same checks for `Replicated`). Two pins
-//! tie the strategies to sequential code: `Auto` on one thread is the
+//! `ConcurrentMonitor` under either strategy must match the sequential
+//! `Monitor` **exactly** on exact substrates (at `p = 1` the workers
+//! jointly see the whole stream: `Auto`'s shared-atomic grids quiesce to
+//! the sequential grids bit for bit and its key-partitioned maps and
+//! bottom-k unions merge exactly; `Replicated`'s `fork_shard(i)` replicas
+//! merge ascending through the same exact algebra), and within each
+//! estimator's typed `Estimate` guarantee on the sketched/statistical
+//! ones under real sampling — for both strategies, thread counts
+//! {1, 2, 4, 7} and the zipf, netflow and planted workloads. Two pins tie
+//! the strategies to sequential code: `Auto` on one thread is the
 //! single-threaded run, and `Replicated(N)` is N forked monitors fed
 //! round-robin and merged ascending.
 
@@ -22,6 +23,7 @@ use subsampled_streams::stream::{
 };
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
+const STRATEGIES: [ParallelStrategy; 2] = [ParallelStrategy::Auto, ParallelStrategy::Replicated];
 const SAMPLER_SEED: u64 = 555;
 /// Several chunks per worker even on the small streams.
 const DISPATCH_CHUNK: usize = 8192;
@@ -59,6 +61,13 @@ fn config(threads: usize, strategy: ParallelStrategy) -> ConcurrentConfig {
     cfg
 }
 
+/// Every `(strategy, threads)` pair the equivalence battery covers.
+fn runs() -> impl Iterator<Item = (ParallelStrategy, usize)> {
+    STRATEGIES
+        .into_iter()
+        .flat_map(|s| THREAD_COUNTS.map(|t| (s, t)))
+}
+
 fn run_concurrent(
     proto: &Monitor,
     stream: &Arc<Vec<u64>>,
@@ -86,11 +95,12 @@ fn assert_reports_match(a: &Monitor, b: &Monitor, what: &str) {
 
 /// At `p = 1` every worker ingests its whole slice, so the workers
 /// jointly see exactly the original multiset. Integer `fetch_add`s on
-/// the shared CountMin grid commute, so every heavy item the single
-/// monitor reports must appear with an *identical* sketch estimate.
-/// Bottom-k `F_0` and collision `F_k` are exact under the key partition.
-/// Entropy merges as a length-weighted average of round-robin slices of
-/// the same mix and only promises a constant band.
+/// the shared CountMin grid commute, and CountMin replicas with shared
+/// hashes merge linearly, so every heavy item the single monitor reports
+/// must appear with an *identical* sketch estimate. Bottom-k `F_0` and
+/// collision `F_k` are exact under the key partition and under the
+/// replica merge. Entropy merges as a length-weighted average of
+/// round-robin slices of the same mix and only promises a constant band.
 #[test]
 fn p_one_quiesced_state_matches_single_monitor() {
     for (name, stream) in workloads(50_000) {
@@ -102,9 +112,9 @@ fn p_one_quiesced_state_matches_single_monitor() {
         let hh_single = single.estimate(Statistic::F1HeavyHitters).unwrap();
         let h_single = single.estimate(Statistic::Entropy).unwrap().value;
 
-        for threads in THREAD_COUNTS {
-            let tag = format!("{name}/{threads}");
-            let merged = run_concurrent(&full_proto(1.0), &stream, threads, ParallelStrategy::Auto);
+        for (strategy, threads) in runs() {
+            let tag = format!("{name}/{strategy:?}/{threads}");
+            let merged = run_concurrent(&full_proto(1.0), &stream, threads, strategy);
             assert_eq!(
                 merged.samples_seen(),
                 stream.len() as u64,
@@ -141,7 +151,8 @@ fn p_one_quiesced_state_matches_single_monitor() {
 }
 
 /// Under real sampling the merged estimates stay within each typed
-/// `Estimate`'s documented guarantee of the exact truth.
+/// `Estimate`'s documented guarantee of the exact truth, for every
+/// strategy, thread count and workload.
 #[test]
 fn sampled_concurrent_estimates_within_documented_tolerance() {
     let p = 0.25;
@@ -149,9 +160,9 @@ fn sampled_concurrent_estimates_within_documented_tolerance() {
         let stream = Arc::new(stream);
         let exact = ExactStats::from_stream(stream.iter().copied());
 
-        for threads in THREAD_COUNTS {
-            let tag = format!("{name}/{threads}");
-            let merged = run_concurrent(&full_proto(p), &stream, threads, ParallelStrategy::Auto);
+        for (strategy, threads) in runs() {
+            let tag = format!("{name}/{strategy:?}/{threads}");
+            let merged = run_concurrent(&full_proto(p), &stream, threads, strategy);
 
             // F2 via exact collisions: Theorem 1 band (generous cushion).
             let f2 = merged.estimate(Statistic::Fk(2)).unwrap();
@@ -179,7 +190,8 @@ fn sampled_concurrent_estimates_within_documented_tolerance() {
 }
 
 /// Every planted heavy item must survive parallel ingestion and the fold
-/// at every thread count — racy shared-atomic admission is recall-safe.
+/// at every thread count — racy shared-atomic admission is recall-safe,
+/// and so is the replicas' merge.
 #[test]
 fn planted_heavies_survive_concurrent_quiesce() {
     let n = 150_000;
@@ -188,13 +200,13 @@ fn planted_heavies_survive_concurrent_quiesce() {
     let stream = Arc::new(gen.generate(n, 29));
     let heavies = gen.heavy_items(29);
 
-    for threads in THREAD_COUNTS {
-        let merged = run_concurrent(&full_proto(p), &stream, threads, ParallelStrategy::Auto);
+    for (strategy, threads) in runs() {
+        let merged = run_concurrent(&full_proto(p), &stream, threads, strategy);
         let report = merged.estimate(Statistic::F1HeavyHitters).unwrap().report;
         for h in &heavies {
             assert!(
                 report.iter().any(|(i, _)| i == h),
-                "{threads} threads: planted heavy {h} missing after the fold"
+                "{strategy:?}/{threads} threads: planted heavy {h} missing after the fold"
             );
         }
     }

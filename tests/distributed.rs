@@ -5,7 +5,9 @@
 //! multi-monitor setting its related work on distributed sampling
 //! addresses.)
 
-use subsampled_streams::core::{ApproxParams, SampledF0Estimator, SampledFkEstimator};
+use subsampled_streams::core::{
+    ApproxParams, SampledF0Estimator, SampledFkEstimator, SubsampledEstimator,
+};
 use subsampled_streams::stream::{BernoulliSampler, ExactStats, StreamGen, ZipfStream};
 
 /// Split a stream across `sites` monitors, sample each independently,
@@ -36,7 +38,7 @@ fn merged_fk_matches_single_monitor_semantics() {
             }
         }
         let merged = merged.unwrap();
-        let err = ApproxParams::mult_error(merged.estimate(), truth);
+        let err = ApproxParams::mult_error(merged.estimate().value, truth);
         assert!(err < 1.1, "{sites} sites: error {err}");
     }
 }
@@ -56,7 +58,7 @@ fn merged_estimate_is_exactly_order_independent() {
     ab.merge(&build(right, 6));
     let mut ba = build(right, 6);
     ba.merge(&build(left, 5));
-    assert!((ab.estimate() - ba.estimate()).abs() <= 1e-6 * ab.estimate());
+    assert!((ab.estimate().value - ba.estimate().value).abs() <= 1e-6 * ab.estimate().value);
     assert_eq!(ab.samples_seen(), ba.samples_seen());
 }
 
@@ -81,7 +83,7 @@ fn merged_f0_matches_union_semantics() {
     merged.merge(&build(&site_b, 12));
 
     let union_f0 = 100_000.0;
-    let err = ApproxParams::mult_error(merged.estimate(), union_f0);
+    let err = ApproxParams::mult_error(merged.estimate().value, union_f0);
     assert!(
         err <= merged.error_factor(),
         "union error {err} above ceiling {}",
@@ -89,8 +91,8 @@ fn merged_f0_matches_union_semantics() {
     );
     // And it must be far below the naive sum (120k distinct-with-overlap).
     assert!(
-        merged.estimate() < 2.0 * union_f0 / p.sqrt().min(1.0),
+        merged.estimate().value < 2.0 * union_f0 / p.sqrt().min(1.0),
         "estimate {}",
-        merged.estimate()
+        merged.estimate().value
     );
 }

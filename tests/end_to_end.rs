@@ -3,7 +3,7 @@
 
 use subsampled_streams::core::{
     recommended_levelset_config, ApproxParams, SampledEntropyEstimator, SampledF0Estimator,
-    SampledF1HeavyHitters, SampledFkEstimator,
+    SampledF1HeavyHitters, SampledFkEstimator, SubsampledEstimator,
 };
 use subsampled_streams::stream::{
     BernoulliSampler, ExactStats, NetFlowStream, PlantedHeavyHitters, StreamGen, UniformStream,
@@ -43,18 +43,18 @@ fn full_monitor_pipeline_on_three_workloads() {
         });
 
         // F2/F3: within 15% on every workload at p = 0.1.
-        let e2 = ApproxParams::mult_error(f2.estimate(), exact.fk(2));
-        let e3 = ApproxParams::mult_error(f3.estimate(), exact.fk(3));
+        let e2 = ApproxParams::mult_error(f2.estimate().value, exact.fk(2));
+        let e3 = ApproxParams::mult_error(f3.estimate().value, exact.fk(3));
         assert!(e2 < 1.15, "{name}: F2 error {e2}");
         assert!(e3 < 1.25, "{name}: F3 error {e3}");
 
         // F0: within the Lemma 8 ceiling.
-        let e0 = ApproxParams::mult_error(f0.estimate(), exact.f0() as f64);
+        let e0 = ApproxParams::mult_error(f0.estimate().value, exact.f0() as f64);
         assert!(e0 <= f0.error_factor(), "{name}: F0 error {e0}");
 
         // Entropy: constant factor (all three workloads are far above the
         // Theorem 5 threshold).
-        let he = h.estimate();
+        let he = h.estimate().value;
         let ht = exact.entropy();
         assert!(ht > h.guarantee_threshold(n), "{name}: workload too flat");
         assert!(
@@ -83,8 +83,8 @@ fn sketched_pipeline_matches_exact_pipeline() {
         sketched_est.update(x);
     });
 
-    let a = exact_est.estimate();
-    let b = sketched_est.estimate();
+    let a = exact_est.estimate().value;
+    let b = sketched_est.estimate().value;
     assert!((a - b).abs() / a < 0.25, "exact-oracle {a} vs sketched {b}");
     // And the sketched structure really is smaller than the exact map on
     // this workload.

@@ -3,7 +3,8 @@
 //! facade crate against realistic traces.
 
 use subsampled_streams::core::{
-    AdaptiveF2Estimator, FlowSizeUnfolder, SampledFlowHistogram, TargetCollisionsPolicy,
+    AdaptiveF2Estimator, FlowSizeUnfolder, SampledFlowHistogram, SubsampledEstimator,
+    TargetCollisionsPolicy,
 };
 use subsampled_streams::hash::{RngCore64, Xoshiro256pp};
 use subsampled_streams::stream::{
@@ -65,7 +66,7 @@ fn adaptive_policy_end_to_end() {
         est.samples_seen()
     );
     // …while keeping a usable estimate.
-    let rel = (est.estimate() - truth).abs() / truth;
+    let rel = (est.estimate().value - truth).abs() / truth;
     assert!(rel < 0.15, "rel err {rel}");
     assert_eq!(est.current_rate(), policy.p_low, "policy never throttled");
 }

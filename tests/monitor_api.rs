@@ -53,8 +53,8 @@ fn sharded_fk_equals_single_estimator_exactly() {
             }
         }
         let merged = merged.unwrap();
-        let a = SampledFkEstimator::estimate(&single);
-        let b = SampledFkEstimator::estimate(&merged);
+        let a = single.estimate().value;
+        let b = merged.estimate().value;
         assert!(
             (a - b).abs() <= 1e-9 * a.abs().max(1.0),
             "{n_shards} shards: single {a} vs merged {b}"
@@ -82,10 +82,7 @@ fn sharded_f0_equals_single_estimator_exactly() {
         }
     }
     let merged = merged.unwrap();
-    assert_eq!(
-        SampledF0Estimator::estimate(&single),
-        SampledF0Estimator::estimate(&merged)
-    );
+    assert_eq!(single.estimate().value, merged.estimate().value);
     assert_eq!(single.samples_seen(), merged.samples_seen());
 }
 
@@ -113,8 +110,8 @@ fn sharded_sketched_fk_matches_single_within_tolerance() {
         }
     }
     let merged = merged.unwrap();
-    let a = SampledFkEstimator::estimate(&single);
-    let b = SampledFkEstimator::estimate(&merged);
+    let a = single.estimate().value;
+    let b = merged.estimate().value;
     assert!((a - b).abs() / a < 0.25, "single {a} vs merged {b}");
     assert!(
         (b - truth).abs() / truth < 0.4,
@@ -139,10 +136,7 @@ fn trait_merge_commutative_associative() {
     ab.merge(&build(1));
     let mut ba = build(1);
     ba.merge(&build(0));
-    assert!(
-        (SampledFkEstimator::estimate(&ab) - SampledFkEstimator::estimate(&ba)).abs()
-            <= 1e-9 * SampledFkEstimator::estimate(&ab),
-    );
+    assert!((ab.estimate().value - ba.estimate().value).abs() <= 1e-9 * ab.estimate().value);
     // Associativity.
     let mut left = build(0);
     left.merge(&build(1));
@@ -151,10 +145,7 @@ fn trait_merge_commutative_associative() {
     bc.merge(&build(2));
     let mut right = build(0);
     right.merge(&bc);
-    assert!(
-        (SampledFkEstimator::estimate(&left) - SampledFkEstimator::estimate(&right)).abs()
-            <= 1e-6 * SampledFkEstimator::estimate(&left),
-    );
+    assert!((left.estimate().value - right.estimate().value).abs() <= 1e-6 * left.estimate().value);
 }
 
 /// Every estimator implements the trait and reports a sane, positive

@@ -8,7 +8,9 @@
 use subsampled_streams::core::stirling::{
     a_ell, beta_coefficients, epsilon_schedule, factorial_f64,
 };
-use subsampled_streams::core::{CollisionOracle, ExactCollisions, SampledFkEstimator};
+use subsampled_streams::core::{
+    CollisionOracle, ExactCollisions, SampledFkEstimator, SubsampledEstimator,
+};
 use subsampled_streams::hash::{RngCore64, Xoshiro256pp};
 use subsampled_streams::sketch::{CountMin, CountSketch, KmvSketch, MisraGries};
 use subsampled_streams::stream::exact::{binom_f64, binom_u128};
@@ -80,7 +82,7 @@ fn algorithm1_is_exact_at_p_one() {
         let mut est = SampledFkEstimator::exact(k, 1.0);
         est.update_batch(&stream);
         let truth = ExactStats::from_stream(stream.iter().copied()).fk(k);
-        assert!((est.estimate() - truth).abs() <= 1e-6 * truth.max(1.0));
+        assert!((est.estimate().value - truth).abs() <= 1e-6 * truth.max(1.0));
     }
 }
 

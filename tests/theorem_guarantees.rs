@@ -6,7 +6,9 @@
 //! are deterministic and non-flaky, but tight enough that a broken
 //! estimator cannot sneak through.
 
-use subsampled_streams::core::{ApproxParams, SampledF0Estimator, SampledFkEstimator};
+use subsampled_streams::core::{
+    ApproxParams, SampledF0Estimator, SampledFkEstimator, SubsampledEstimator,
+};
 use subsampled_streams::stream::{
     BernoulliSampler, EntropyScenarioPair, ExactStats, StreamGen, UniformStream, ZipfStream,
 };
@@ -25,7 +27,7 @@ fn theorem1_f2_probabilistic_contract() {
         let mut est = SampledFkEstimator::exact(2, p);
         let mut sampler = BernoulliSampler::new(p, seed);
         sampler.sample_slice(&stream, |x| est.update(x));
-        if params.accepts(est.estimate(), truth) {
+        if params.accepts(est.estimate().value, truth) {
             ok += 1;
         }
     }
@@ -46,7 +48,7 @@ fn theorem1_f4_probabilistic_contract() {
         let mut est = SampledFkEstimator::exact(4, p);
         let mut sampler = BernoulliSampler::new(p, seed);
         sampler.sample_slice(&stream, |x| est.update(x));
-        if params.accepts(est.estimate(), truth) {
+        if params.accepts(est.estimate().value, truth) {
             ok += 1;
         }
     }
@@ -74,7 +76,7 @@ fn below_minimum_p_the_contract_degrades() {
         let mut est = SampledFkEstimator::exact(2, p);
         let mut sampler = BernoulliSampler::new(p, seed);
         sampler.sample_slice(&stream, |x| est.update(x));
-        if params.accepts(est.estimate(), truth) {
+        if params.accepts(est.estimate().value, truth) {
             ok += 1;
         }
     }
@@ -100,7 +102,7 @@ fn lemma8_ceiling_never_violated() {
                 let mut est = SampledF0Estimator::new(p, 0.01, seed);
                 let mut sampler = BernoulliSampler::new(p, 1000 + seed);
                 sampler.sample_slice(stream, |x| est.update(x));
-                let err = ApproxParams::mult_error(est.estimate(), truth);
+                let err = ApproxParams::mult_error(est.estimate().value, truth);
                 assert!(
                     err <= est.error_factor(),
                     "stream {si}, p={p}, seed={seed}: {err} > {}",
@@ -123,7 +125,7 @@ fn theorem4_hard_pair_error_floor() {
             let mut est = SampledF0Estimator::new(p, 0.01, 5);
             let mut sampler = BernoulliSampler::new(p, 6);
             sampler.sample_slice(&stream, |x| est.update(x));
-            worst = worst.max(ApproxParams::mult_error(est.estimate(), truth));
+            worst = worst.max(ApproxParams::mult_error(est.estimate().value, truth));
         }
         let floor = subsampled_streams::core::f0_lower_bound_factor(p);
         assert!(worst >= floor, "p={p}: worst {worst} < floor {floor}");
