@@ -235,11 +235,6 @@ impl AtomicAmsF2 {
         }
     }
 
-    /// Total weight inserted so far (racy snapshot).
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
     /// Add one occurrence each of a batch of items.
     pub fn update_batch(&self, xs: &[u64], scratch: &mut AtomicScratch) {
         for chunk in xs.chunks(BATCH_CHUNK) {
