@@ -10,7 +10,7 @@
 
 use sss_bench::table::fmt_g;
 use sss_bench::{print_header, run_trials, Summary, Table};
-use sss_core::{min_sampling_probability, ApproxParams, SampledFkEstimator, SubsampledEstimator};
+use sss_core::{min_sampling_probability, SampledFkEstimator, SubsampledEstimator};
 use sss_stream::{BernoulliSampler, ExactStats, StreamGen, UniformStream, ZipfStream};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
                     let mut est = SampledFkEstimator::exact(k, p);
                     let mut sampler = BernoulliSampler::new(p, seed);
                     sampler.sample_slice(stream, |x| est.update(x));
-                    ApproxParams::mult_error(est.estimate().value, truth) - 1.0
+                    est.estimate().mult_error(truth) - 1.0
                 });
                 let s = Summary::of(&errs);
                 table.row(vec![

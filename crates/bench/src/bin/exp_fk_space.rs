@@ -11,9 +11,7 @@
 
 use sss_bench::table::fmt_g;
 use sss_bench::{print_header, run_trials, Summary, Table};
-use sss_core::{
-    recommended_levelset_config, ApproxParams, SampledFkEstimator, SubsampledEstimator,
-};
+use sss_core::{recommended_levelset_config, SampledFkEstimator, SubsampledEstimator};
 use sss_sketch::levelset::LevelSetConfig;
 use sss_stream::{BernoulliSampler, ExactStats, StreamGen, ZipfStream};
 
@@ -48,7 +46,7 @@ fn main() {
             let mut sampler = BernoulliSampler::new(p, seed ^ 0x5EED);
             sampler.sample_slice(&stream, |x| est.update(x));
             space = est.space_words();
-            ApproxParams::mult_error(est.estimate().value, truth) - 1.0
+            est.estimate().mult_error(truth) - 1.0
         });
         let s = Summary::of(&errs);
         ta.row(vec![
@@ -73,7 +71,7 @@ fn main() {
             let mut sampler = BernoulliSampler::new(p, seed ^ 0xBEEF);
             sampler.sample_slice(&stream, |x| est.update(x));
             space = est.space_words();
-            ApproxParams::mult_error(est.estimate().value, truth) - 1.0
+            est.estimate().mult_error(truth) - 1.0
         });
         let s = Summary::of(&errs);
         tb.row(vec![

@@ -9,8 +9,7 @@
 use sss_bench::table::fmt_g;
 use sss_bench::{print_header, run_trials, Summary, Table};
 use sss_core::{
-    ApproxParams, NaiveScaledF0, NaiveScaledFk, SampledF0Estimator, SampledFkEstimator,
-    SubsampledEstimator,
+    NaiveScaledF0, NaiveScaledFk, SampledF0Estimator, SampledFkEstimator, SubsampledEstimator,
 };
 use sss_stream::{BernoulliSampler, ExactStats, StreamGen, UniformStream};
 
@@ -43,28 +42,28 @@ fn main() {
             let mut e = NaiveScaledFk::new(2, p);
             let mut s = BernoulliSampler::new(p, seed);
             s.sample_slice(&stream, |x| e.update(x));
-            ApproxParams::mult_error(e.estimate().value, f2)
+            e.estimate().mult_error(f2)
         }))
         .median;
         let ours_f2 = Summary::of(&run_trials(trials, 5000, |seed| {
             let mut e = SampledFkEstimator::exact(2, p);
             let mut s = BernoulliSampler::new(p, seed);
             s.sample_slice(&stream, |x| e.update(x));
-            ApproxParams::mult_error(e.estimate().value, f2)
+            e.estimate().mult_error(f2)
         }))
         .median;
         let naive_f0 = Summary::of(&run_trials(trials, 6000, |seed| {
             let mut e = NaiveScaledF0::new(p, seed);
             let mut s = BernoulliSampler::new(p, seed ^ 3);
             s.sample_slice(&stream, |x| e.update(x));
-            ApproxParams::mult_error(e.estimate().value, f0)
+            e.estimate().mult_error(f0)
         }))
         .median;
         let ours_f0 = Summary::of(&run_trials(trials, 6000, |seed| {
             let mut e = SampledF0Estimator::new(p, 0.05, seed);
             let mut s = BernoulliSampler::new(p, seed ^ 3);
             s.sample_slice(&stream, |x| e.update(x));
-            ApproxParams::mult_error(e.estimate().value, f0)
+            e.estimate().mult_error(f0)
         }))
         .median;
         t.row(vec![

@@ -10,7 +10,7 @@
 
 use sss_bench::table::fmt_g;
 use sss_bench::{print_header, run_trials, Summary, Table};
-use sss_core::{ApproxParams, RusuDobraF2, SampledFkEstimator, SubsampledEstimator};
+use sss_core::{RusuDobraF2, SampledFkEstimator, SubsampledEstimator};
 use sss_stream::{BernoulliSampler, ExactStats, StreamGen, UniformStream};
 
 fn rd_median_err(
@@ -25,7 +25,7 @@ fn rd_median_err(
         let mut rd = RusuDobraF2::new(p, groups, copies, seed);
         let mut sampler = BernoulliSampler::new(p, seed ^ 0x9D);
         sampler.sample_slice(stream, |x| rd.update(x));
-        ApproxParams::mult_error(rd.estimate().value, truth) - 1.0
+        rd.estimate().mult_error(truth) - 1.0
     });
     Summary::of(&errs).median
 }
@@ -54,7 +54,7 @@ fn main() {
                 let mut est = SampledFkEstimator::exact(2, p);
                 let mut sampler = BernoulliSampler::new(p, seed ^ 0x9D);
                 sampler.sample_slice(&stream, |x| est.update(x));
-                ApproxParams::mult_error(est.estimate().value, truth) - 1.0
+                est.estimate().mult_error(truth) - 1.0
             });
             Summary::of(&errs).median
         };

@@ -736,18 +736,7 @@ pub trait WireCodec: Sized {
     /// section) to the matching layout.
     fn decode_framed(buf: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(buf);
-        let magic: [u8; 4] = r.take_array()?;
-        if magic != WIRE_MAGIC {
-            return Err(CodecError::BadMagic { found: magic });
-        }
-        let version = r.u16()?;
-        if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
-            return Err(CodecError::UnsupportedVersion {
-                found: version,
-                supported: WIRE_VERSION,
-            });
-        }
-        r.version = version;
+        r.version = check_version(read_magic_version(&mut r)?)?;
         let tag = r.u16()?;
         if tag != Self::WIRE_TAG {
             return Err(CodecError::TagMismatch {
@@ -821,17 +810,7 @@ pub struct FrameHeader {
 /// a socket transport runs before allocating the payload buffer.
 pub fn parse_frame_header(header: &[u8; FRAME_HEADER_BYTES]) -> Result<FrameHeader, CodecError> {
     let mut r = Reader::new(header);
-    let magic: [u8; 4] = r.take_array()?;
-    if magic != WIRE_MAGIC {
-        return Err(CodecError::BadMagic { found: magic });
-    }
-    let version = r.u16()?;
-    if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
-        return Err(CodecError::UnsupportedVersion {
-            found: version,
-            supported: WIRE_VERSION,
-        });
-    }
+    let version = check_version(read_magic_version(&mut r)?)?;
     let tag = r.u16()?;
     let payload_len = r.u64()? as usize;
     let checksum = r.u64()?;
@@ -850,14 +829,32 @@ pub fn parse_frame_header(header: &[u8; FRAME_HEADER_BYTES]) -> Result<FrameHead
 /// incompatible peer sent.
 pub fn peek_frame(buf: &[u8]) -> Result<(u16, u16, usize), CodecError> {
     let mut r = Reader::new(buf);
+    let version = read_magic_version(&mut r)?;
+    let tag = r.u16()?;
+    let len = r.u64()? as usize;
+    Ok((version, tag, len))
+}
+
+/// Read a frame's magic, rejecting a foreign one, then its format
+/// version as found: the head every frame reader starts with.
+fn read_magic_version(r: &mut Reader) -> Result<u16, CodecError> {
     let magic: [u8; 4] = r.take_array()?;
     if magic != WIRE_MAGIC {
         return Err(CodecError::BadMagic { found: magic });
     }
-    let version = r.u16()?;
-    let tag = r.u16()?;
-    let len = r.u64()? as usize;
-    Ok((version, tag, len))
+    r.u16()
+}
+
+/// `version`, if this build decodes it.
+fn check_version(version: u16) -> Result<u16, CodecError> {
+    if (WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
+        Ok(version)
+    } else {
+        Err(CodecError::UnsupportedVersion {
+            found: version,
+            supported: WIRE_VERSION,
+        })
+    }
 }
 
 macro_rules! impl_primitive {

@@ -57,18 +57,6 @@ impl RusuDobraF2 {
         }
     }
 
-    /// The underlying AMS sketch (concurrent pipeline promotes it to a
-    /// shared-atomic grid).
-    pub(crate) fn ams(&self) -> &AmsF2 {
-        &self.ams
-    }
-
-    /// Install a quiesced sketch and sample count back.
-    pub(crate) fn install(&mut self, ams: AmsF2, n_sampled: u64) {
-        self.ams = ams;
-        self.n_sampled = n_sampled;
-    }
-
     /// Memory footprint in 64-bit words.
     pub fn space_words(&self) -> usize {
         self.ams.space_words()

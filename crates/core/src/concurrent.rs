@@ -15,18 +15,19 @@
 //! ```
 //!
 //! Where the substrate allows it, workers do not replicate state: the
-//! fixed-geometry counter grids (CountMin, CountSketch, AMS tug-of-war)
-//! become the shared-atomic variants of [`sss_sketch::atomic`], and
-//! every worker ingests into the *same* cells with relaxed `fetch_add`s.
-//! One grid, regardless of thread count. Not every estimator is a
-//! commutative counter grid, so each registered slot is routed to the
-//! cheapest strategy that preserves its answer:
+//! heavy-hitter reporters' fixed-geometry counter grids (CountMin,
+//! CountSketch) become the shared-atomic variants of
+//! [`sss_sketch::atomic`], and every worker ingests into the *same*
+//! cells with relaxed `fetch_add`s. One grid, regardless of thread
+//! count. Not every estimator is a commutative counter grid, so each
+//! registered slot is routed to the cheapest strategy that preserves
+//! its answer:
 //!
 //! | Strategy | Slots | Why it is sound |
 //! |---|---|---|
-//! | shared-atomic | `F_1`/`F_2` heavy hitters, Rusu–Dobra `F_2` | cell-wise integer adds commute; any interleaving quiesces to the sequential grid bit for bit |
+//! | shared-atomic | `F_1`/`F_2` heavy hitters | cell-wise integer adds commute; any interleaving quiesces to the sequential grid bit for bit |
 //! | key-sharded | `F_0`, `F_k` (exact and sketched), naive baselines | items are partitioned by key hash, so each part owns a disjoint sub-multiset and the existing merge is exact (disjoint maps, bottom-k union, linear sketches) |
-//! | replicated | entropy, adaptive, unknown slots | entropy is *not* key-shardable (`H = Σ wᵢHᵢ + H(w)` loses the cross-partition term); thread-local replicas merge through `Monitor::merge`'s algebra |
+//! | replicated | entropy, Rusu–Dobra `F_2`, adaptive, unknown slots | entropy is *not* key-shardable (`H = Σ wᵢHᵢ + H(w)` loses the cross-partition term); thread-local replicas merge through `Monitor::merge`'s algebra, and AMS replicas keep the prototype's signs, so their linear merge is the sequential sketch |
 //!
 //! [`ParallelStrategy::Replicated`] forces the last row onto every slot:
 //! N full replicas merged at the end, the control arm for benchmarks and
@@ -57,16 +58,15 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use sss_codec::WireCodec;
 use sss_hash::{fingerprint64, split_seed};
 use sss_obs::MetricId;
-use sss_sketch::{AtomicAmsF2, AtomicCmHeavyHitters, AtomicCsHeavyHitters, AtomicScratch};
+use sss_sketch::{AtomicCmHeavyHitters, AtomicCsHeavyHitters, AtomicScratch};
 use sss_stream::{BernoulliSampler, Item};
 
-use crate::baselines::RusuDobraF2;
-use crate::estimate::SubsampledEstimator;
 use crate::heavy_hitters::{SampledF1HeavyHitters, SampledF2HeavyHitters};
-use crate::monitor::{DynEstimator, Monitor};
+use crate::monitor::{
+    DynEstimator, Monitor, F0, FK_EXACT, FK_SKETCHED, HH_F1, HH_F2, NAIVE_F0, NAIVE_FK,
+};
 
 /// Chunks a worker's queue holds before `ingest` blocks (backpressure
 /// instead of unbounded buffering).
@@ -128,20 +128,6 @@ impl Job {
     }
 }
 
-// Wire tags double as slot-type identifiers for strategy routing; this
-// is the same keying the checkpoint registry uses, so a slot the codec
-// can name, the router can route.
-const HH_F1: u16 = SampledF1HeavyHitters::WIRE_TAG;
-const HH_F2: u16 = SampledF2HeavyHitters::WIRE_TAG;
-const RUSU_DOBRA: u16 = RusuDobraF2::WIRE_TAG;
-const F0: u16 = crate::f0::SampledF0Estimator::WIRE_TAG;
-const FK_EXACT: u16 =
-    <crate::fk::SampledFkEstimator<crate::collisions::ExactCollisions> as WireCodec>::WIRE_TAG;
-const FK_SKETCHED: u16 =
-    <crate::fk::SampledFkEstimator<crate::collisions::LevelSetCollisions> as WireCodec>::WIRE_TAG;
-const NAIVE_FK: u16 = crate::baselines::NaiveScaledFk::WIRE_TAG;
-const NAIVE_F0: u16 = crate::baselines::NaiveScaledF0::WIRE_TAG;
-
 /// Shared per-slot ingestion state, index-aligned with the prototype's
 /// entries.
 enum SlotState {
@@ -149,12 +135,6 @@ enum SlotState {
     Cm(AtomicCmHeavyHitters),
     /// `F_2` heavy hitters over a shared-atomic CountSketch grid.
     Cs(AtomicCsHeavyHitters),
-    /// Rusu–Dobra `F_2`: shared-atomic AMS grid plus the sample counter
-    /// its inversion needs.
-    Ams {
-        ams: AtomicAmsF2,
-        n_sampled: AtomicU64,
-    },
     /// Disjoint key partition: part `j` owns the items with
     /// `fingerprint64(x) % parts == j`. One mutex per part; workers
     /// group a batch by part first, so each lock is taken at most once
@@ -184,7 +164,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect("a concurrent worker panicked mid-batch")
 }
 
-/// Route one prototype slot to its ingestion strategy.
+/// Route one prototype slot to its ingestion strategy, keyed by wire tag.
 fn route_slot(est: &dyn DynEstimator, strategy: ParallelStrategy, parts: usize) -> SlotState {
     if strategy == ParallelStrategy::Replicated {
         return SlotState::Replicated;
@@ -195,13 +175,7 @@ fn route_slot(est: &dyn DynEstimator, strategy: ParallelStrategy, parts: usize) 
                 .as_any()
                 .downcast_ref::<SampledF1HeavyHitters>()
                 .expect("HH_F1 tag on a non-F1 slot");
-            // A conservative-update CountMin cannot go shared-atomic
-            // (order-dependent) *or* merge; replicate and let the merge
-            // report the incompatibility.
-            match AtomicCmHeavyHitters::from_plain(hh.inner()) {
-                Some(atomic) => SlotState::Cm(atomic),
-                None => SlotState::Replicated,
-            }
+            SlotState::Cm(AtomicCmHeavyHitters::from_plain(hh.inner()))
         }
         HH_F2 => {
             let hh = est
@@ -209,16 +183,6 @@ fn route_slot(est: &dyn DynEstimator, strategy: ParallelStrategy, parts: usize) 
                 .downcast_ref::<SampledF2HeavyHitters>()
                 .expect("HH_F2 tag on a non-F2 slot");
             SlotState::Cs(AtomicCsHeavyHitters::from_plain(hh.inner()))
-        }
-        RUSU_DOBRA => {
-            let rd = est
-                .as_any()
-                .downcast_ref::<RusuDobraF2>()
-                .expect("RUSU_DOBRA tag on a non-RD slot");
-            SlotState::Ams {
-                ams: AtomicAmsF2::from_plain(rd.ams()),
-                n_sampled: AtomicU64::new(rd.samples_seen()),
-            }
         }
         F0 | FK_EXACT | FK_SKETCHED | NAIVE_FK | NAIVE_F0 => {
             // Clones keep the prototype's seeds: parts must agree to
@@ -261,12 +225,17 @@ impl ConcurrentMonitor {
     ///
     /// # Panics
     /// If the prototype has already ingested samples (its state would be
-    /// counted once per replica on the fold).
+    /// counted once per replica on the fold), or cannot merge with
+    /// itself (only a conservative-update CountMin decoded from crafted
+    /// bytes cannot): the fold merges copies of it.
     pub fn launch(prototype: &Monitor, sampler_seed: u64, cfg: ConcurrentConfig) -> Self {
         assert!(
             prototype.samples_seen() == 0,
             "concurrent launch requires a pristine prototype monitor"
         );
+        if let Err(e) = prototype.check_mergeable(prototype) {
+            panic!("concurrent launch requires a self-mergeable prototype: {e}");
+        }
         // Re-validate: the config fields are public, so
         // ConcurrentConfig::new's own assert can be bypassed by mutation.
         assert!(cfg.threads >= 1, "need at least one ingest thread");
@@ -438,12 +407,6 @@ fn fold(mut base: Monitor, shared: &Shared, note: &'static str) -> Monitor {
                 .downcast_mut::<SampledF2HeavyHitters>()
                 .expect("Cs slot type changed under fold")
                 .replace_inner(atomic.to_plain()),
-            SlotState::Ams { ams, n_sampled } => entry
-                .est
-                .as_any_mut()
-                .downcast_mut::<RusuDobraF2>()
-                .expect("Ams slot type changed under fold")
-                .install(ams.to_plain(), n_sampled.load(Ordering::Relaxed)),
             SlotState::KeySharded(parts) => {
                 for part in parts {
                     // Key-shard parts share the prototype's config.
@@ -495,10 +458,6 @@ fn worker_loop(
                 match slot {
                     SlotState::Cm(atomic) => atomic.update_batch(batch, &mut scratch),
                     SlotState::Cs(atomic) => atomic.update_batch(batch, &mut scratch),
-                    SlotState::Ams { ams, n_sampled } => {
-                        ams.update_batch(batch, &mut scratch);
-                        n_sampled.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    }
                     SlotState::KeySharded(slot_parts) => {
                         if !grouped {
                             for b in &mut buckets {
@@ -542,6 +501,8 @@ mod tests {
     use super::*;
     use crate::estimate::Statistic;
     use crate::monitor::MonitorBuilder;
+    use sss_codec::{Reader, WireCodec};
+    use sss_sketch::{CmHeavyHitters, CountMin, TopKTracker};
     use sss_stream::{StreamGen, ZipfStream};
 
     fn proto(p: f64) -> Monitor {
@@ -606,6 +567,35 @@ mod tests {
     fn launch_rejects_ingested_prototype() {
         let mut m = proto(0.5);
         m.update(1);
+        let _ = ConcurrentMonitor::launch(&m, 1, ConcurrentConfig::new(2));
+    }
+
+    /// A conservative-update CountMin merges with nothing, itself
+    /// included, and only crafted bytes can put one in a prototype:
+    /// decode the `F_1` reporter's sections, flip the sketch's flag,
+    /// re-encode. `launch` refuses it before any worker starts.
+    #[test]
+    #[should_panic(
+        expected = "self-mergeable prototype: incompatible CountMin conservative update"
+    )]
+    fn launch_rejects_a_prototype_that_cannot_merge_with_itself() {
+        let mut m = proto(0.5);
+        let hh = m
+            .entries_mut()
+            .iter_mut()
+            .find_map(|e| e.est.as_any_mut().downcast_mut::<SampledF1HeavyHitters>())
+            .unwrap();
+        let bytes = hh.inner().encode();
+        let mut r = Reader::new(&bytes);
+        let mut crafted = f64::decode(&mut r).unwrap().encode();
+        CountMin::decode(&mut r)
+            .unwrap()
+            .conservative()
+            .encode_into(&mut crafted);
+        TopKTracker::decode(&mut r)
+            .unwrap()
+            .encode_into(&mut crafted);
+        hh.replace_inner(CmHeavyHitters::decode_slice(&crafted).unwrap());
         let _ = ConcurrentMonitor::launch(&m, 1, ConcurrentConfig::new(2));
     }
 

@@ -217,12 +217,8 @@ pub fn f0_lower_bound_factor(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ApproxParams;
     use sss_stream::{BernoulliSampler, ExactStats, F0HardPair};
-
-    /// Multiplicative error in the paper's sense: max(est/truth, truth/est).
-    fn mult_error(est: f64, truth: f64) -> f64 {
-        (est / truth).max(truth / est)
-    }
 
     #[test]
     fn error_within_lemma8_bound_across_rates() {
@@ -236,7 +232,7 @@ mod tests {
             let mut est = SampledF0Estimator::new(p, 0.01, 7);
             let mut sampler = BernoulliSampler::new(p, 11);
             sampler.sample_slice(&stream, |x| est.update(x));
-            let err = mult_error(est.estimate().value, truth);
+            let err = est.estimate().mult_error(truth);
             assert!(
                 err <= est.error_factor(),
                 "p={p}: error {err} > bound {}",
@@ -260,7 +256,7 @@ mod tests {
         // F0(L) ≈ 1000 (every item survives w.h.p.), estimate ≈ 1000/0.5.
         let e = est.estimate().value;
         assert!((e - 2000.0).abs() / 2000.0 < 0.2, "estimate = {e}");
-        assert!(mult_error(e, 1000.0) <= est.error_factor());
+        assert!(ApproxParams::mult_error(e, 1000.0) <= est.error_factor());
     }
 
     #[test]
@@ -277,7 +273,7 @@ mod tests {
             let mut est = SampledF0Estimator::new(p, 0.01, 5);
             let mut sampler = BernoulliSampler::new(p, 6);
             sampler.sample_slice(stream, |x| est.update(x));
-            let err = mult_error(est.estimate().value, truth);
+            let err = est.estimate().mult_error(truth);
             assert!(err <= est.error_factor(), "err {err} above ceiling");
             worst = worst.max(err);
         }

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! [`FlowSizeUnfolder`] inverts this by expectation–maximisation exactly
-//! as in [18]: the E-step distributes each observed count `N_j` over
+//! as in \[18\]: the E-step distributes each observed count `N_j` over
 //! plausible true sizes under the current model, the M-step re-adds the
 //! invisible mass `M_i·(1−p)^i`:
 //!

@@ -133,23 +133,20 @@ impl<T: SubsampledEstimator + Any + Clone + Send + Sync + WireCodec> DynEstimato
     }
 }
 
-/// Decode one registered estimator by wire tag — the registry behind
-/// [`Monitor::restore`]. Every estimator the [`MonitorBuilder`] can
-/// register is listed; a `register()`-ed *custom* estimator encodes fine
-/// (it implements [`WireCodec`]) but decodes only if its tag is known
-/// here, so snapshots carrying third-party estimators fail with
-/// [`CodecError::UnknownTag`] instead of misparsing.
-const F0: u16 = SampledF0Estimator::WIRE_TAG;
-const FK_EXACT: u16 =
+// The wire tag of every estimator the builder can register: the keys of
+// the decode registry below, and of `ConcurrentMonitor`'s slot routing,
+// so a slot the codec can name, the router can route.
+pub(crate) const F0: u16 = SampledF0Estimator::WIRE_TAG;
+pub(crate) const FK_EXACT: u16 =
     <SampledFkEstimator<crate::collisions::ExactCollisions> as WireCodec>::WIRE_TAG;
-const FK_SKETCHED: u16 =
+pub(crate) const FK_SKETCHED: u16 =
     <SampledFkEstimator<crate::collisions::LevelSetCollisions> as WireCodec>::WIRE_TAG;
 const ENTROPY: u16 = SampledEntropyEstimator::WIRE_TAG;
-const HH_F1: u16 = SampledF1HeavyHitters::WIRE_TAG;
-const HH_F2: u16 = SampledF2HeavyHitters::WIRE_TAG;
+pub(crate) const HH_F1: u16 = SampledF1HeavyHitters::WIRE_TAG;
+pub(crate) const HH_F2: u16 = SampledF2HeavyHitters::WIRE_TAG;
 const RUSU_DOBRA: u16 = crate::baselines::RusuDobraF2::WIRE_TAG;
-const NAIVE_FK: u16 = crate::baselines::NaiveScaledFk::WIRE_TAG;
-const NAIVE_F0: u16 = crate::baselines::NaiveScaledF0::WIRE_TAG;
+pub(crate) const NAIVE_FK: u16 = crate::baselines::NaiveScaledFk::WIRE_TAG;
+pub(crate) const NAIVE_F0: u16 = crate::baselines::NaiveScaledF0::WIRE_TAG;
 const ADAPTIVE: u16 = crate::adaptive::AdaptiveF2Estimator::WIRE_TAG;
 
 /// Whether [`decode_estimator`] can rebuild an estimator with this tag —
@@ -170,6 +167,12 @@ fn registry_knows(tag: u16) -> bool {
     )
 }
 
+/// Decode one registered estimator by wire tag — the registry behind
+/// [`Monitor::restore`]. Every estimator the [`MonitorBuilder`] can
+/// register is listed; a `register()`-ed *custom* estimator encodes fine
+/// (it implements [`WireCodec`]) but decodes only if its tag is known
+/// here, so snapshots carrying third-party estimators fail with
+/// [`CodecError::UnknownTag`] instead of misparsing.
 fn decode_estimator(tag: u16, r: &mut Reader) -> Result<Box<dyn DynEstimator>, CodecError> {
     use crate::adaptive::AdaptiveF2Estimator;
     use crate::baselines::{NaiveScaledF0, NaiveScaledFk, RusuDobraF2};
@@ -402,7 +405,7 @@ impl Monitor {
     ///
     /// Observability: each call records batch count/size (a handful of
     /// relaxed atomics per *batch*, priced by `bench_obs`), and every
-    /// [`OBS_TIMING_SAMPLE`]th batch additionally times each
+    /// `OBS_TIMING_SAMPLE`th (64th) batch additionally times each
     /// estimator's update (`sss_ingest_slot_sampled_*`, labeled by
     /// registration slot — slot order matches
     /// [`Monitor::wire_layout`]).

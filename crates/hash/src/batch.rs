@@ -14,7 +14,7 @@
 //!   in a `u128` and reduced once — instead of three dependent Horner
 //!   steps with a reduction each. Every coefficient and power is a
 //!   canonical residue (`≤ p − 1`), so the sum is at most
-//!   `3(p − 1)² + (p − 1) < 2^124`, inside [`mod_p61`]'s single-fold range;
+//!   `3(p − 1)² + (p − 1) < 2^124`, inside `mod_p61`'s single-fold range;
 //!   one fold lands on the same canonical residue Horner's rule reaches,
 //!   hence the same sign bit.
 //! * The `*_batch` methods on [`PairwiseHash`] evaluate [`LANES`]

@@ -3,7 +3,7 @@
 //! The default `std` hasher (SipHash 1-3) is DoS-resistant but slow for
 //! integer keys; every exact-statistics pass and candidate table in this
 //! workspace keys on `u64` item identifiers, so we use the bijective
-//! [`fingerprint64`](crate::mix::fingerprint64) finalizer as the hasher —
+//! [`fingerprint64`] finalizer as the hasher —
 //! the same approach as `rustc-hash`, implemented locally to keep the
 //! dependency set closed.
 

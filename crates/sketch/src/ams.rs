@@ -96,42 +96,6 @@ impl AmsF2 {
         self.total
     }
 
-    /// The raw group-major Z counters (shared with the atomic variant).
-    pub(crate) fn z(&self) -> &[i64] {
-        &self.z
-    }
-
-    /// The sign family.
-    pub(crate) fn signs(&self) -> &[FourWiseSign] {
-        &self.signs
-    }
-
-    /// The construction seed, when known.
-    pub(crate) fn seed(&self) -> Option<u64> {
-        self.seed
-    }
-
-    /// Reassemble a sketch from raw parts — the atomic variant's quiesce
-    /// path.
-    pub(crate) fn from_parts(
-        copies: usize,
-        z: Vec<i64>,
-        signs: Vec<FourWiseSign>,
-        total: u64,
-        seed: Option<u64>,
-    ) -> Self {
-        debug_assert_eq!(z.len(), signs.len());
-        debug_assert!(z.len().is_multiple_of(copies));
-        Self {
-            copies,
-            z,
-            signs,
-            total,
-            seed,
-            scratch: BatchScratch::default(),
-        }
-    }
-
     /// Add `count` occurrences of `x` (negative allowed: linear sketch).
     pub fn update(&mut self, x: u64, count: i64) {
         self.total = self.total.wrapping_add(count.unsigned_abs());

@@ -1,20 +1,20 @@
-//! Shared-atomic variants of the fixed-geometry grid substrates.
+//! Shared-atomic variants of the heavy-hitter reporters' grids.
 //!
 //! Replicating sketch state per worker and folding through the merge
 //! algebra scales cores, but memory grows N× with thread count. The
-//! types here take the other route (Confluo's
-//! `substream_summary` shape): one shared counter grid whose cells many
-//! ingest threads update concurrently with relaxed atomic adds. This is
-//! sound for exactly the substrates whose merge is cell-wise integer
-//! addition (CountMin, CountSketch, AMS tug-of-war): integer adds
-//! commute and associate, so any interleaving of per-cell `fetch_add`s
-//! quiesces to the same grid a sequential ingest of the same multiset
-//! would produce — bit for bit. No cross-cell invariant holds *during*
-//! ingestion, which is why conversion back to the plain types is only
-//! offered as a quiesce step (`to_plain`), once no writer is mid-update:
-//! every writer joined, or paused behind a lock it holds across each
-//! update. The join or the lock is the happens-before edge that makes
-//! the relaxed loads well-defined.
+//! types here take the other route (Confluo's `substream_summary`
+//! shape): one shared counter grid whose cells many ingest threads
+//! update concurrently with relaxed atomic adds, behind the `F_1`/`F_2`
+//! heavy-hitter reporters. This is sound for exactly the substrates
+//! whose merge is cell-wise integer addition (CountMin, CountSketch):
+//! integer adds commute and associate, so any interleaving of per-cell
+//! `fetch_add`s quiesces to the same grid a sequential ingest of the
+//! same multiset would produce — bit for bit. No cross-cell invariant
+//! holds *during* ingestion, which is why conversion back to the plain
+//! types is only offered as a quiesce step (`to_plain`), once no writer
+//! is mid-update: every writer joined, or paused behind a lock it holds
+//! across each update. The join or the lock is the happens-before edge
+//! that makes the relaxed loads well-defined.
 //!
 //! Orderings are `Relaxed` throughout: each cell is an independent
 //! commutative accumulator, the estimators' guarantees never depend on
@@ -28,17 +28,17 @@
 //! threshold *during* ingestion): an `f64` carried as bits in an
 //! `AtomicU64`, folded per chunk through a `compare_exchange_weak` loop.
 //! Retries of that loop are the workload's real contention signal and
-//! are counted per thread in [`AtomicScratch::cas_retries`] for the obs
-//! layer to drain. The live value is approximate (f64 accumulation order
-//! varies); the quiesced sketch recomputes the exact integer Σc² from
-//! the final counters, the same way merge and decode already do.
+//! are counted per thread for the obs layer to drain with
+//! [`AtomicScratch::take_cas_retries`]. The live value is approximate
+//! (f64 accumulation order varies); the quiesced sketch recomputes the
+//! exact integer Σc² from the final counters, the same way merge and
+//! decode already do.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use sss_hash::{reduce_inputs, FieldPowers, FourWiseSign, PairwiseHash};
 
-use crate::ams::AmsF2;
 use crate::batch::BATCH_CHUNK;
 use crate::countmin::CountMin;
 use crate::countsketch::{median_i64, median_u128_as_f64, CountSketch};
@@ -107,20 +107,23 @@ struct AtomicCountMin {
 }
 
 impl AtomicCountMin {
-    /// Lift a plain sketch into shared-atomic form. Returns `None` for
-    /// conservative-update sketches: their raise-to-max pass is
+    /// Lift a plain sketch into shared-atomic form.
+    ///
+    /// # Panics
+    /// On a conservative-update sketch: its raise-to-max pass is
     /// item-serial and order-dependent, so concurrent updates would not
-    /// quiesce to the sequential grid (they are not mergeable either).
-    fn from_plain(cm: &CountMin) -> Option<Self> {
-        if cm.is_conservative() {
-            return None;
-        }
-        Some(Self {
+    /// quiesce to the sequential grid (it is not mergeable either).
+    fn from_plain(cm: &CountMin) -> Self {
+        assert!(
+            !cm.is_conservative(),
+            "a conservative-update CountMin cannot go shared-atomic"
+        );
+        Self {
             width: cm.width(),
             counters: cm.counters().iter().map(|&c| AtomicU64::new(c)).collect(),
             hashes: cm.hashes().to_vec(),
             total: AtomicU64::new(cm.total()),
-        })
+        }
     }
 
     /// Quiesce to a plain sketch. Callers must have joined or paused
@@ -207,58 +210,6 @@ impl AtomicCountSketch {
 }
 
 // ---------------------------------------------------------------------
-// AMS F2
-// ---------------------------------------------------------------------
-
-/// Shared-atomic [`AmsF2`]: the tug-of-war Z counters as `AtomicI64`.
-/// Each chunk folds its SWAR sign-sum into every counter with one
-/// relaxed `fetch_add` — the cheapest possible contention profile, since
-/// writes are per-chunk, not per-item.
-#[derive(Debug)]
-pub struct AtomicAmsF2 {
-    copies: usize,
-    z: Vec<AtomicI64>,
-    signs: Vec<FourWiseSign>,
-    total: AtomicU64,
-    seed: Option<u64>,
-}
-
-impl AtomicAmsF2 {
-    /// Lift a plain sketch into shared-atomic form.
-    pub fn from_plain(ams: &AmsF2) -> Self {
-        Self {
-            copies: ams.copies(),
-            z: ams.z().iter().map(|&v| AtomicI64::new(v)).collect(),
-            signs: ams.signs().to_vec(),
-            total: AtomicU64::new(ams.total()),
-            seed: ams.seed(),
-        }
-    }
-
-    /// Add one occurrence each of a batch of items.
-    pub fn update_batch(&self, xs: &[u64], scratch: &mut AtomicScratch) {
-        for chunk in xs.chunks(BATCH_CHUNK) {
-            scratch.powers.reduce(chunk);
-            for (zi, sign) in self.z.iter().zip(self.signs.iter()) {
-                zi.fetch_add(sign.sign_sum_batch(&scratch.powers), Ordering::Relaxed);
-            }
-            self.total.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Quiesce to a plain sketch (writers joined or paused).
-    pub fn to_plain(&self) -> AmsF2 {
-        AmsF2::from_parts(
-            self.copies,
-            self.z.iter().map(|z| z.load(Ordering::Relaxed)).collect(),
-            self.signs.clone(),
-            self.total.load(Ordering::Relaxed),
-            self.seed,
-        )
-    }
-}
-
-// ---------------------------------------------------------------------
 // Heavy-hitter reporters over shared-atomic grids
 // ---------------------------------------------------------------------
 
@@ -278,14 +229,18 @@ pub struct AtomicCmHeavyHitters {
 }
 
 impl AtomicCmHeavyHitters {
-    /// Lift a plain reporter into shared-atomic form (`None` if its
-    /// sketch is conservative).
-    pub fn from_plain(hh: &CmHeavyHitters) -> Option<Self> {
-        Some(Self {
-            cm: AtomicCountMin::from_plain(hh.cm())?,
+    /// Lift a plain reporter into shared-atomic form.
+    ///
+    /// # Panics
+    /// If its sketch is conservative-update (see
+    /// [`CmHeavyHitters::check_merge`]: such a reporter merges with
+    /// nothing, itself included).
+    pub fn from_plain(hh: &CmHeavyHitters) -> Self {
+        Self {
+            cm: AtomicCountMin::from_plain(hh.cm()),
             tracker: Mutex::new(hh.tracker().clone()),
             alpha: hh.alpha(),
-        })
+        }
     }
 
     /// Ingest a batch: batch-hash every row, then an item-serial sweep
@@ -450,7 +405,7 @@ fn lock_tracker(m: &Mutex<TopKTracker>) -> std::sync::MutexGuard<'_, TopKTracker
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sss_codec::WireCodec;
+    use sss_codec::{Reader, WireCodec};
     use sss_hash::{RngCore64, Xoshiro256pp};
     use std::sync::Arc;
 
@@ -478,16 +433,29 @@ mod tests {
         let xs = stream(20_000, 1);
         let mut plain = CmHeavyHitters::new(0.1, 0.01, 0.01, 2);
         plain.update_batch(&xs);
-        let atomic =
-            AtomicCmHeavyHitters::from_plain(&CmHeavyHitters::new(0.1, 0.01, 0.01, 2)).unwrap();
+        let atomic = AtomicCmHeavyHitters::from_plain(&CmHeavyHitters::new(0.1, 0.01, 0.01, 2));
         let mut scratch = AtomicScratch::new();
         atomic.update_batch(&xs, &mut scratch);
         assert_eq!(encode(plain.cm()), encode(atomic.to_plain().cm()));
     }
 
+    /// Only the codec can build a reporter over a conservative CountMin:
+    /// decode its sections, flip the sketch's flag, re-encode.
     #[test]
-    fn countmin_rejects_conservative() {
-        assert!(AtomicCountMin::from_plain(&CountMin::new(2, 16, 1).conservative()).is_none());
+    #[should_panic(expected = "conservative-update CountMin cannot go shared-atomic")]
+    fn cm_hh_from_plain_panics_on_a_conservative_sketch() {
+        let bytes = CmHeavyHitters::new(0.1, 0.01, 0.01, 1).encode();
+        let mut r = Reader::new(&bytes);
+        let mut crafted = f64::decode(&mut r).unwrap().encode();
+        CountMin::decode(&mut r)
+            .unwrap()
+            .conservative()
+            .encode_into(&mut crafted);
+        TopKTracker::decode(&mut r)
+            .unwrap()
+            .encode_into(&mut crafted);
+        let hh = CmHeavyHitters::decode_slice(&crafted).unwrap();
+        let _ = AtomicCmHeavyHitters::from_plain(&hh);
     }
 
     #[test]
@@ -504,19 +472,8 @@ mod tests {
         assert_eq!(plain.f2_sqrt(), quiesced.f2_sqrt());
     }
 
-    #[test]
-    fn ams_single_thread_roundtrip_is_bitwise() {
-        let xs = stream(20_000, 5);
-        let mut plain = AmsF2::new(5, 16, 6);
-        plain.update_batch(&xs);
-        let atomic = AtomicAmsF2::from_plain(&AmsF2::new(5, 16, 6));
-        let mut scratch = AtomicScratch::new();
-        atomic.update_batch(&xs, &mut scratch);
-        assert_eq!(encode(&plain), encode(&atomic.to_plain()));
-    }
-
-    /// The grids are reached only through the heavy-hitter wrappers (and
-    /// AMS directly), so the wrappers' sweeps are what must commute.
+    /// The grids are reached only through the heavy-hitter wrappers, so
+    /// the wrappers' sweeps are what must commute.
     #[test]
     fn multithreaded_grids_quiesce_to_sequential_state() {
         let xs = stream(40_000, 7);
@@ -526,12 +483,9 @@ mod tests {
         seq_cm.update_batch(&xs);
         let mut seq_cs = cs_proto.clone();
         seq_cs.update_batch(&xs);
-        let mut seq_ams = AmsF2::new(5, 8, 10);
-        seq_ams.update_batch(&xs);
 
-        let cm = Arc::new(AtomicCmHeavyHitters::from_plain(&cm_proto).unwrap());
+        let cm = Arc::new(AtomicCmHeavyHitters::from_plain(&cm_proto));
         let cs = Arc::new(AtomicCsHeavyHitters::from_plain(&cs_proto));
-        let ams = Arc::new(AtomicAmsF2::from_plain(&AmsF2::new(5, 8, 10)));
         let threads = 4;
         let slices: Vec<Vec<u64>> = xs
             .chunks(xs.len().div_ceil(threads))
@@ -540,12 +494,11 @@ mod tests {
         let handles: Vec<_> = slices
             .into_iter()
             .map(|slice| {
-                let (cm, cs, ams) = (Arc::clone(&cm), Arc::clone(&cs), Arc::clone(&ams));
+                let (cm, cs) = (Arc::clone(&cm), Arc::clone(&cs));
                 std::thread::spawn(move || {
                     let mut scratch = AtomicScratch::new();
                     cm.update_batch(&slice, &mut scratch);
                     cs.update_batch(&slice, &mut scratch);
-                    ams.update_batch(&slice, &mut scratch);
                 })
             })
             .collect();
@@ -556,7 +509,6 @@ mod tests {
         // sequential grids bit for bit.
         assert_eq!(encode(seq_cm.cm()), encode(cm.to_plain().cm()));
         assert_eq!(encode(seq_cs.cs()), encode(cs.to_plain().cs()));
-        assert_eq!(encode(&seq_ams), encode(&ams.to_plain()));
     }
 
     #[test]
@@ -565,8 +517,7 @@ mod tests {
         xs.extend(std::iter::repeat_n(3u64, 8000));
         let mut plain = CmHeavyHitters::new(0.1, 0.01, 0.01, 12);
         plain.update_batch(&xs);
-        let atomic =
-            AtomicCmHeavyHitters::from_plain(&CmHeavyHitters::new(0.1, 0.01, 0.01, 12)).unwrap();
+        let atomic = AtomicCmHeavyHitters::from_plain(&CmHeavyHitters::new(0.1, 0.01, 0.01, 12));
         let mut scratch = AtomicScratch::new();
         atomic.update_batch(&xs, &mut scratch);
         assert_eq!(plain.report(), atomic.to_plain().report());

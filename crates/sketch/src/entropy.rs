@@ -307,7 +307,7 @@ impl EntropyEstimator {
     ///   `O(k)` retain per cold item into `O(1)` array ops (counters are
     ///   materialized once per chunk);
     /// - the leader scan (`MisraGries::top`, an alloc + sort every
-    ///   [`LEADER_REFRESH`] items) becomes an incrementally maintained
+    ///   `LEADER_REFRESH` (32) items) becomes an incrementally maintained
     ///   argmax — a uniform decrement preserves the ordering, so only
     ///   increments can move it;
     /// - the reservoirs' next replacement positions are cached in

@@ -13,7 +13,7 @@
 //! | [`levelset`] | Indyk–Woodruff level sets | `C̃_ℓ(L)` for Algorithm 1 (Thm 2) |
 //! | [`entropy`] | CCM suffix-count estimator | multiplicative `H(g)` for Thm 5 |
 //! | [`topk`] | candidate heavy-hitter trackers | turning point-query sketches into `O(1/α)`-item reporters |
-//! | [`atomic`] | shared-atomic grid variants | lock-free multi-threaded ingestion into one sketch state |
+//! | [`atomic`] | shared-atomic CountMin/CountSketch heavy-hitter reporters | lock-free multi-threaded ingestion into one grid |
 //!
 //! **Merge contract.** Every mergeable sketch has one
 //! `check_merge(&self, other) -> Result<(), Mismatch>` covering
@@ -36,7 +36,7 @@ pub mod misra_gries;
 pub mod topk;
 
 pub use ams::AmsF2;
-pub use atomic::{AtomicAmsF2, AtomicCmHeavyHitters, AtomicCsHeavyHitters, AtomicScratch};
+pub use atomic::{AtomicCmHeavyHitters, AtomicCsHeavyHitters, AtomicScratch};
 pub use countmin::CountMin;
 pub use countsketch::CountSketch;
 pub use entropy::EntropyEstimator;

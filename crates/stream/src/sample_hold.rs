@@ -1,5 +1,5 @@
 //! Sample-and-hold (Estan & Varghese, SIGCOMM 2002) — the other classic
-//! router sampling model the paper positions itself against (§1.3, [22]).
+//! router sampling model the paper positions itself against (§1.3, \[22\]).
 //!
 //! Under sample-and-hold, each packet is sampled with probability `p`, but
 //! once *any* packet of a flow is sampled, **every** subsequent packet of

@@ -6,9 +6,10 @@
 //! to the algorithm (§1.1, §2). [`BernoulliSampler`] implements it two ways:
 //!
 //! * a per-element coin flip ([`BernoulliSampler::keep`]), and
-//! * a skip-based iterator ([`BernoulliSampler::sample_iter`]) that draws
-//!   `Geometric(p)` gaps, doing `O(1)` RNG work per *sampled* element —
-//!   the standard trick for sampling at very low rates.
+//! * skip-based slice and batch paths ([`BernoulliSampler::sample_slice`],
+//!   [`BernoulliSampler::sample_batches`]) that draw `Geometric(p)` gaps,
+//!   doing `O(1)` RNG work per *sampled* element — the standard trick
+//!   for sampling at very low rates.
 //!
 //! [`OneInNSampler`] is the deterministic "1 out of every N packets"
 //! variant that sampled NetFlow also supports (§1.3); it is provided for
@@ -152,17 +153,6 @@ impl BernoulliSampler {
         self.sample_slice(data, |x| out.push(x));
         out
     }
-
-    /// Wrap an arbitrary iterator over `P` into an iterator over `L`.
-    pub fn sample_iter<I>(self, inner: I) -> SampledIter<I>
-    where
-        I: Iterator<Item = Item>,
-    {
-        SampledIter {
-            inner,
-            sampler: self,
-        }
-    }
 }
 
 impl WireCodec for BernoulliSampler {
@@ -224,26 +214,6 @@ impl Iterator for SkipPositions<'_> {
         }
         self.cursor = Some(idx);
         Some(idx)
-    }
-}
-
-/// Iterator adapter produced by [`BernoulliSampler::sample_iter`].
-#[derive(Debug, Clone)]
-pub struct SampledIter<I> {
-    inner: I,
-    sampler: BernoulliSampler,
-}
-
-impl<I: Iterator<Item = Item>> Iterator for SampledIter<I> {
-    type Item = Item;
-
-    #[inline]
-    fn next(&mut self) -> Option<Item> {
-        let gap = self.sampler.rng.next_geometric(self.sampler.p);
-        if gap >= usize::MAX as u64 {
-            return None;
-        }
-        self.inner.nth(gap as usize)
     }
 }
 
@@ -337,16 +307,6 @@ mod tests {
             assert_eq!(via_slice, via_batches, "batch = {batch}");
             assert_eq!(chunks, via_slice.len().div_ceil(batch), "batch = {batch}");
         }
-    }
-
-    #[test]
-    fn iterator_and_slice_paths_agree() {
-        let data: Vec<Item> = (0..30_000u64).collect();
-        let mut s1 = BernoulliSampler::new(0.05, 99);
-        let via_slice = s1.sample_to_vec(&data);
-        let s2 = BernoulliSampler::new(0.05, 99);
-        let via_iter: Vec<Item> = s2.sample_iter(data.iter().copied()).collect();
-        assert_eq!(via_slice, via_iter);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use sss_obs::{global, EventKind, MetricId, MetricsSnapshot};
 
 use crate::proto::{
     encode_push_frame, read_frame, write_frame, AckStatus, Goodbye, Hello, HelloAck, MetricsPush,
-    SnapshotAck, SnapshotDeltaPush, FEATURE_DELTA_PUSH, FEATURE_METRICS_PUSH, TAG_HELLO_ACK,
-    TAG_SNAPSHOT_ACK, TRANSPORT_PROTO_VERSION,
+    SnapshotAck, SnapshotDeltaPush, FEATURE_DELTA_PUSH, FEATURE_METRICS_PUSH,
+    TRANSPORT_PROTO_VERSION,
 };
 use crate::TransportError;
 
@@ -349,19 +349,7 @@ impl SiteClient {
         .encode_framed();
         self.with_retries(|c| {
             c.ensure_connected()?;
-            let t0 = global().timer();
-            let stream = c.conn.as_mut().expect("ensure_connected ran");
-            write_frame(stream, &frame)?;
-            c.stats.bytes_out += frame.len() as u64;
-            global().add(MetricId::TransportBytesOutTotal, frame.len() as u64);
-            let (fh, bytes) = read_frame(stream, c.cfg.max_frame_payload)?;
-            global().observe_since(MetricId::TransportPushRttNanos, t0);
-            if fh.tag != TAG_SNAPSHOT_ACK {
-                return Err(TransportError::Protocol {
-                    what: format!("expected SnapshotAck, got tag {:#06x}", fh.tag),
-                });
-            }
-            let ack = SnapshotAck::decode_framed(&bytes)?;
+            let ack = c.send_push(&frame)?;
             match ack.status {
                 AckStatus::Rejected => Err(TransportError::Rejected { reason: ack.reason }),
                 _ => Ok(()),
@@ -468,13 +456,7 @@ impl SiteClient {
                 },
         };
         write_frame(&mut stream, &hello.encode_framed())?;
-        let (fh, bytes) = read_frame(&mut stream, self.cfg.max_frame_payload)?;
-        if fh.tag != TAG_HELLO_ACK {
-            return Err(TransportError::Protocol {
-                what: format!("expected HelloAck, got tag {:#06x}", fh.tag),
-            });
-        }
-        let ack = HelloAck::decode_framed(&bytes)?;
+        let ack: HelloAck = read_reply(&mut stream, self.cfg.max_frame_payload)?;
         if !ack.accepted {
             return Err(TransportError::HandshakeRefused { reason: ack.reason });
         }
@@ -494,22 +476,22 @@ impl SiteClient {
         Ok(())
     }
 
-    /// One write-push-await-ack round trip on the current connection.
-    fn push_once(&mut self, expected_seq: u64, frame: &[u8]) -> Result<AckOutcome, TransportError> {
-        let cap = self.cfg.max_frame_payload;
+    /// Write one push frame on the current connection and await its
+    /// ack, counting the bytes out and timing the round trip.
+    fn send_push(&mut self, frame: &[u8]) -> Result<SnapshotAck, TransportError> {
         let stream = self.conn.as_mut().expect("ensure_connected ran");
         let t0 = global().timer();
         write_frame(stream, frame)?;
         self.stats.bytes_out += frame.len() as u64;
         global().add(MetricId::TransportBytesOutTotal, frame.len() as u64);
-        let (fh, bytes) = read_frame(stream, cap)?;
+        let ack = read_reply(stream, self.cfg.max_frame_payload)?;
         global().observe_since(MetricId::TransportPushRttNanos, t0);
-        if fh.tag != TAG_SNAPSHOT_ACK {
-            return Err(TransportError::Protocol {
-                what: format!("expected SnapshotAck, got tag {:#06x}", fh.tag),
-            });
-        }
-        let ack = SnapshotAck::decode_framed(&bytes)?;
+        Ok(ack)
+    }
+
+    /// One write-push-await-ack round trip on the current connection.
+    fn push_once(&mut self, expected_seq: u64, frame: &[u8]) -> Result<AckOutcome, TransportError> {
+        let ack = self.send_push(frame)?;
         match ack.status {
             AckStatus::Rejected => Err(TransportError::Rejected { reason: ack.reason }),
             _ if ack.seq != expected_seq => Err(TransportError::Protocol {
@@ -520,4 +502,16 @@ impl SiteClient {
             AckStatus::RejectedUnknownBase => Ok(AckOutcome::UnknownBase),
         }
     }
+}
+
+/// Read the collector's reply frame and decode it as `M`, whose wire tag
+/// it must carry.
+fn read_reply<M: WireCodec>(stream: &mut TcpStream, cap: usize) -> Result<M, TransportError> {
+    let (fh, bytes) = read_frame(stream, cap)?;
+    if fh.tag != M::WIRE_TAG {
+        return Err(TransportError::Protocol {
+            what: format!("expected tag {:#06x}, got tag {:#06x}", M::WIRE_TAG, fh.tag),
+        });
+    }
+    Ok(M::decode_framed(&bytes)?)
 }

@@ -79,46 +79,45 @@ pub enum RejectReason {
     UnknownBase,
 }
 
+/// Every reason in declaration order — row `i` is the reason whose
+/// discriminant is `i` — with its stable label and the registry counter
+/// behind it. The per-reason counters live in the shared metric
+/// registry, one source of truth for [`TransportStats`], the wire export
+/// and the `/metrics` renders.
+#[rustfmt::skip] // one row per line keeps it a table
+const REJECT_TABLE: [(RejectReason, &str, MetricId); RejectReason::COUNT] = {
+    use MetricId as M;
+    use RejectReason as R;
+    [
+        (R::BadMagic, "bad_magic", M::TransportRejectBadMagicTotal),
+        (R::UnsupportedVersion, "unsupported_version", M::TransportRejectUnsupportedVersionTotal),
+        (R::TagMismatch, "tag_mismatch", M::TransportRejectTagMismatchTotal),
+        (R::UnknownTag, "unknown_tag", M::TransportRejectUnknownTagTotal),
+        (R::Truncated, "truncated", M::TransportRejectTruncatedTotal),
+        (R::TrailingBytes, "trailing_bytes", M::TransportRejectTrailingBytesTotal),
+        (R::ChecksumMismatch, "checksum_mismatch", M::TransportRejectChecksumMismatchTotal),
+        (R::InvalidPayload, "invalid_payload", M::TransportRejectInvalidPayloadTotal),
+        (R::Oversize, "oversize", M::TransportRejectOversizeTotal),
+        (R::MergeIncompatible, "merge_incompatible", M::TransportRejectMergeIncompatibleTotal),
+        (R::SiteMismatch, "site_mismatch", M::TransportRejectSiteMismatchTotal),
+        (R::UnexpectedMessage, "unexpected_message", M::TransportRejectUnexpectedMessageTotal),
+        (R::HandshakeRefused, "handshake_refused", M::TransportRejectHandshakeRefusedTotal),
+        (R::UnknownBase, "unknown_base", M::TransportRejectUnknownBaseTotal),
+    ]
+};
+
 impl RejectReason {
     /// Number of distinct reasons (length of the counter array).
     pub const COUNT: usize = 14;
 
-    /// Every reason, index-aligned with the counter array.
-    pub const ALL: [RejectReason; Self::COUNT] = [
-        RejectReason::BadMagic,
-        RejectReason::UnsupportedVersion,
-        RejectReason::TagMismatch,
-        RejectReason::UnknownTag,
-        RejectReason::Truncated,
-        RejectReason::TrailingBytes,
-        RejectReason::ChecksumMismatch,
-        RejectReason::InvalidPayload,
-        RejectReason::Oversize,
-        RejectReason::MergeIncompatible,
-        RejectReason::SiteMismatch,
-        RejectReason::UnexpectedMessage,
-        RejectReason::HandshakeRefused,
-        RejectReason::UnknownBase,
-    ];
-
     /// Stable label for logs and JSON.
     pub fn label(&self) -> &'static str {
-        match self {
-            RejectReason::BadMagic => "bad_magic",
-            RejectReason::UnsupportedVersion => "unsupported_version",
-            RejectReason::TagMismatch => "tag_mismatch",
-            RejectReason::UnknownTag => "unknown_tag",
-            RejectReason::Truncated => "truncated",
-            RejectReason::TrailingBytes => "trailing_bytes",
-            RejectReason::ChecksumMismatch => "checksum_mismatch",
-            RejectReason::InvalidPayload => "invalid_payload",
-            RejectReason::Oversize => "oversize",
-            RejectReason::MergeIncompatible => "merge_incompatible",
-            RejectReason::SiteMismatch => "site_mismatch",
-            RejectReason::UnexpectedMessage => "unexpected_message",
-            RejectReason::HandshakeRefused => "handshake_refused",
-            RejectReason::UnknownBase => "unknown_base",
-        }
+        REJECT_TABLE[*self as usize].1
+    }
+
+    /// The registry counter this reason bumps.
+    fn metric(self) -> MetricId {
+        REJECT_TABLE[self as usize].2
     }
 
     /// The counter a [`CodecError`] lands in — variant for variant, so
@@ -136,29 +135,6 @@ impl RejectReason {
             CodecError::Invalid { .. } => RejectReason::InvalidPayload,
             CodecError::BadBase { .. } => RejectReason::UnknownBase,
         }
-    }
-}
-
-/// The registry counter behind each rejection reason. The per-reason
-/// counters live in the shared metric registry (one source of truth for
-/// [`TransportStats`], the wire export and the `/metrics` renders);
-/// this is the index mapping.
-fn reject_metric(reason: RejectReason) -> MetricId {
-    match reason {
-        RejectReason::BadMagic => MetricId::TransportRejectBadMagicTotal,
-        RejectReason::UnsupportedVersion => MetricId::TransportRejectUnsupportedVersionTotal,
-        RejectReason::TagMismatch => MetricId::TransportRejectTagMismatchTotal,
-        RejectReason::UnknownTag => MetricId::TransportRejectUnknownTagTotal,
-        RejectReason::Truncated => MetricId::TransportRejectTruncatedTotal,
-        RejectReason::TrailingBytes => MetricId::TransportRejectTrailingBytesTotal,
-        RejectReason::ChecksumMismatch => MetricId::TransportRejectChecksumMismatchTotal,
-        RejectReason::InvalidPayload => MetricId::TransportRejectInvalidPayloadTotal,
-        RejectReason::Oversize => MetricId::TransportRejectOversizeTotal,
-        RejectReason::MergeIncompatible => MetricId::TransportRejectMergeIncompatibleTotal,
-        RejectReason::SiteMismatch => MetricId::TransportRejectSiteMismatchTotal,
-        RejectReason::UnexpectedMessage => MetricId::TransportRejectUnexpectedMessageTotal,
-        RejectReason::HandshakeRefused => MetricId::TransportRejectHandshakeRefusedTotal,
-        RejectReason::UnknownBase => MetricId::TransportRejectUnknownBaseTotal,
     }
 }
 
@@ -266,10 +242,11 @@ impl TransportStats {
 
     /// `(label, count)` for every reason with a nonzero counter.
     pub fn rejected_nonzero(&self) -> Vec<(&'static str, u64)> {
-        RejectReason::ALL
+        REJECT_TABLE
             .iter()
-            .filter(|r| self.rejected[**r as usize] > 0)
-            .map(|r| (r.label(), self.rejected[*r as usize]))
+            .zip(self.rejected)
+            .filter(|(_, n)| *n > 0)
+            .map(|((_, label, _), n)| (*label, n))
             .collect()
     }
 }
@@ -348,7 +325,7 @@ struct Shared {
 
 impl Shared {
     fn reject(&self, reason: RejectReason) {
-        self.reg.inc(reject_metric(reason));
+        self.reg.inc(reason.metric());
         self.reg
             .event(EventKind::SnapshotRejected, 0, 0, reason.label());
     }
@@ -507,7 +484,7 @@ impl CollectorServer {
             snapshots_accepted: reg.value(MetricId::TransportSnapshotsAcceptedTotal),
             snapshots_duplicate: reg.value(MetricId::TransportSnapshotsDuplicateTotal),
             bytes_in: reg.value(MetricId::TransportBytesInTotal),
-            rejected: std::array::from_fn(|i| reg.value(reject_metric(RejectReason::ALL[i]))),
+            rejected: REJECT_TABLE.map(|(_, _, metric)| reg.value(metric)),
             sites: sites
                 .iter()
                 .map(|(id, s)| SiteTransportStats {
@@ -1173,4 +1150,19 @@ fn refuse_hello(stream: &mut TcpStream, reason: String) {
         features: 0,
     };
     let _ = write_frame(stream, &ack.encode_framed());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `label()`, `metric()` and the counter array index the table by
+    /// discriminant, so each row must sit at its reason's discriminant.
+    #[test]
+    fn reject_table_rows_sit_at_their_discriminants() {
+        for (i, (reason, label, _)) in REJECT_TABLE.iter().enumerate() {
+            assert_eq!(*reason as usize, i, "{label}");
+            assert_eq!(reason.label(), *label);
+        }
+    }
 }

@@ -31,7 +31,7 @@ impl WindowConfig {
     ///
     /// # Panics
     /// If either dimension is zero, or `buckets` exceeds
-    /// [`MAX_WINDOW_BUCKETS`].
+    /// `MAX_WINDOW_BUCKETS` (`u32::MAX`).
     pub fn new(buckets: usize, bucket_span: u64) -> Self {
         assert!(buckets >= 1, "window needs at least one bucket");
         assert!(

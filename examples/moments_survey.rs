@@ -13,7 +13,7 @@
 //! 4. naive normalisation `F_2(L)/p²`.
 
 use subsampled_streams::core::{
-    recommended_levelset_config, ApproxParams, NaiveScaledFk, RusuDobraF2, SampledFkEstimator,
+    recommended_levelset_config, NaiveScaledFk, RusuDobraF2, SampledFkEstimator,
     SubsampledEstimator,
 };
 use subsampled_streams::stream::{
@@ -53,10 +53,10 @@ fn survey(label: &str, stream: &[u64], m: u64) {
                 rd.update(x);
                 naive.update(x);
             });
-            e1.push(ApproxParams::mult_error(alg1.estimate().value, truth));
-            e2.push(ApproxParams::mult_error(alg1s.estimate().value, truth));
-            e3.push(ApproxParams::mult_error(rd.estimate().value, truth));
-            e4.push(ApproxParams::mult_error(naive.estimate().value, truth));
+            e1.push(alg1.estimate().mult_error(truth));
+            e2.push(alg1s.estimate().mult_error(truth));
+            e3.push(rd.estimate().mult_error(truth));
+            e4.push(naive.estimate().mult_error(truth));
         }
         println!(
             "{:>6}  {:>12.4}  {:>14.4}  {:>12.4}  {:>12.4}",

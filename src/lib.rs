@@ -8,8 +8,8 @@
 //! ## Quickstart: one monitor, one pass, every statistic
 //!
 //! The paper's five results are unified behind the
-//! [`SubsampledEstimator`](core::SubsampledEstimator) trait and driven
-//! together by a [`Monitor`](core::Monitor): register the statistics you
+//! [`SubsampledEstimator`] trait and driven
+//! together by a [`Monitor`]: register the statistics you
 //! want, feed the sampled stream once (batched), read typed estimates.
 //!
 //! ```
@@ -68,22 +68,22 @@
 //!   batch-capable; the mergeable ones expose a non-mutating
 //!   `check_merge` returning a typed [`Mismatch`](sketch::Mismatch),
 //! * [`core`] — the paper's estimators behind the unified trait, the
-//!   [`Monitor`](core::Monitor) pipeline (one mergeability decision,
+//!   [`Monitor`] pipeline (one mergeability decision,
 //!   [`Monitor::check_mergeable`](core::Monitor::check_mergeable)) and its
 //!   multi-threaded
-//!   [`ConcurrentMonitor`](core::ConcurrentMonitor) front end, the
+//!   [`ConcurrentMonitor`] front end, the
 //!   baselines, and the flow-distribution / adaptive-rate extensions,
 //! * [`transport`] — the TCP snapshot transport: a
-//!   [`CollectorServer`](transport::CollectorServer) accepting site
+//!   [`CollectorServer`] accepting site
 //!   connections and folding their pushed snapshots (per-reason
 //!   rejection counters, sequence-number dedup), and a
-//!   [`SiteClient`](transport::SiteClient) shipping checkpoints with
+//!   [`SiteClient`] shipping checkpoints with
 //!   bounded-retry exponential-backoff reconnect,
 //! * [`window`] — sliding-window statistics: the tumbling-bucket
-//!   [`WindowedMonitor`](window::WindowedMonitor) (each bucket a full
+//!   [`WindowedMonitor`] (each bucket a full
 //!   sub-`Monitor`; queries fold live buckets through the merge
 //!   algebra), and a continuous-query surface emitting typed
-//!   [`Alert`](window::Alert)s on bucket rollover,
+//!   [`Alert`]s on bucket rollover,
 //! * [`obs`] — the workspace-wide observability layer: a process-global
 //!   metric [`Registry`](obs::Registry) (atomic counters, gauges, log2
 //!   histograms) and event tracer every other crate records into,

@@ -7,7 +7,8 @@
 use std::sync::Arc;
 
 use subsampled_streams::core::{
-    ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, ParallelStrategy, Statistic,
+    ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, ParallelStrategy, RusuDobraF2,
+    Statistic,
 };
 use subsampled_streams::stream::{
     ExactStats, NetFlowStream, PlantedHeavyHitters, StreamGen, ZipfStream,
@@ -39,6 +40,7 @@ pub fn full_proto(p: f64) -> Monitor {
         .entropy(1024)
         .f1_heavy_hitters(0.08, 0.2, 0.05)
         .f2_heavy_hitters(0.4, 0.2, 0.05)
+        .register("F2_rd", RusuDobraF2::new(p, 3, 32, 2025))
         .build()
 }
 
@@ -65,8 +67,10 @@ pub fn run_concurrent(
 /// jointly see exactly the original multiset. Integer `fetch_add`s on
 /// the shared CountMin grid commute, and CountMin replicas with shared
 /// hashes merge linearly, so every heavy item the single monitor reports
-/// must appear with an *identical* sketch estimate. Bottom-k `F_0` and
-/// collision `F_k` are exact under the key partition and under the
+/// must appear with an *identical* sketch estimate. Rusu–Dobra's AMS
+/// replicas keep the prototype's signs, so their linear merge is the
+/// sequential sketch and its estimate has the same bits. Bottom-k `F_0`
+/// and collision `F_k` are exact under the key partition and under the
 /// replica merge. Entropy merges as a length-weighted average of
 /// round-robin slices of the same mix and only promises a constant band.
 pub fn p_one_matches_single_monitor(strategy: ParallelStrategy) {
@@ -78,6 +82,7 @@ pub fn p_one_matches_single_monitor(strategy: ParallelStrategy) {
         let f2_single = single.estimate(Statistic::Fk(2)).unwrap().value;
         let hh_single = single.estimate(Statistic::F1HeavyHitters).unwrap();
         let h_single = single.estimate(Statistic::Entropy).unwrap().value;
+        let rd_single = single.estimate_labeled("F2_rd").unwrap().value;
 
         for threads in THREAD_COUNTS {
             let tag = format!("{name}/{strategy:?}/{threads}");
@@ -93,6 +98,12 @@ pub fn p_one_matches_single_monitor(strategy: ParallelStrategy) {
             assert!(
                 (f2 - f2_single).abs() <= 1e-6 * f2_single.abs().max(1.0),
                 "{tag}: collision F2 {f2} vs {f2_single}"
+            );
+            let rd = merged.estimate_labeled("F2_rd").unwrap().value;
+            assert_eq!(
+                rd.to_bits(),
+                rd_single.to_bits(),
+                "{tag}: Rusu–Dobra F2 {rd} vs {rd_single} (AMS sketches must be bitwise equal)"
             );
             let hh = merged.estimate(Statistic::F1HeavyHitters).unwrap();
             for (item, freq) in &hh_single.report {

@@ -5,9 +5,7 @@
 //! multi-monitor setting its related work on distributed sampling
 //! addresses.)
 
-use subsampled_streams::core::{
-    ApproxParams, SampledF0Estimator, SampledFkEstimator, SubsampledEstimator,
-};
+use subsampled_streams::core::{SampledF0Estimator, SampledFkEstimator, SubsampledEstimator};
 use subsampled_streams::stream::{BernoulliSampler, ExactStats, StreamGen, ZipfStream};
 
 /// Split a stream across `sites` monitors, sample each independently,
@@ -38,7 +36,7 @@ fn merged_fk_matches_single_monitor_semantics() {
             }
         }
         let merged = merged.unwrap();
-        let err = ApproxParams::mult_error(merged.estimate().value, truth);
+        let err = merged.estimate().mult_error(truth);
         assert!(err < 1.1, "{sites} sites: error {err}");
     }
 }
@@ -83,7 +81,7 @@ fn merged_f0_matches_union_semantics() {
     merged.merge(&build(&site_b, 12));
 
     let union_f0 = 100_000.0;
-    let err = ApproxParams::mult_error(merged.estimate().value, union_f0);
+    let err = merged.estimate().mult_error(union_f0);
     assert!(
         err <= merged.error_factor(),
         "union error {err} above ceiling {}",

@@ -2,7 +2,7 @@
 //! through the facade crate's public API, checked against exact statistics.
 
 use subsampled_streams::core::{
-    recommended_levelset_config, ApproxParams, SampledEntropyEstimator, SampledF0Estimator,
+    recommended_levelset_config, SampledEntropyEstimator, SampledF0Estimator,
     SampledF1HeavyHitters, SampledFkEstimator, SubsampledEstimator,
 };
 use subsampled_streams::stream::{
@@ -43,13 +43,13 @@ fn full_monitor_pipeline_on_three_workloads() {
         });
 
         // F2/F3: within 15% on every workload at p = 0.1.
-        let e2 = ApproxParams::mult_error(f2.estimate().value, exact.fk(2));
-        let e3 = ApproxParams::mult_error(f3.estimate().value, exact.fk(3));
+        let e2 = f2.estimate().mult_error(exact.fk(2));
+        let e3 = f3.estimate().mult_error(exact.fk(3));
         assert!(e2 < 1.15, "{name}: F2 error {e2}");
         assert!(e3 < 1.25, "{name}: F3 error {e3}");
 
         // F0: within the Lemma 8 ceiling.
-        let e0 = ApproxParams::mult_error(f0.estimate().value, exact.f0() as f64);
+        let e0 = f0.estimate().mult_error(exact.f0() as f64);
         assert!(e0 <= f0.error_factor(), "{name}: F0 error {e0}");
 
         // Entropy: constant factor (all three workloads are far above the

@@ -102,7 +102,7 @@ fn lemma8_ceiling_never_violated() {
                 let mut est = SampledF0Estimator::new(p, 0.01, seed);
                 let mut sampler = BernoulliSampler::new(p, 1000 + seed);
                 sampler.sample_slice(stream, |x| est.update(x));
-                let err = ApproxParams::mult_error(est.estimate().value, truth);
+                let err = est.estimate().mult_error(truth);
                 assert!(
                     err <= est.error_factor(),
                     "stream {si}, p={p}, seed={seed}: {err} > {}",
@@ -125,7 +125,7 @@ fn theorem4_hard_pair_error_floor() {
             let mut est = SampledF0Estimator::new(p, 0.01, 5);
             let mut sampler = BernoulliSampler::new(p, 6);
             sampler.sample_slice(&stream, |x| est.update(x));
-            worst = worst.max(ApproxParams::mult_error(est.estimate().value, truth));
+            worst = worst.max(est.estimate().mult_error(truth));
         }
         let floor = subsampled_streams::core::f0_lower_bound_factor(p);
         assert!(worst >= floor, "p={p}: worst {worst} < floor {floor}");
