@@ -1,6 +1,5 @@
-//! Windowed-monitor overhead and query-fold latency, with
-//! machine-readable results written to `BENCH_window.json` at the
-//! workspace root.
+//! Windowed-monitor overhead and read latency, with machine-readable
+//! results written to `BENCH_window.json` at the workspace root.
 //!
 //! ```text
 //! cargo bench --bench bench_window            # full workload
@@ -22,8 +21,9 @@
 //!   monitor is also timed as an informational row — the batch kernels
 //!   amortise warm-up over stream length, so that ratio conflates
 //!   windowing cost with bucket-size effects and is not pinned.
-//! * **Query-fold latency** — answering a window query clones the
-//!   prototype and merges every live bucket, so cost scales with the
+//! * **Read latency** — a windowed read
+//!   (`WindowedMonitor::estimate(Statistic::F0)`) clones the `F0` slot
+//!   and folds that slot of every live bucket, so cost scales with the
 //!   bucket count; measured at 1, 2, 4 and 8 live buckets.
 
 use sss_bench::BenchGroup;
@@ -130,28 +130,27 @@ fn main() {
          baseline's {segmented:.2} ns/elem"
     );
 
-    // Query-fold latency as the live ring grows: fill `b` epochs of a
-    // `b`-bucket window, then time fold + one estimate. Elements = 1 so
-    // ns/elem IS ns/fold.
-    let fold_n: u64 = if quick { 40_000 } else { 400_000 };
-    let mut f = BenchGroup::new("window_query_fold", 1);
-    let mut fold_rows: Vec<(usize, f64)> = Vec::new();
+    // Read latency as the live ring grows: fill `b` epochs of a
+    // `b`-bucket window, then time one `F0` read. Elements = 1 so
+    // ns/elem IS ns/read.
+    let read_n: u64 = if quick { 40_000 } else { 400_000 };
+    let mut r = BenchGroup::new("window_query_read", 1);
+    let mut read_rows: Vec<(usize, f64)> = Vec::new();
     for buckets in [1usize, 2, 4, 8] {
-        let fold_span = fold_n / buckets as u64;
-        let mut w = WindowedMonitor::new(prototype(), WindowConfig::new(buckets, fold_span));
-        for (ts, xs) in epoch_batches(fold_n, fold_span) {
+        let read_span = read_n / buckets as u64;
+        let mut w = WindowedMonitor::new(prototype(), WindowConfig::new(buckets, read_span));
+        for (ts, xs) in epoch_batches(read_n, read_span) {
             w.ingest_batch_at(ts, &xs);
         }
         assert_eq!(w.live_buckets(), buckets, "ring must be full");
-        let label = format!("fold_{buckets}_buckets");
-        f.bench(&label, || {
-            let fold = w.fold();
-            fold.estimate(Statistic::F0)
+        let label = format!("read_{buckets}_buckets");
+        r.bench(&label, || {
+            w.estimate(Statistic::F0)
                 .expect("registered")
                 .value
                 .to_bits()
         });
-        fold_rows.push((buckets, f.median_of(&label)));
+        read_rows.push((buckets, r.median_of(&label)));
     }
 
     // Machine-readable trajectory datapoint (hand-rolled JSON: the
@@ -189,11 +188,11 @@ fn main() {
     ));
     json.push_str("    \"target_max_ratio\": 1.3\n");
     json.push_str("  },\n");
-    json.push_str("  \"query_fold\": [\n");
-    for (i, (buckets, ns)) in fold_rows.iter().enumerate() {
+    json.push_str("  \"query_read\": [\n");
+    for (i, (buckets, ns)) in read_rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"live_buckets\": {buckets}, \"ns_per_fold\": {ns:.0}}}{}\n",
-            if i + 1 == fold_rows.len() { "" } else { "," }
+            "    {{\"live_buckets\": {buckets}, \"ns_per_read\": {ns:.0}}}{}\n",
+            if i + 1 == read_rows.len() { "" } else { "," }
         ));
     }
     json.push_str("  ]\n}\n");

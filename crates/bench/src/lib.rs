@@ -28,8 +28,10 @@ pub mod schema {
     /// `BENCH_window.json` (written by `bench_window`). v3 pins the
     /// windowed/segmented ratio (fresh forked monitor per epoch — the
     /// warm-up-matched control) and demotes the whole-stream ratio to
-    /// an informational row.
-    pub const WINDOW: u32 = 3;
+    /// an informational row. v4 replaces the `query_fold` rows (fold +
+    /// estimate) with `query_read` / `ns_per_read`: one
+    /// `WindowedMonitor::estimate`, which folds only the slot it reads.
+    pub const WINDOW: u32 = 4;
     /// `BENCH_ingest.json` (written by `bench_ingest`).
     pub const INGEST: u32 = 1;
     /// `BENCH_obs.json` (written by `bench_obs`).

@@ -198,6 +198,14 @@ pub(crate) struct Entry {
     pub(crate) est: Box<dyn DynEstimator>,
 }
 
+/// Fold slot `i` of every one of `others` (which passed
+/// [`Monitor::check_mergeable`]) into `acc` — the one per-slot fold
+/// behind [`Monitor::merge_all`] and [`Monitor::merged_estimate_labeled`].
+fn fold_slot(acc: &mut dyn DynEstimator, others: &[&Monitor], i: usize) {
+    let slots: Vec<&dyn Any> = others.iter().map(|o| o.entries[i].est.as_any()).collect();
+    acc.merge_all_dyn(&slots);
+}
+
 impl Clone for Entry {
     fn clone(&self) -> Self {
         Entry {
@@ -508,16 +516,39 @@ impl Monitor {
     /// When [`Monitor::check_mergeable`] fails for any of `others`;
     /// `self` is then unchanged.
     pub fn merge_all(&mut self, others: &[&Monitor]) {
+        self.check_all_mergeable(others);
+        for (i, mine) in self.entries.iter_mut().enumerate() {
+            fold_slot(mine.est.as_mut(), others, i);
+        }
+        self.samples += others.iter().map(|o| o.samples).sum::<u64>();
+    }
+
+    /// The estimate under `label` of `self` merged with `others` — what
+    /// a clone of `self`, [`Monitor::merge_all`]-ed with `others`, would
+    /// answer, bit for bit — without the clone or the other slots'
+    /// folds: slots merge independently, so only `label`'s slot is
+    /// cloned and folded. `None` if `label` is not registered (nothing
+    /// is checked or folded then).
+    ///
+    /// # Panics
+    /// When [`Monitor::check_mergeable`] fails for any of `others`, as
+    /// [`Monitor::merge_all`] does.
+    pub fn merged_estimate_labeled(&self, others: &[&Monitor], label: &str) -> Option<Estimate> {
+        let i = self.entries.iter().position(|e| e.label == label)?;
+        self.check_all_mergeable(others);
+        let mut slot = self.entries[i].est.clone_box();
+        fold_slot(slot.as_mut(), others, i);
+        Some(slot.estimate())
+    }
+
+    /// [`Monitor::check_mergeable`] of every one of `others`, panicking
+    /// on the first failure — the all-slot check before any fold.
+    fn check_all_mergeable(&self, others: &[&Monitor]) {
         for other in others {
             if let Err(e) = self.check_mergeable(other) {
                 panic!("monitor merge: {e}");
             }
         }
-        for (i, mine) in self.entries.iter_mut().enumerate() {
-            let slots: Vec<&dyn Any> = others.iter().map(|o| o.entries[i].est.as_any()).collect();
-            mine.est.merge_all_dyn(&slots);
-        }
-        self.samples += others.iter().map(|o| o.samples).sum::<u64>();
     }
 
     /// A shard clone for worker `shard` of a sharded deployment: identical
@@ -892,6 +923,43 @@ mod tests {
         assert_eq!(a.checkpoint().unwrap(), before, "nothing was merged");
         a.merge_all(&[&good]);
         assert_eq!(a.samples_seen(), 6);
+    }
+
+    #[test]
+    fn merged_estimate_labeled_equals_the_full_fold_bitwise() {
+        let p = 0.5;
+        let stream = ZipfStream::new(300, 1.1).generate(20_000, 5);
+        let proto = build_monitor(p);
+        let shards: Vec<Monitor> = stream
+            .chunks(5_000)
+            .enumerate()
+            .map(|(s, part)| {
+                let mut m = proto.fork_shard(s as u64);
+                BernoulliSampler::new(p, 40 + s as u64).sample_slice(part, |x| m.update(x));
+                m
+            })
+            .collect();
+        let others: Vec<&Monitor> = shards.iter().collect();
+        let mut fold = proto.clone();
+        fold.merge_all(&others);
+        for (label, want) in fold.report() {
+            let got = proto
+                .merged_estimate_labeled(&others, &label)
+                .expect("registered");
+            assert_eq!(got.value.to_bits(), want.value.to_bits(), "{label}");
+            assert_eq!(got.samples_seen, want.samples_seen, "{label}");
+            assert_eq!(got.report, want.report, "{label}");
+        }
+        assert_eq!(proto.merged_estimate_labeled(&others, "no_such"), None);
+
+        let stranger = MonitorBuilder::with_seed(p, 100).f0(0.05).build();
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            proto.merged_estimate_labeled(&[&shards[0], &stranger], "F0")
+        }));
+        let msg = read.expect_err("a mismatched monitor panics");
+        assert!(msg
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.starts_with("monitor merge: ")));
     }
 
     #[test]

@@ -138,6 +138,8 @@ metric_table! {
     WindowRetiredBucketsTotal => Counter "sss_window_retired_buckets_total": "Buckets that aged out of their window";
     WindowAlertsTotal => Counter "sss_window_alerts_total": "Alerts fired by continuous queries";
     WindowLateDropsTotal => Counter "sss_window_late_drops_total": "Items older than the live window, dropped on ingest";
+    WindowReadNanos => Histogram "sss_window_read_nanos": "Windowed estimate latency in nanoseconds (one statistic's slot folded over the live buckets)";
+    WindowQueryEvalNanos => Histogram "sss_window_query_eval_nanos": "Continuous-query evaluation latency per rollover in nanoseconds";
     // ── obs: the registry watching itself ────────────────────────
     ObsEventsDroppedTotal => Counter "sss_obs_events_dropped_total": "Trace events evicted from the ring by overflow";
     ObsSnapshotsTotal => Counter "sss_obs_snapshots_total": "Metrics snapshots taken from registries";

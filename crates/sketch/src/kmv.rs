@@ -143,19 +143,21 @@ impl KmvSketch {
         Mismatch::unless(self.hash == other.hash, "KmvSketch hash functions")
     }
 
-    /// Merge another sketch with the same `k` and seed.
+    /// Merge another sketch with the same `k` and seed. The bottom k of
+    /// a union is the bottom k of the two bottom-k sets, so this is one
+    /// linear join of the ascending sets, cut at `k` values, and a bulk
+    /// build of the result.
     ///
     /// # Panics
     /// When [`KmvSketch::check_merge`] fails.
     pub fn merge(&mut self, other: &KmvSketch) {
         self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
-        for &h in &other.smallest {
-            self.smallest.insert(h);
-        }
-        while self.smallest.len() > self.k {
-            let &max = self.smallest.iter().next_back().expect("non-empty");
-            self.smallest.remove(&max);
-        }
+        self.smallest = self
+            .smallest
+            .union(&other.smallest)
+            .take(self.k)
+            .copied()
+            .collect();
     }
 }
 
@@ -393,6 +395,48 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.estimate(), u.estimate());
+    }
+
+    #[test]
+    fn merge_join_is_the_bottom_k_of_the_naive_union() {
+        let k = 8;
+        let sketch = |vals: &[u64]| {
+            let mut s = KmvSketch::new(k, 4);
+            s.smallest = vals.iter().copied().collect();
+            assert!(s.smallest.len() <= k);
+            s
+        };
+        let cases: [(&str, &[u64], &[u64]); 6] = [
+            (
+                "overlapping",
+                &[1, 3, 5, 7, 9, 11, 13, 15],
+                &[2, 3, 6, 7, 10, 11, 14, 15],
+            ),
+            (
+                "disjoint",
+                &[1, 2, 3, 4, 5, 6, 7, 8],
+                &[9, 10, 11, 12, 13, 14, 15, 16],
+            ),
+            (
+                "disjoint, interleaved",
+                &[10, 30, 50, 70],
+                &[20, 40, 60, 80, 90],
+            ),
+            ("under-full", &[4, 8, 15], &[8, 16, 23]),
+            ("exactly k", &[1, 4, 9, 16, 25], &[4, 36, 49, 64]),
+            ("one side empty", &[], &[5, 6, 7, 8, 9, 10, 11, 12]),
+        ];
+        for (case, xs, ys) in cases {
+            for (left, right) in [(xs, ys), (ys, xs)] {
+                let mut naive: BTreeSet<u64> = left.iter().chain(right).copied().collect();
+                while naive.len() > k {
+                    naive.pop_last();
+                }
+                let mut joined = sketch(left);
+                joined.merge(&sketch(right));
+                assert_eq!(joined.smallest, naive, "{case}: {left:?} ∪ {right:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,11 +12,17 @@
 //! * [`WindowedMonitor`] — a ring of up to `W` tumbling buckets, each
 //!   spanning `bucket_span` event-time ticks. Ingestion routes items by
 //!   timestamp (`epoch = ts / bucket_span`), rollovers retire the
-//!   bucket that fell out, and [`WindowedMonitor::fold`] merges the
-//!   live buckets into one `Monitor` answering for exactly the window.
-//!   Exact substrates (bottom-k `F_0`, collision-counting `F_k`,
-//!   CountMin) merge losslessly, so the fold over the last `W` buckets
-//!   is *bitwise-identical* to a fresh monitor fed only those items.
+//!   bucket that fell out, and [`WindowedMonitor::fold`] returns the
+//!   whole-window monitor: the live buckets merged into one `Monitor`
+//!   answering for exactly the window. Exact substrates (bottom-k
+//!   `F_0`, collision-counting `F_k`, CountMin) merge losslessly, so the
+//!   fold over the last `W` buckets is *bitwise-identical* to a fresh
+//!   monitor fed only those items.
+//! * A read folds only the statistic it reads: statistics merge slot by
+//!   slot, so [`WindowedMonitor::estimate`] and each rollover's query
+//!   evaluation clone and fold just that one slot
+//!   ([`sss_core::Monitor::merged_estimate_labeled`]) — the answer
+//!   `fold()` would give, bit for bit, with nothing kept between reads.
 //! * [`QuerySpec`]/[`Alert`] — a continuous-query surface: threshold,
 //!   delta-vs-previous-window and change-point queries registered
 //!   against estimator labels, evaluated once per bucket rollover,

@@ -1,18 +1,19 @@
 //! The continuous-query surface: registered queries evaluated on every
 //! bucket rollover, emitting typed [`Alert`]s.
 //!
-//! A query watches one estimator label of the window fold (`"entropy"`,
-//! `"F0"`, …). Evaluation happens exactly once per closed epoch, on the
-//! fold *as of* that epoch — so a query sees the same deterministic
-//! sequence of values whether the window ran live, was checkpointed and
-//! restored mid-stream, or was replayed from a transcript. Query
-//! runtime state (previous value, change-point history) is part of the
-//! window's wire snapshot for exactly that reason.
+//! A query watches one estimator label of the window (`"entropy"`,
+//! `"F0"`, …). Evaluation happens exactly once per closed epoch, on that
+//! label's estimate over the live buckets *as of* that epoch (the value
+//! the window fold would report, bit for bit) — so a query sees the same
+//! deterministic sequence of values whether the window ran live, was
+//! checkpointed and restored mid-stream, or was replayed from a
+//! transcript. Query runtime state (previous value, change-point
+//! history) is part of the window's wire snapshot for exactly that
+//! reason.
 
 use std::collections::VecDeque;
 
 use sss_codec::{put_len, CodecError, Reader, WireCodec};
-use sss_core::Monitor;
 
 /// Upper bound on [`QueryKind::ChangePoint`]'s `history`: the rolling
 /// buffer grows to `history` floats at runtime, so a sane fixed cap
@@ -166,12 +167,10 @@ impl Query {
         }
     }
 
-    /// Evaluate against the window fold at `epoch`'s rollover, update
-    /// the runtime state, and return the alert if the test fired.
-    pub(crate) fn observe(&mut self, epoch: u64, fold: &Monitor) -> Option<Alert> {
-        // Registration validated the label against the prototype, so a
-        // missing estimate cannot happen on a well-formed window.
-        let value = fold.estimate_labeled(&self.spec.label)?.value;
+    /// Evaluate the watched label's window estimate `value` at `epoch`'s
+    /// rollover, update the runtime state, and return the alert if the
+    /// test fired.
+    pub(crate) fn observe(&mut self, epoch: u64, value: f64) -> Option<Alert> {
         let alert = |baseline: f64, kind: AlertKind| Alert {
             query: self.spec.name.clone(),
             label: self.spec.label.clone(),
@@ -367,39 +366,41 @@ impl WireCodec for Alert {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sss_core::MonitorBuilder;
+    use sss_core::{MonitorBuilder, Statistic};
 
-    fn fold_with(items: &[u64]) -> Monitor {
+    /// The `F0` estimate of a monitor fed `items` — the value a window
+    /// over them would hand [`Query::observe`].
+    fn f0_of(items: &[u64]) -> f64 {
         let mut m = MonitorBuilder::with_seed(1.0, 5).f0(0.05).build();
         m.update_batch(items);
-        m
+        m.estimate(Statistic::F0).expect("registered").value
     }
 
     #[test]
     fn threshold_fires_in_the_requested_direction() {
         let mut q = Query::new(QuerySpec::threshold("big", "F0", 50.0, true));
-        let low = fold_with(&(0..10u64).collect::<Vec<_>>());
-        let high = fold_with(&(0..100u64).collect::<Vec<_>>());
-        assert!(q.observe(0, &low).is_none());
-        let a = q.observe(1, &high).expect("fires above level");
+        let low = f0_of(&(0..10u64).collect::<Vec<_>>());
+        let high = f0_of(&(0..100u64).collect::<Vec<_>>());
+        assert!(q.observe(0, low).is_none());
+        let a = q.observe(1, high).expect("fires above level");
         assert_eq!(a.kind, AlertKind::Threshold);
         assert_eq!(a.epoch, 1);
         assert_eq!(a.baseline, 50.0);
         assert!(a.value > 50.0);
 
         let mut below = Query::new(QuerySpec::threshold("small", "F0", 50.0, false));
-        assert!(below.observe(0, &high).is_none());
-        assert!(below.observe(1, &low).is_some());
+        assert!(below.observe(0, high).is_none());
+        assert!(below.observe(1, low).is_some());
     }
 
     #[test]
     fn delta_needs_a_previous_window() {
         let mut q = Query::new(QuerySpec::delta_vs_prev("jump", "F0", 0.5));
-        let low = fold_with(&(0..20u64).collect::<Vec<_>>());
-        let high = fold_with(&(0..200u64).collect::<Vec<_>>());
-        assert!(q.observe(0, &high).is_none(), "first rollover: no baseline");
-        assert!(q.observe(1, &high).is_none(), "no change");
-        let a = q.observe(2, &low).expect("large relative drop fires");
+        let low = f0_of(&(0..20u64).collect::<Vec<_>>());
+        let high = f0_of(&(0..200u64).collect::<Vec<_>>());
+        assert!(q.observe(0, high).is_none(), "first rollover: no baseline");
+        assert!(q.observe(1, high).is_none(), "no change");
+        let a = q.observe(2, low).expect("large relative drop fires");
         assert_eq!(a.kind, AlertKind::Delta);
         assert!(a.baseline > a.value);
     }
@@ -407,13 +408,13 @@ mod tests {
     #[test]
     fn change_point_waits_for_history_then_fires_on_deviation() {
         let mut q = Query::new(QuerySpec::change_point("cp", "F0", 3, 4.0));
-        let calm = fold_with(&(0..40u64).collect::<Vec<_>>());
-        let spike = fold_with(&(0..400u64).collect::<Vec<_>>());
+        let calm = f0_of(&(0..40u64).collect::<Vec<_>>());
+        let spike = f0_of(&(0..400u64).collect::<Vec<_>>());
         for epoch in 0..3 {
-            assert!(q.observe(epoch, &calm).is_none(), "history still filling");
+            assert!(q.observe(epoch, calm).is_none(), "history still filling");
         }
-        assert!(q.observe(3, &calm).is_none(), "no deviation");
-        let a = q.observe(4, &spike).expect("deviation fires");
+        assert!(q.observe(3, calm).is_none(), "no deviation");
+        let a = q.observe(4, spike).expect("deviation fires");
         assert_eq!(a.kind, AlertKind::ChangePoint);
         assert!((a.baseline - a.value).abs() > 100.0);
     }
@@ -421,9 +422,9 @@ mod tests {
     #[test]
     fn query_state_round_trips_on_the_wire() {
         let mut q = Query::new(QuerySpec::change_point("cp", "F0", 4, 2.0));
-        let fold = fold_with(&(0..30u64).collect::<Vec<_>>());
+        let value = f0_of(&(0..30u64).collect::<Vec<_>>());
         for epoch in 0..3 {
-            let _ = q.observe(epoch, &fold);
+            let _ = q.observe(epoch, value);
         }
         let bytes = q.encode();
         let back = Query::decode_slice(&bytes).expect("decodes");

@@ -109,17 +109,23 @@ struct Bucket {
 ///
 /// Items route by event time: `epoch = ts / bucket_span`. When the
 /// first item of a later epoch arrives, the window *rolls*: continuous
-/// queries are evaluated on the fold as of the closing epoch, the
-/// clock advances, and buckets older than `buckets` epochs retire
+/// queries are evaluated on the live buckets as of the closing epoch,
+/// the clock advances, and buckets older than `buckets` epochs retire
 /// whole — retirement is `O(1)` bucket drops, never per-item undo.
 /// Buckets materialise lazily (an epoch that saw no survivors costs
 /// nothing), and items older than the live window are counted in
 /// [`WindowedMonitor::late_dropped`] and ignored.
 ///
-/// [`WindowedMonitor::fold`] merges the live buckets (ascending epoch,
-/// into a pristine prototype clone) into one `Monitor` answering for
-/// exactly the window — deterministic, and bitwise-reproducible for
-/// the exact substrates.
+/// [`WindowedMonitor::fold`] returns the whole-window monitor: the live
+/// buckets merged (ascending epoch, into a pristine prototype clone)
+/// into one `Monitor` answering for exactly the window — deterministic,
+/// and bitwise-reproducible for the exact substrates. A read
+/// ([`WindowedMonitor::estimate`], and each rollover's query
+/// evaluation) folds only the statistic it reads: statistics merge slot
+/// by slot, so it clones and folds that one slot
+/// ([`Monitor::merged_estimate_labeled`]) and answers what `fold()`
+/// would, bit for bit, without the other slots' work and without any
+/// state kept between reads.
 #[derive(Clone)]
 pub struct WindowedMonitor {
     /// Pristine fold identity and fork source; never ingests.
@@ -335,10 +341,10 @@ impl WindowedMonitor {
     }
 
     /// Advance `cur_epoch` to `target > cur_epoch`, closing one epoch
-    /// at a time: queries run on the fold as of each closing epoch,
-    /// then buckets that fell out retire. A jump past the whole window
-    /// collapses to one evaluation + wholesale retirement, so sparse
-    /// timestamps cannot make rolling `O(jump)` expensive.
+    /// at a time: queries run on the live buckets as of each closing
+    /// epoch, then buckets that fell out retire. A jump past the whole
+    /// window collapses to one evaluation + wholesale retirement, so
+    /// sparse timestamps cannot make rolling `O(jump)` expensive.
     fn roll_to(&mut self, target: u64) {
         debug_assert!(self.started && target > self.cur_epoch);
         let obs = sss_obs::global();
@@ -375,19 +381,41 @@ impl WindowedMonitor {
         obs.event(EventKind::BucketRollover, target, retired_now, "");
     }
 
+    /// Run every registered query on the window as it stands. Each
+    /// distinct watched label is folded once, through the same per-slot
+    /// read as [`WindowedMonitor::estimate_labeled`].
     fn eval_queries(&mut self) {
         if self.queries.is_empty() {
             return;
         }
-        let fold = self.fold();
-        for q in &mut self.queries {
-            if let Some(alert) = q.observe(self.cur_epoch, &fold) {
-                let obs = sss_obs::global();
+        let obs = sss_obs::global();
+        let t0 = obs.timer();
+        let buckets = self.bucket_monitors();
+        let mut folded: Vec<(&str, f64)> = Vec::new();
+        let mut values = Vec::with_capacity(self.queries.len());
+        for q in &self.queries {
+            let label = q.spec.label.as_str();
+            let value = match folded.iter().find(|(l, _)| *l == label) {
+                Some(&(_, value)) => value,
+                None => {
+                    let est = self.prototype.merged_estimate_labeled(&buckets, label);
+                    // Registration and decode check every watched label
+                    // against the prototype.
+                    let value = est.expect("queries watch registered labels").value;
+                    folded.push((label, value));
+                    value
+                }
+            };
+            values.push(value);
+        }
+        for (q, value) in self.queries.iter_mut().zip(values) {
+            if let Some(alert) = q.observe(self.cur_epoch, value) {
                 obs.inc(MetricId::WindowAlertsTotal);
                 obs.event(EventKind::AlertFired, alert.epoch, 0, alert.query.as_str());
                 self.alerts.push(alert);
             }
         }
+        obs.observe_since(MetricId::WindowQueryEvalNanos, t0);
     }
 
     /// The live bucket for `epoch`, materialising it on first use.
@@ -414,28 +442,47 @@ impl WindowedMonitor {
         self.buckets.binary_search_by(|b| b.epoch.cmp(&epoch))
     }
 
-    /// Merge the live buckets into one [`Monitor`] answering for
-    /// exactly the current window: a pristine prototype clone folded
-    /// with each bucket in ascending epoch order — a deterministic
-    /// fold, bitwise-reproducible run to run.
+    /// The live buckets' monitors, ascending epoch — the fold order.
+    fn bucket_monitors(&self) -> Vec<&Monitor> {
+        self.buckets.iter().map(|b| &b.monitor).collect()
+    }
+
+    /// The whole-window monitor: the live buckets merged into one
+    /// [`Monitor`] answering for exactly the current window — a
+    /// pristine prototype clone folded with each bucket in ascending
+    /// epoch order, a deterministic fold, bitwise-reproducible run to
+    /// run. Every slot folds; to read one statistic,
+    /// [`WindowedMonitor::estimate`] folds only that one.
     pub fn fold(&self) -> Monitor {
         let mut acc = self.prototype.clone();
-        let buckets: Vec<&Monitor> = self.buckets.iter().map(|b| &b.monitor).collect();
-        acc.merge_all(&buckets);
+        acc.merge_all(&self.bucket_monitors());
         acc
     }
 
-    /// The windowed estimate for `stat` (`None` if unregistered).
+    /// The windowed estimate for `stat` (`None` if unregistered); see
+    /// [`WindowedMonitor::estimate_labeled`].
     pub fn estimate(&self, stat: Statistic) -> Option<Estimate> {
-        self.fold().estimate(stat)
+        self.estimate_labeled(&stat.to_string())
     }
 
-    /// The windowed estimate under an explicit label.
+    /// The windowed estimate under an explicit label (`None` if
+    /// unregistered, before any fold). Only that statistic's slot is
+    /// cloned and folded over the live buckets, in
+    /// [`WindowedMonitor::fold`]'s order, so the answer equals
+    /// `fold().estimate_labeled(label)` bit for bit. Each read records
+    /// its latency in `sss_window_read_nanos`.
     pub fn estimate_labeled(&self, label: &str) -> Option<Estimate> {
-        self.fold().estimate_labeled(label)
+        let obs = sss_obs::global();
+        let t0 = obs.timer();
+        let est = self
+            .prototype
+            .merged_estimate_labeled(&self.bucket_monitors(), label);
+        obs.observe_since(MetricId::WindowReadNanos, t0);
+        est
     }
 
-    /// All windowed estimates as `(label, estimate)` rows.
+    /// All windowed estimates as `(label, estimate)` rows, from one
+    /// [`WindowedMonitor::fold`].
     pub fn report(&self) -> Vec<(String, Estimate)> {
         self.fold().report()
     }
@@ -722,6 +769,24 @@ mod tests {
         WindowedMonitor::new(proto(p), WindowConfig::new(buckets, span))
     }
 
+    /// Every label's read equals the whole-window fold's estimate in
+    /// value bits, samples seen and report rows; an unregistered label
+    /// reads `None`.
+    fn assert_reads_match_fold(w: &WindowedMonitor, ctx: &str) {
+        let rows = |e: &Estimate| -> Vec<(u64, u64)> {
+            e.report.iter().map(|&(x, f)| (x, f.to_bits())).collect()
+        };
+        let fold = w.fold();
+        for (label, _) in fold.report() {
+            let got = w.estimate_labeled(&label).expect("registered");
+            let want = fold.estimate_labeled(&label).expect("registered");
+            assert_eq!(got.value.to_bits(), want.value.to_bits(), "{ctx}: {label}");
+            assert_eq!(got.samples_seen, want.samples_seen, "{ctx}: {label}");
+            assert_eq!(rows(&got), rows(&want), "{ctx}: {label}");
+        }
+        assert!(w.estimate_labeled("no_such").is_none(), "{ctx}");
+    }
+
     #[test]
     fn items_route_to_epochs_and_old_buckets_retire() {
         let mut w = windowed(1.0, 3, 10);
@@ -867,6 +932,29 @@ mod tests {
         }
         // Window = epochs {3, 4, 5} of six: exactly the last 300 items.
         assert_eq!(merged.window_samples(), 300);
+        assert_reads_match_fold(&merged, "merged shards");
+    }
+
+    #[test]
+    fn reads_and_rollovers_record_their_latency_histograms() {
+        let count = |id: MetricId| {
+            sss_obs::global()
+                .snapshot()
+                .hist(id.name())
+                .map_or(0, |h| h.count())
+        };
+        let mut w = windowed(1.0, 2, 10);
+        w.register_query(QuerySpec::threshold("t", "F0", 0.5, true));
+        w.ingest_at(0, 1);
+        let reads = count(MetricId::WindowReadNanos);
+        assert!(w.estimate(Statistic::F0).is_some());
+        assert!(count(MetricId::WindowReadNanos) > reads, "one read");
+        let evals = count(MetricId::WindowQueryEvalNanos);
+        w.ingest_at(10, 2); // epoch 1: one rollover
+        assert!(
+            count(MetricId::WindowQueryEvalNanos) > evals,
+            "one rollover"
+        );
     }
 
     #[test]

@@ -91,12 +91,15 @@ fn main() {
         for pos in sampler.skip_positions(packets.len() as u64) {
             monitor.ingest_at(epoch * SPAN + pos, packets[pos as usize]);
         }
-        // The fold the queries are about to see: all live buckets, the
-        // oldest not yet retired.
-        let fold = monitor.fold();
-        let h = fold.estimate(Statistic::Entropy).expect("registered").value;
-        let f0 = fold.estimate(Statistic::F0).expect("registered").value;
-        // Close the epoch: queries evaluate on that fold, then the
+        // The values the queries are about to see: each read folds its
+        // one statistic over all live buckets, the oldest not yet
+        // retired.
+        let h = monitor
+            .estimate(Statistic::Entropy)
+            .expect("registered")
+            .value;
+        let f0 = monitor.estimate(Statistic::F0).expect("registered").value;
+        // Close the epoch: queries evaluate on those values, then the
         // oldest bucket retires once the window is past capacity.
         monitor.advance_to(epoch + 1);
         let alerts = monitor.take_alerts();
@@ -120,7 +123,7 @@ fn main() {
     }
 
     println!(
-        "\nTakeaway: the windowed fold tracks the last 3 epochs only, so\n\
+        "\nTakeaway: the windowed reads track the last 3 epochs only, so\n\
          the alerts both raise *and clear* as the scan passes through the\n\
          window — no manual baseline bookkeeping, no per-epoch estimator\n\
          plumbing — while the monitor touches 5% of the packets and pays\n\

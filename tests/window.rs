@@ -8,12 +8,15 @@
 //! see the same surviving multiset, and exact substrates are
 //! partition-independent). Entropy merges length-weighted across
 //! reseeded per-bucket reservoirs, so it carries a documented tolerance
-//! instead. Plus: checkpoint → restore → continue-ingesting is
-//! bitwise-equal to the never-serialized run, and the continuous-query
-//! surface fires (and round-trips) deterministically.
+//! instead. A read folds only the statistic it reads, and answers what
+//! the whole-window fold would, bit for bit, in every one of these
+//! shapes; rollover alerts carry the same values. Plus: checkpoint →
+//! restore → continue-ingesting is bitwise-equal to the never-serialized
+//! run, and the continuous-query surface fires (and round-trips)
+//! deterministically.
 
 use subsampled_streams::codec::WireCodec;
-use subsampled_streams::core::{Monitor, MonitorBuilder, Statistic};
+use subsampled_streams::core::{Estimate, Monitor, MonitorBuilder, Statistic};
 use subsampled_streams::stream::{
     BernoulliSampler, NetFlowStream, PlantedHeavyHitters, StreamGen, TimedStream, ZipfStream,
 };
@@ -26,7 +29,26 @@ fn prototype(p: f64) -> Monitor {
         .f0(0.05)
         .fk(2)
         .entropy(512)
+        .f1_heavy_hitters(0.05, 0.2, 0.05)
         .build()
+}
+
+/// Every label's read equals the whole-window fold's estimate in value
+/// bits, samples seen and report rows; an unregistered label reads
+/// `None`.
+fn assert_reads_match_fold(w: &WindowedMonitor, ctx: &str) {
+    let rows = |e: &Estimate| -> Vec<(u64, u64)> {
+        e.report.iter().map(|&(x, f)| (x, f.to_bits())).collect()
+    };
+    let fold = w.fold();
+    for (label, _) in fold.report() {
+        let got = w.estimate_labeled(&label).expect("registered");
+        let want = fold.estimate_labeled(&label).expect("registered");
+        assert_eq!(got.value.to_bits(), want.value.to_bits(), "{ctx}: {label}");
+        assert_eq!(got.samples_seen, want.samples_seen, "{ctx}: {label}");
+        assert_eq!(rows(&got), rows(&want), "{ctx}: {label}");
+    }
+    assert!(w.estimate_labeled("no_such").is_none(), "{ctx}");
 }
 
 /// The battery's workloads: heavy-tailed, synthetic netflow, planted.
@@ -77,6 +99,7 @@ fn check_equivalence(name: &str, buckets: usize, p: f64, trace: &[(u64, u64)], e
         fresh.samples_seen(),
         "{name}/{buckets}: window covers exactly the suffix"
     );
+    assert_reads_match_fold(&windowed, &format!("{name}/{buckets} buckets/p={p}"));
     for stat in [Statistic::F0, Statistic::Fk(2)] {
         let a = fold.estimate(stat).expect("registered").value;
         let b = fresh.estimate(stat).expect("registered").value;
@@ -184,6 +207,7 @@ fn checkpoint_restore_continue_matches_the_never_serialized_run() {
         snapshot,
         "snapshot is byte-stable through a round trip"
     );
+    assert_reads_match_fold(&restored, "restored");
 
     for &(ts, x) in tail {
         live.ingest_at(ts, x);
@@ -198,6 +222,55 @@ fn checkpoint_restore_continue_matches_the_never_serialized_run() {
         "continue-after-restore must be indistinguishable"
     );
     assert_eq!(live.take_alerts(), restored.take_alerts());
+    assert_reads_match_fold(&restored, "restored, then continued");
+}
+
+#[test]
+fn rollover_alerts_carry_the_full_folds_values() {
+    // Level −1.0 is below every estimate, so each query fires at every
+    // rollover and its alert reports exactly the value it read. Two
+    // queries share `F0`, whose slot folds once per rollover.
+    let queries = [("f0_a", "F0"), ("h", "entropy"), ("f0_b", "F0")];
+    let mut w = WindowedMonitor::new(prototype(0.5), WindowConfig::new(3, SPAN));
+    for (name, label) in queries {
+        w.register_query(QuerySpec::threshold(name, label, -1.0, true));
+    }
+    let mut trace = sampled_trace(&ZipfStream::new(2_000, 1.2), 6 * SPAN, 0.5, 8);
+    // Then one jump past the whole window: a single evaluation.
+    trace.push((20 * SPAN, 1));
+
+    let mut crossings = 0;
+    for &(ts, x) in &trace {
+        if !(w.started() && w.epoch_of(ts) > w.cur_epoch()) {
+            w.ingest_at(ts, x);
+            continue;
+        }
+        let fold = w.fold();
+        let want: Vec<(&str, &str, u64, u64)> = queries
+            .iter()
+            .map(|&(name, label)| {
+                let value = fold.estimate_labeled(label).expect("registered").value;
+                (name, label, w.cur_epoch(), value.to_bits())
+            })
+            .collect();
+        w.ingest_at(ts, x);
+        let alerts = w.take_alerts();
+        let got: Vec<(&str, &str, u64, u64)> = alerts
+            .iter()
+            .map(|a| {
+                (
+                    a.query.as_str(),
+                    a.label.as_str(),
+                    a.epoch,
+                    a.value.to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(got, want, "crossing out of epoch {}", want[0].2);
+        crossings += 1;
+    }
+    assert_eq!(crossings, 6, "five epoch steps and one jump");
+    assert_eq!(w.bucket_epochs(), vec![20]);
 }
 
 /// A tiny local generator for the restore test: zipf items, used via
