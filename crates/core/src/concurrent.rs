@@ -60,10 +60,12 @@ use std::thread::JoinHandle;
 
 use sss_hash::{fingerprint64, split_seed};
 use sss_obs::MetricId;
-use sss_sketch::{AtomicCmHeavyHitters, AtomicCsHeavyHitters, AtomicScratch};
+use sss_sketch::{
+    AtomicCmHeavyHitters, AtomicCsHeavyHitters, AtomicScratch, HeavyHitters, PointSketch,
+};
 use sss_stream::{BernoulliSampler, Item};
 
-use crate::heavy_hitters::{SampledF1HeavyHitters, SampledF2HeavyHitters};
+use crate::heavy_hitters::SampledHeavyHitters;
 use crate::monitor::{
     DynEstimator, Monitor, F0, FK_EXACT, FK_SKETCHED, HH_F1, HH_F2, NAIVE_F0, NAIVE_FK,
 };
@@ -170,20 +172,8 @@ fn route_slot(est: &dyn DynEstimator, strategy: ParallelStrategy, parts: usize) 
         return SlotState::Replicated;
     }
     match est.wire_tag() {
-        HH_F1 => {
-            let hh = est
-                .as_any()
-                .downcast_ref::<SampledF1HeavyHitters>()
-                .expect("HH_F1 tag on a non-F1 slot");
-            SlotState::Cm(AtomicCmHeavyHitters::from_plain(hh.inner()))
-        }
-        HH_F2 => {
-            let hh = est
-                .as_any()
-                .downcast_ref::<SampledF2HeavyHitters>()
-                .expect("HH_F2 tag on a non-F2 slot");
-            SlotState::Cs(AtomicCsHeavyHitters::from_plain(hh.inner()))
-        }
+        HH_F1 => SlotState::Cm(AtomicCmHeavyHitters::from_plain(reporter(est))),
+        HH_F2 => SlotState::Cs(AtomicCsHeavyHitters::from_plain(reporter(est))),
         F0 | FK_EXACT | FK_SKETCHED | NAIVE_FK | NAIVE_F0 => {
             // Clones keep the prototype's seeds: parts must agree to
             // merge, and a key partition is just a particular disjoint
@@ -192,6 +182,14 @@ fn route_slot(est: &dyn DynEstimator, strategy: ParallelStrategy, parts: usize) 
         }
         _ => SlotState::Replicated,
     }
+}
+
+/// The heavy-hitter reporter inside a slot whose wire tag names it.
+fn reporter<S: PointSketch + 'static>(est: &dyn DynEstimator) -> &HeavyHitters<S> {
+    est.as_any()
+        .downcast_ref::<SampledHeavyHitters<S>>()
+        .expect("heavy-hitter tag on another slot type")
+        .inner()
 }
 
 /// The parallel ingestion pipeline: raw (unsampled) stream in, one plain
@@ -226,8 +224,9 @@ impl ConcurrentMonitor {
     /// # Panics
     /// If the prototype has already ingested samples (its state would be
     /// counted once per replica on the fold), or cannot merge with
-    /// itself (only a conservative-update CountMin decoded from crafted
-    /// bytes cannot): the fold merges copies of it.
+    /// itself (every builder-registered statistic can; a `register()`-ed
+    /// estimator whose `merge_compatible` refuses itself cannot): the
+    /// fold merges copies of it.
     pub fn launch(prototype: &Monitor, sampler_seed: u64, cfg: ConcurrentConfig) -> Self {
         assert!(
             prototype.samples_seen() == 0,
@@ -384,6 +383,14 @@ impl ConcurrentMonitor {
     }
 }
 
+/// Install a quiesced heavy-hitter reporter back into its slot.
+fn reinstall<S: PointSketch + 'static>(est: &mut dyn DynEstimator, quiesced: HeavyHitters<S>) {
+    est.as_any_mut()
+        .downcast_mut::<SampledHeavyHitters<S>>()
+        .expect("heavy-hitter slot type changed under fold")
+        .replace_inner(quiesced);
+}
+
 /// The one conversion from shared state to a plain [`Monitor`], built on
 /// `base` (the pristine prototype): grids convert to their plain
 /// estimators, key-shard parts and replicated locals merge ascending.
@@ -395,18 +402,8 @@ fn fold(mut base: Monitor, shared: &Shared, note: &'static str) -> Monitor {
     for (i, slot) in shared.slots.iter().enumerate() {
         let entry = &mut base.entries_mut()[i];
         match slot {
-            SlotState::Cm(atomic) => entry
-                .est
-                .as_any_mut()
-                .downcast_mut::<SampledF1HeavyHitters>()
-                .expect("Cm slot type changed under fold")
-                .replace_inner(atomic.to_plain()),
-            SlotState::Cs(atomic) => entry
-                .est
-                .as_any_mut()
-                .downcast_mut::<SampledF2HeavyHitters>()
-                .expect("Cs slot type changed under fold")
-                .replace_inner(atomic.to_plain()),
+            SlotState::Cm(atomic) => reinstall(entry.est.as_mut(), atomic.to_plain()),
+            SlotState::Cs(atomic) => reinstall(entry.est.as_mut(), atomic.to_plain()),
             SlotState::KeySharded(parts) => {
                 for part in parts {
                     // Key-shard parts share the prototype's config.
@@ -499,10 +496,10 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::Statistic;
+    use crate::estimate::{Estimate, Guarantee, MergeError, Statistic, SubsampledEstimator};
     use crate::monitor::MonitorBuilder;
-    use sss_codec::{Reader, WireCodec};
-    use sss_sketch::{CmHeavyHitters, CountMin, TopKTracker};
+    use sss_codec::{CodecError, Reader, WireCodec};
+    use sss_sketch::Mismatch;
     use sss_stream::{StreamGen, ZipfStream};
 
     fn proto(p: f64) -> Monitor {
@@ -570,32 +567,66 @@ mod tests {
         let _ = ConcurrentMonitor::launch(&m, 1, ConcurrentConfig::new(2));
     }
 
-    /// A conservative-update CountMin merges with nothing, itself
-    /// included, and only crafted bytes can put one in a prototype:
-    /// decode the `F_1` reporter's sections, flip the sketch's flag,
-    /// re-encode. `launch` refuses it before any worker starts.
+    /// A `register()`-ed estimator that merges with nothing, itself
+    /// included.
+    #[derive(Clone)]
+    struct Unmergeable;
+
+    impl SubsampledEstimator for Unmergeable {
+        fn statistic(&self) -> Statistic {
+            Statistic::F0
+        }
+
+        fn update(&mut self, _: u64) {}
+
+        fn merge(&mut self, other: &Self) {
+            self.merge_compatible(other)
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
+
+        fn merge_compatible(&self, _: &Self) -> Result<(), MergeError> {
+            Err(Mismatch {
+                what: "Unmergeable (merges with nothing)",
+            }
+            .into())
+        }
+
+        fn estimate(&self) -> Estimate {
+            Estimate::scalar(0.0, Guarantee::Heuristic, 0.5, 0)
+        }
+
+        fn space_bytes(&self) -> usize {
+            0
+        }
+
+        fn p(&self) -> f64 {
+            0.5
+        }
+
+        fn samples_seen(&self) -> u64 {
+            0
+        }
+    }
+
+    impl WireCodec for Unmergeable {
+        fn encode_into(&self, _: &mut Vec<u8>) {}
+
+        fn decode(_: &mut Reader) -> Result<Self, CodecError> {
+            Ok(Unmergeable)
+        }
+    }
+
+    /// `launch` refuses a prototype that cannot merge with itself before
+    /// any worker starts: the fold merges copies of it.
     #[test]
     #[should_panic(
-        expected = "self-mergeable prototype: incompatible CountMin conservative update"
+        expected = "self-mergeable prototype: incompatible Unmergeable (merges with nothing)"
     )]
     fn launch_rejects_a_prototype_that_cannot_merge_with_itself() {
-        let mut m = proto(0.5);
-        let hh = m
-            .entries_mut()
-            .iter_mut()
-            .find_map(|e| e.est.as_any_mut().downcast_mut::<SampledF1HeavyHitters>())
-            .unwrap();
-        let bytes = hh.inner().encode();
-        let mut r = Reader::new(&bytes);
-        let mut crafted = f64::decode(&mut r).unwrap().encode();
-        CountMin::decode(&mut r)
-            .unwrap()
-            .conservative()
-            .encode_into(&mut crafted);
-        TopKTracker::decode(&mut r)
-            .unwrap()
-            .encode_into(&mut crafted);
-        hh.replace_inner(CmHeavyHitters::decode_slice(&crafted).unwrap());
+        let m = MonitorBuilder::with_seed(0.5, 41)
+            .f0(0.05)
+            .register("unmergeable", Unmergeable)
+            .build();
         let _ = ConcurrentMonitor::launch(&m, 1, ConcurrentConfig::new(2));
     }
 

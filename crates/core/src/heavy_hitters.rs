@@ -15,21 +15,31 @@
 //!   nothing with `f_i < (1−ε)·√p·α·√F_2(P)` — the `√p` weakening is
 //!   intrinsic (the sampled `F_2` concentrates at
 //!   `p²F_2(P) + p(1−p)F_1(P)`, not `p²F_2(P)`).
+//!
+//! That is one construction, so one estimator, [`SampledHeavyHitters<S>`],
+//! implements it over the sketch crate's [`HeavyHitters<S>`] reporter. The
+//! two theorems differ only in the sketch `S` and in their constructors
+//! (the parameter shift) and premise checks, which are inherent impls on
+//! [`SampledF1HeavyHitters`] and [`SampledF2HeavyHitters`].
 
 use sss_codec::{CodecError, Reader, WireCodec};
-use sss_sketch::topk::{CmHeavyHitters, CsHeavyHitters};
-use sss_sketch::Mismatch;
+use sss_sketch::{
+    CmHeavyHitters, CountMin, CountSketch, CsHeavyHitters, HeavyHitters, Mismatch, PointSketch,
+};
 
 use crate::estimate::{
     check_rates, Estimate, Guarantee, MergeError, Statistic, SubsampledEstimator,
 };
 
-/// The merge check both theorem reporters share on their `[p, α, ε, δ]`:
-/// the rate check, then the theorem parameters equal up to float noise.
-fn check_params(left: [f64; 4], right: [f64; 4], what: &'static str) -> Result<(), MergeError> {
-    check_rates(left[0], right[0])?;
-    let same = (1..4).all(|i| (left[i] - right[i]).abs() < 1e-15);
-    Ok(Mismatch::unless(same, what)?)
+/// Theorems 6 and 7: heavy hitters of `P` from the point-query sketch `S`
+/// run over `L`, frequencies scaled by `1/p`.
+#[derive(Debug, Clone)]
+pub struct SampledHeavyHitters<S> {
+    inner: HeavyHitters<S>,
+    alpha: f64,
+    eps: f64,
+    delta: f64,
+    p: f64,
 }
 
 /// Theorem 6: `F_1` heavy hitters of `P` from CountMin over `L`.
@@ -48,13 +58,17 @@ fn check_params(left: [f64; 4], right: [f64; 4], what: &'static str) -> Result<(
 /// // Reported frequency is rescaled to original-stream units (≈ 500/p).
 /// assert!((report[0].1 - 1000.0).abs() < 50.0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct SampledF1HeavyHitters {
-    inner: CmHeavyHitters,
-    alpha: f64,
-    eps: f64,
-    delta: f64,
-    p: f64,
+pub type SampledF1HeavyHitters = SampledHeavyHitters<CountMin>;
+
+/// Theorem 7: `F_2` heavy hitters of `P` from CountSketch over `L`.
+pub type SampledF2HeavyHitters = SampledHeavyHitters<CountSketch>;
+
+/// The domain both theorems' constructors check before shifting.
+fn assert_params(alpha: f64, eps: f64, delta: f64, p: f64) {
+    assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
+    assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
+    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
+    assert!(p > 0.0 && p <= 1.0, "p must be in (0,1]");
 }
 
 impl SampledF1HeavyHitters {
@@ -62,10 +76,7 @@ impl SampledF1HeavyHitters {
     /// `f_i < (1−ε)·α·F_1(P)`, at confidence `1 − δ`, under sampling rate
     /// `p`.
     pub fn new(alpha: f64, eps: f64, delta: f64, p: f64, seed: u64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-        assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-        assert!(p > 0.0 && p <= 1.0, "p must be in (0,1]");
+        assert_params(alpha, eps, delta, p);
         // Theorem 6's parameter shift.
         let alpha_prime = (1.0 - 2.0 * eps / 5.0) * alpha;
         let eps_prime = eps / 2.0;
@@ -82,40 +93,6 @@ impl SampledF1HeavyHitters {
         }
     }
 
-    /// The target fraction `α` (relative to `F_1(P)`).
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The underlying CountMin reporter (concurrent pipeline promotes it
-    /// to a shared-atomic grid).
-    pub(crate) fn inner(&self) -> &CmHeavyHitters {
-        &self.inner
-    }
-
-    /// Install a quiesced reporter back, keeping the theorem parameters.
-    pub(crate) fn replace_inner(&mut self, inner: CmHeavyHitters) {
-        self.inner = inner;
-    }
-
-    /// Memory footprint in 64-bit words — `O(ε⁻¹·log²(n/(αδ)))` bits per
-    /// the theorem; note it is *independent of `p`* (the premise on
-    /// `F_1(P)` is what moves with `p`).
-    pub fn space_words(&self) -> usize {
-        self.inner.space_words()
-    }
-
-    /// Report `(item, estimated f_i in P)` sorted by decreasing estimate;
-    /// frequencies are the sampled estimates scaled by `1/p` and satisfy
-    /// `f′_i ∈ (1±ε)·f_i` under the theorem's premise.
-    pub fn report(&self) -> Vec<(u64, f64)> {
-        self.inner
-            .report()
-            .into_iter()
-            .map(|(i, g)| (i, g as f64 / self.p))
-            .collect()
-    }
-
     /// Theorem 6's premise: the minimum `F_1(P)` for the guarantee, i.e.
     /// `C·p⁻¹·α⁻¹·ε⁻²·ln(n/δ)` with the constant set to 4.
     pub fn premise_min_f1(&self, n: u64) -> f64 {
@@ -123,86 +100,12 @@ impl SampledF1HeavyHitters {
     }
 }
 
-/// Theorem 6's premise threshold on `F_1(P)` (constant `C = 4`).
-pub fn theorem6_min_f1(p: f64, alpha: f64, eps: f64, delta: f64, n: u64) -> f64 {
-    4.0 * (n as f64 / delta).ln() / (p * alpha * eps * eps)
-}
-
-impl SubsampledEstimator for SampledF1HeavyHitters {
-    fn statistic(&self) -> Statistic {
-        Statistic::F1HeavyHitters
-    }
-
-    fn update(&mut self, x: u64) {
-        self.inner.update(x);
-    }
-
-    fn update_batch(&mut self, xs: &[u64]) {
-        self.inner.update_batch(xs);
-    }
-
-    /// # Panics
-    /// When [`SubsampledEstimator::merge_compatible`] fails.
-    fn merge(&mut self, other: &Self) {
-        self.merge_compatible(other)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.inner.merge(&other.inner);
-    }
-
-    fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
-        check_params(
-            [self.p, self.alpha, self.eps, self.delta],
-            [other.p, other.alpha, other.eps, other.delta],
-            "SampledF1HeavyHitters (alpha, eps, delta)",
-        )?;
-        Ok(self.inner.check_merge(&other.inner)?)
-    }
-
-    fn estimate(&self) -> Estimate {
-        Estimate::heavy_hitters(
-            self.report(),
-            Guarantee::HeavyHitters {
-                alpha: self.alpha,
-                eps: self.eps,
-                delta: self.delta,
-            },
-            self.p,
-            self.inner.n(),
-        )
-    }
-
-    fn space_bytes(&self) -> usize {
-        8 * self.space_words()
-    }
-
-    fn p(&self) -> f64 {
-        self.p
-    }
-
-    fn samples_seen(&self) -> u64 {
-        self.inner.n()
-    }
-}
-
-/// Theorem 7: `F_2` heavy hitters of `P` from CountSketch over `L`.
-#[derive(Debug, Clone)]
-pub struct SampledF2HeavyHitters {
-    inner: CsHeavyHitters,
-    alpha: f64,
-    eps: f64,
-    delta: f64,
-    p: f64,
-}
-
 impl SampledF2HeavyHitters {
     /// Reporter for every item with `f_i ≥ α·√F_2(P)` at confidence
     /// `1 − δ` under sampling rate `p`; items below
     /// `(1−ε)·√p·α·√F_2(P)` are rejected.
     pub fn new(alpha: f64, eps: f64, delta: f64, p: f64, seed: u64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-        assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-        assert!(p > 0.0 && p <= 1.0, "p must be in (0,1]");
+        assert_params(alpha, eps, delta, p);
         // Theorem 7's parameter shift. The classification cutoffs use the
         // theorem's α′ and ε′ = ε/10; the CountSketch itself is sized for
         // point error (ε/2)·α′·√F_2(L), which already separates the
@@ -222,38 +125,6 @@ impl SampledF2HeavyHitters {
         }
     }
 
-    /// The target fraction `α` (relative to `√F_2(P)`).
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The underlying CountSketch reporter (concurrent pipeline promotes
-    /// it to a shared-atomic grid).
-    pub(crate) fn inner(&self) -> &CsHeavyHitters {
-        &self.inner
-    }
-
-    /// Install a quiesced reporter back, keeping the theorem parameters.
-    pub(crate) fn replace_inner(&mut self, inner: CsHeavyHitters) {
-        self.inner = inner;
-    }
-
-    /// Memory footprint in 64-bit words. The `α′ ∝ √p` shift makes the
-    /// CountSketch width scale as `Õ(1/p)` — the paper's `Õ(1/p)` bound
-    /// for `k = 2` (§1.2, item 4).
-    pub fn space_words(&self) -> usize {
-        self.inner.space_words()
-    }
-
-    /// Report `(item, estimated f_i in P)` sorted by decreasing estimate.
-    pub fn report(&self) -> Vec<(u64, f64)> {
-        self.inner
-            .report()
-            .into_iter()
-            .map(|(i, g)| (i, g as f64 / self.p))
-            .collect()
-    }
-
     /// Theorem 7's premise on the original stream:
     /// `√F_2(P) ≥ C·p^{−3/2}·α⁻¹·ε⁻²·ln(n/δ)` (constant `C = 1`).
     pub fn premise_min_sqrt_f2(&self, n: u64) -> f64 {
@@ -266,14 +137,60 @@ impl SampledF2HeavyHitters {
     }
 }
 
+/// Theorem 6's premise threshold on `F_1(P)` (constant `C = 4`).
+pub fn theorem6_min_f1(p: f64, alpha: f64, eps: f64, delta: f64, n: u64) -> f64 {
+    4.0 * (n as f64 / delta).ln() / (p * alpha * eps * eps)
+}
+
 /// Theorem 7's premise threshold on `√F_2(P)` (constant `C = 1`).
 pub fn theorem7_min_sqrt_f2(p: f64, alpha: f64, eps: f64, delta: f64, n: u64) -> f64 {
     (n as f64 / delta).ln() / (p.powf(1.5) * alpha * eps * eps)
 }
 
-impl SubsampledEstimator for SampledF2HeavyHitters {
+impl<S: PointSketch> SampledHeavyHitters<S> {
+    /// The target fraction `α` (relative to `F_1(P)` or `√F_2(P)`).
+    pub fn alpha(&self) -> f64 {
+        self.alpha
+    }
+
+    /// The underlying reporter (the concurrent pipeline promotes it to a
+    /// shared-atomic grid).
+    pub(crate) fn inner(&self) -> &HeavyHitters<S> {
+        &self.inner
+    }
+
+    /// Install a quiesced reporter back, keeping the theorem parameters.
+    pub(crate) fn replace_inner(&mut self, inner: HeavyHitters<S>) {
+        self.inner = inner;
+    }
+
+    /// Memory footprint in 64-bit words. For Theorem 6 it is
+    /// `O(ε⁻¹·log²(n/(αδ)))` bits, *independent of `p`* (the premise on
+    /// `F_1(P)` is what moves with `p`); for Theorem 7 the `α′ ∝ √p` shift
+    /// makes the CountSketch width scale as `Õ(1/p)` — the paper's
+    /// `Õ(1/p)` bound for `k = 2` (§1.2, item 4).
+    pub fn space_words(&self) -> usize {
+        self.inner.space_words()
+    }
+
+    /// Report `(item, estimated f_i in P)` sorted by decreasing estimate;
+    /// frequencies are the sampled estimates scaled by `1/p` (for Theorem
+    /// 6 they satisfy `f′_i ∈ (1±ε)·f_i` under the theorem's premise).
+    pub fn report(&self) -> Vec<(u64, f64)> {
+        self.inner
+            .report()
+            .into_iter()
+            .map(|(i, g)| (i, g as f64 / self.p))
+            .collect()
+    }
+}
+
+impl<S: PointSketch> SubsampledEstimator for SampledHeavyHitters<S> {
     fn statistic(&self) -> Statistic {
-        Statistic::F2HeavyHitters
+        match S::MOMENT {
+            1 => Statistic::F1HeavyHitters,
+            _ => Statistic::F2HeavyHitters,
+        }
     }
 
     fn update(&mut self, x: u64) {
@@ -292,12 +209,18 @@ impl SubsampledEstimator for SampledF2HeavyHitters {
         self.inner.merge(&other.inner);
     }
 
+    /// The rate check, then the theorem parameters equal up to float
+    /// noise, then the reporter's own check.
     fn merge_compatible(&self, other: &Self) -> Result<(), MergeError> {
-        check_params(
-            [self.p, self.alpha, self.eps, self.delta],
-            [other.p, other.alpha, other.eps, other.delta],
-            "SampledF2HeavyHitters (alpha, eps, delta)",
-        )?;
+        check_rates(self.p, other.p)?;
+        let same = [
+            (self.alpha, other.alpha),
+            (self.eps, other.eps),
+            (self.delta, other.delta),
+        ]
+        .iter()
+        .all(|(a, b)| (a - b).abs() < 1e-15);
+        Mismatch::unless(same, "SampledHeavyHitters (alpha, eps, delta)")?;
         Ok(self.inner.check_merge(&other.inner)?)
     }
 
@@ -327,20 +250,14 @@ impl SubsampledEstimator for SampledF2HeavyHitters {
     }
 }
 
-/// Decode the shared `(alpha, eps, delta, p)` prefix of both theorem
-/// reporters, validating every parameter's domain.
-fn decode_hh_params(r: &mut Reader) -> Result<(f64, f64, f64, f64), CodecError> {
-    let alpha = r.prob_open()?;
-    let eps = r.prob_open()?;
-    let delta = r.prob_open()?;
-    let p = r.rate()?;
-    Ok((alpha, eps, delta, p))
-}
-
-impl WireCodec for SampledF1HeavyHitters {
-    const WIRE_TAG: u16 = 0x0405;
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
+/// Payload codec shared by both theorems: `alpha ‖ eps ‖ delta ‖ p ‖
+/// reporter` (each gets its own wire tag: the sketch is part of the
+/// identity).
+impl<S: PointSketch> SampledHeavyHitters<S>
+where
+    HeavyHitters<S>: WireCodec,
+{
+    fn encode_fields(&self, out: &mut Vec<u8>) {
         self.alpha.encode_into(out);
         self.eps.encode_into(out);
         self.delta.encode_into(out);
@@ -348,16 +265,31 @@ impl WireCodec for SampledF1HeavyHitters {
         self.inner.encode_into(out);
     }
 
-    fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let (alpha, eps, delta, p) = decode_hh_params(r)?;
-        let inner = CmHeavyHitters::decode(r)?;
-        Ok(SampledF1HeavyHitters {
+    fn decode_fields(r: &mut Reader) -> Result<Self, CodecError> {
+        let alpha = r.prob_open()?;
+        let eps = r.prob_open()?;
+        let delta = r.prob_open()?;
+        let p = r.rate()?;
+        let inner = HeavyHitters::<S>::decode(r)?;
+        Ok(Self {
             inner,
             alpha,
             eps,
             delta,
             p,
         })
+    }
+}
+
+impl WireCodec for SampledF1HeavyHitters {
+    const WIRE_TAG: u16 = 0x0405;
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.encode_fields(out);
+    }
+
+    fn decode(r: &mut Reader) -> Result<Self, CodecError> {
+        Self::decode_fields(r)
     }
 }
 
@@ -365,23 +297,11 @@ impl WireCodec for SampledF2HeavyHitters {
     const WIRE_TAG: u16 = 0x0406;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.alpha.encode_into(out);
-        self.eps.encode_into(out);
-        self.delta.encode_into(out);
-        self.p.encode_into(out);
-        self.inner.encode_into(out);
+        self.encode_fields(out);
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let (alpha, eps, delta, p) = decode_hh_params(r)?;
-        let inner = CsHeavyHitters::decode(r)?;
-        Ok(SampledF2HeavyHitters {
-            inner,
-            alpha,
-            eps,
-            delta,
-            p,
-        })
+        Self::decode_fields(r)
     }
 }
 

@@ -80,6 +80,7 @@ pub use fk::{
 pub use flows::{FlowSizeEstimate, FlowSizeUnfolder, SampledFlowHistogram};
 pub use heavy_hitters::{
     theorem6_min_f1, theorem7_min_sqrt_f2, SampledF1HeavyHitters, SampledF2HeavyHitters,
+    SampledHeavyHitters,
 };
 pub use monitor::{Monitor, MonitorBuilder};
 pub use params::ApproxParams;

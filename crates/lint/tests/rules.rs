@@ -159,6 +159,26 @@ fn batch_kernel_clean_kernel_calls_and_scalar_update_pass() {
 }
 
 #[test]
+fn batch_kernel_fires_inside_trait_impls() {
+    let v = lint_one("sss-sketch", "batch_kernel_trait_impl_bad.rs");
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].rule, "batch_kernel");
+    assert_eq!(v[0].line, 4);
+    assert!(
+        v[0].message
+            .contains("per-item `hash_range` call in batch path `update_batch_admit`"),
+        "{}",
+        v[0].message
+    );
+}
+
+#[test]
+fn batch_kernel_clean_trait_impl_kernel_passes() {
+    let v = lint_one("sss-sketch", "batch_kernel_trait_impl_clean.rs");
+    assert!(v.is_empty(), "{v:?}");
+}
+
+#[test]
 fn batch_kernel_blessed_module_is_exempt() {
     let src = fixture("batch_kernel_bad.rs");
     let v = lint_sources(&[("sss-hash", "crates/hash/src/batch.rs", &src)], &opts());

@@ -5,7 +5,11 @@
 //! types here take the other route (Confluo's `substream_summary`
 //! shape): one shared counter grid whose cells many ingest threads
 //! update concurrently with relaxed atomic adds, behind the `F_1`/`F_2`
-//! heavy-hitter reporters. This is sound for exactly the substrates
+//! heavy-hitter reporters. Each reporter keeps its own grid sweep and
+//! shares the rest with the plain [`HeavyHitters`](crate::HeavyHitters):
+//! a chunk's admitted candidates reach the tracker through the plain
+//! batch path's coalescing step, and `to_plain` rebuilds the tracker
+//! with the re-offer routine a merge uses. This is sound for exactly the substrates
 //! whose merge is cell-wise integer addition (CountMin, CountSketch):
 //! integer adds commute and associate, so any interleaving of per-cell
 //! `fetch_add`s quiesces to the same grid a sequential ingest of the
@@ -42,7 +46,7 @@ use sss_hash::{reduce_inputs, FieldPowers, FourWiseSign, PairwiseHash};
 use crate::batch::BATCH_CHUNK;
 use crate::countmin::CountMin;
 use crate::countsketch::{median_i64, median_u128_as_f64, CountSketch};
-use crate::topk::{positive_estimate, CmHeavyHitters, CsHeavyHitters, TopKTracker};
+use crate::topk::{CmHeavyHitters, CsHeavyHitters, TopKTracker};
 
 /// Per-thread working buffers for the atomic batch kernels, plus the
 /// thread's CAS-retry tally. One per ingest thread; never shared.
@@ -108,16 +112,7 @@ struct AtomicCountMin {
 
 impl AtomicCountMin {
     /// Lift a plain sketch into shared-atomic form.
-    ///
-    /// # Panics
-    /// On a conservative-update sketch: its raise-to-max pass is
-    /// item-serial and order-dependent, so concurrent updates would not
-    /// quiesce to the sequential grid (it is not mergeable either).
     fn from_plain(cm: &CountMin) -> Self {
-        assert!(
-            !cm.is_conservative(),
-            "a conservative-update CountMin cannot go shared-atomic"
-        );
         Self {
             width: cm.width(),
             counters: cm.counters().iter().map(|&c| AtomicU64::new(c)).collect(),
@@ -137,7 +132,6 @@ impl AtomicCountMin {
                 .collect(),
             self.hashes.clone(),
             self.total.load(Ordering::Relaxed),
-            false,
         )
     }
 }
@@ -230,14 +224,9 @@ pub struct AtomicCmHeavyHitters {
 
 impl AtomicCmHeavyHitters {
     /// Lift a plain reporter into shared-atomic form.
-    ///
-    /// # Panics
-    /// If its sketch is conservative-update (see
-    /// [`CmHeavyHitters::check_merge`]: such a reporter merges with
-    /// nothing, itself included).
     pub fn from_plain(hh: &CmHeavyHitters) -> Self {
         Self {
-            cm: AtomicCountMin::from_plain(hh.cm()),
+            cm: AtomicCountMin::from_plain(hh.sketch()),
             tracker: Mutex::new(hh.tracker().clone()),
             alpha: hh.alpha(),
         }
@@ -271,25 +260,14 @@ impl AtomicCmHeavyHitters {
                     scratch.admit.push((x, est as f64));
                 }
             }
-            if !scratch.admit.is_empty() {
-                let mut tracker = lock_tracker(&self.tracker);
-                for &(x, est) in &scratch.admit {
-                    tracker.offer(x, est);
-                }
-            }
+            hand_over(&self.tracker, &scratch.admit);
         }
     }
 
     /// Quiesce to a plain reporter: convert the grid, then rebuild the
-    /// candidate table by re-offering every candidate at its quiesced
-    /// estimate — the same rebuild the merge path performs, so stale
-    /// mid-race estimates cannot survive into reports.
+    /// candidate table against it ([`CmHeavyHitters`]'s quiesce step).
     pub fn to_plain(&self) -> CmHeavyHitters {
-        let cm = self.cm.to_plain();
-        let src = lock_tracker(&self.tracker);
-        let mut tracker = TopKTracker::new(src.cap());
-        tracker.reoffer_union(&src, |item| Some(cm.query(item) as f64));
-        CmHeavyHitters::from_parts(cm, tracker, self.alpha)
+        CmHeavyHitters::quiesced(self.cm.to_plain(), &lock_tracker(&self.tracker), self.alpha)
     }
 }
 
@@ -314,7 +292,7 @@ impl AtomicCsHeavyHitters {
     /// Lift a plain reporter into shared-atomic form.
     pub fn from_plain(hh: &CsHeavyHitters) -> Self {
         Self {
-            cs: AtomicCountSketch::from_plain(hh.cs()),
+            cs: AtomicCountSketch::from_plain(hh.sketch()),
             tracker: Mutex::new(hh.tracker().clone()),
             alpha: hh.alpha(),
         }
@@ -374,24 +352,13 @@ impl AtomicCsHeavyHitters {
                 );
             }
             self.cs.total.fetch_add(len as u64, Ordering::Relaxed);
-            if !scratch.admit.is_empty() {
-                let mut tracker = lock_tracker(&self.tracker);
-                for &(x, est) in &scratch.admit {
-                    tracker.offer(x, est);
-                }
-            }
+            hand_over(&self.tracker, &scratch.admit);
         }
     }
 
-    /// Quiesce to a plain reporter (see [`AtomicCmHeavyHitters::to_plain`];
-    /// candidates whose quiesced estimate collapses to ≤ 0 are dropped,
-    /// mirroring the merge path).
+    /// Quiesce to a plain reporter (see [`AtomicCmHeavyHitters::to_plain`]).
     pub fn to_plain(&self) -> CsHeavyHitters {
-        let cs = self.cs.to_plain();
-        let src = lock_tracker(&self.tracker);
-        let mut tracker = TopKTracker::new(src.cap());
-        tracker.reoffer_union(&src, |item| positive_estimate(&cs, item));
-        CsHeavyHitters::from_parts(cs, tracker, self.alpha)
+        CsHeavyHitters::quiesced(self.cs.to_plain(), &lock_tracker(&self.tracker), self.alpha)
     }
 }
 
@@ -402,10 +369,19 @@ fn lock_tracker(m: &Mutex<TopKTracker>) -> std::sync::MutexGuard<'_, TopKTracker
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// Hand a chunk's admitted candidates to the shared table, in admission
+/// order under one lock, through the plain reporters' batch step
+/// ([`TopKTracker::admit`]).
+fn hand_over(tracker: &Mutex<TopKTracker>, admitted: &[(u64, f64)]) {
+    if !admitted.is_empty() {
+        lock_tracker(tracker).admit(|a| admitted.iter().for_each(|&(x, est)| a.offer(x, est)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sss_codec::{Reader, WireCodec};
+    use sss_codec::WireCodec;
     use sss_hash::{RngCore64, Xoshiro256pp};
     use std::sync::Arc;
 
@@ -436,26 +412,7 @@ mod tests {
         let atomic = AtomicCmHeavyHitters::from_plain(&CmHeavyHitters::new(0.1, 0.01, 0.01, 2));
         let mut scratch = AtomicScratch::new();
         atomic.update_batch(&xs, &mut scratch);
-        assert_eq!(encode(plain.cm()), encode(atomic.to_plain().cm()));
-    }
-
-    /// Only the codec can build a reporter over a conservative CountMin:
-    /// decode its sections, flip the sketch's flag, re-encode.
-    #[test]
-    #[should_panic(expected = "conservative-update CountMin cannot go shared-atomic")]
-    fn cm_hh_from_plain_panics_on_a_conservative_sketch() {
-        let bytes = CmHeavyHitters::new(0.1, 0.01, 0.01, 1).encode();
-        let mut r = Reader::new(&bytes);
-        let mut crafted = f64::decode(&mut r).unwrap().encode();
-        CountMin::decode(&mut r)
-            .unwrap()
-            .conservative()
-            .encode_into(&mut crafted);
-        TopKTracker::decode(&mut r)
-            .unwrap()
-            .encode_into(&mut crafted);
-        let hh = CmHeavyHitters::decode_slice(&crafted).unwrap();
-        let _ = AtomicCmHeavyHitters::from_plain(&hh);
+        assert_eq!(encode(plain.sketch()), encode(atomic.to_plain().sketch()));
     }
 
     #[test]
@@ -467,9 +424,12 @@ mod tests {
         let mut scratch = AtomicScratch::new();
         atomic.update_batch(&xs, &mut scratch);
         let quiesced = atomic.to_plain();
-        assert_eq!(encode(plain.cs()), encode(quiesced.cs()));
+        assert_eq!(encode(plain.sketch()), encode(quiesced.sketch()));
         // The quiesced Σc² is the exact recompute, not the f64 track.
-        assert_eq!(plain.f2_sqrt(), quiesced.f2_sqrt());
+        assert_eq!(
+            plain.sketch().f2_estimate().to_bits(),
+            quiesced.sketch().f2_estimate().to_bits()
+        );
     }
 
     /// The grids are reached only through the heavy-hitter wrappers, so
@@ -507,8 +467,8 @@ mod tests {
         }
         // Integer adds commute: any interleaving quiesces to the
         // sequential grids bit for bit.
-        assert_eq!(encode(seq_cm.cm()), encode(cm.to_plain().cm()));
-        assert_eq!(encode(seq_cs.cs()), encode(cs.to_plain().cs()));
+        assert_eq!(encode(seq_cm.sketch()), encode(cm.to_plain().sketch()));
+        assert_eq!(encode(seq_cs.sketch()), encode(cs.to_plain().sketch()));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use sss_codec::{put_packed_u64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{reduce_inputs, PairwiseHash, SplitMix64};
 
 use crate::batch::{BatchScratch, BATCH_CHUNK};
+use crate::topk::PointSketch;
 use crate::Mismatch;
 
 /// CountMin sketch over `u64` items with `u64` counts.
@@ -36,7 +37,6 @@ pub struct CountMin {
     counters: Vec<u64>, // row-major: d × w
     hashes: Vec<PairwiseHash>,
     total: u64,
-    conservative: bool,
     scratch: BatchScratch,
 }
 
@@ -50,7 +50,6 @@ impl CountMin {
             counters: vec![0; depth * width],
             hashes: (0..depth).map(|_| PairwiseHash::new(sm.derive())).collect(),
             total: 0,
-            conservative: false,
             scratch: BatchScratch::default(),
         }
     }
@@ -64,14 +63,6 @@ impl CountMin {
         let width = (std::f64::consts::E / eps).ceil() as usize;
         let depth = (1.0 / delta).ln().ceil().max(1.0) as usize;
         Self::new(depth, width, seed)
-    }
-
-    /// Enable conservative update: increment only the minimal counters.
-    /// Tightens overestimation on skewed streams; estimates remain
-    /// one-sided (never below the true frequency).
-    pub fn conservative(mut self) -> Self {
-        self.conservative = true;
-        self
     }
 
     /// Number of rows.
@@ -104,11 +95,6 @@ impl CountMin {
         &self.counters
     }
 
-    /// Whether conservative update is enabled.
-    pub(crate) fn is_conservative(&self) -> bool {
-        self.conservative
-    }
-
     /// Reassemble a sketch from raw parts — the atomic variant's quiesce
     /// path. The grid must be `hashes.len() × width`.
     pub(crate) fn from_parts(
@@ -116,7 +102,6 @@ impl CountMin {
         counters: Vec<u64>,
         hashes: Vec<PairwiseHash>,
         total: u64,
-        conservative: bool,
     ) -> Self {
         debug_assert_eq!(counters.len(), width * hashes.len());
         Self {
@@ -124,7 +109,6 @@ impl CountMin {
             counters,
             hashes,
             total,
-            conservative,
             scratch: BatchScratch::default(),
         }
     }
@@ -133,36 +117,8 @@ impl CountMin {
     pub fn update(&mut self, x: u64, count: u64) {
         self.total += count;
         let w = self.width;
-        if self.conservative {
-            // Hash each row once and reuse the indices for both the minimum
-            // scan and the raise pass (the cells are the same ones `query`
-            // would visit, so there is no need to hash twice).
-            let Self {
-                counters,
-                hashes,
-                scratch,
-                ..
-            } = self;
-            scratch.idx.clear();
-            scratch
-                .idx
-                .extend(hashes.iter().map(|h| h.hash_range(x, w)));
-            let est = scratch
-                .idx
-                .iter()
-                .enumerate()
-                .map(|(r, &b)| counters[r * w + b])
-                .min()
-                .unwrap_or(0);
-            let target = est + count;
-            for (r, &b) in scratch.idx.iter().enumerate() {
-                let c = &mut counters[r * w + b];
-                *c = (*c).max(target);
-            }
-        } else {
-            for (r, h) in self.hashes.iter().enumerate() {
-                self.counters[r * w + h.hash_range(x, w)] += count;
-            }
+        for (r, h) in self.hashes.iter().enumerate() {
+            self.counters[r * w + h.hash_range(x, w)] += count;
         }
     }
 
@@ -173,67 +129,97 @@ impl CountMin {
     /// once, each row's bucket indices come from the SWAR kernel into
     /// reusable scratch, and the counter grid is swept row-major with a
     /// tight index+increment loop (counter additions commute, so the
-    /// row-major reorder is exact). Conservative sketches keep the counter
-    /// pass item-serial over the precomputed indices, since their updates
-    /// are order-dependent.
+    /// row-major reorder is exact).
     pub fn update_batch(&mut self, xs: &[u64]) {
         let w = self.width;
-        let d = self.hashes.len();
         let Self {
             counters,
             hashes,
             total,
-            conservative,
             scratch,
             ..
         } = self;
-        if *conservative {
-            for chunk in xs.chunks(BATCH_CHUNK) {
-                let len = chunk.len();
-                reduce_inputs(chunk, &mut scratch.xr);
-                scratch.idx.resize(d * len, 0);
-                for (r, h) in hashes.iter().enumerate() {
-                    h.hash_range_batch(&scratch.xr, w, &mut scratch.idx[r * len..(r + 1) * len]);
+        for chunk in xs.chunks(BATCH_CHUNK) {
+            let len = chunk.len();
+            reduce_inputs(chunk, &mut scratch.xr);
+            scratch.idx.resize(len, 0);
+            for (r, h) in hashes.iter().enumerate() {
+                h.hash_range_batch(&scratch.xr, w, &mut scratch.idx);
+                let row = &mut counters[r * w..(r + 1) * w];
+                for &b in &scratch.idx[..len] {
+                    row[b] += 1;
                 }
-                for i in 0..len {
-                    let mut est = u64::MAX;
-                    for r in 0..d {
-                        est = est.min(counters[r * w + scratch.idx[r * len + i]]);
-                    }
-                    let target = est + 1;
-                    for r in 0..d {
-                        let c = &mut counters[r * w + scratch.idx[r * len + i]];
-                        *c = (*c).max(target);
-                    }
-                }
-                *total += len as u64;
             }
-        } else {
-            for chunk in xs.chunks(BATCH_CHUNK) {
-                let len = chunk.len();
-                reduce_inputs(chunk, &mut scratch.xr);
-                scratch.idx.resize(len, 0);
-                for (r, h) in hashes.iter().enumerate() {
-                    h.hash_range_batch(&scratch.xr, w, &mut scratch.idx);
-                    let row = &mut counters[r * w..(r + 1) * w];
-                    for &b in &scratch.idx[..len] {
-                        row[b] += 1;
-                    }
-                }
-                *total += len as u64;
-            }
+            *total += len as u64;
         }
     }
 
-    /// Batch update (one occurrence per item) that also reports each item's
-    /// post-update point query — exactly `update(x, 1)` followed by
-    /// `query(x)`, without hashing the item twice. The sink is invoked once
-    /// per item, in stream order, with `(x, n_after, est)` where `n_after`
-    /// is the stream length including `x`; running it inline avoids a
-    /// round-trip through an estimate buffer. Plain sketches only; this is
-    /// the heavy-hitter admission kernel.
-    pub(crate) fn update_batch_fold(&mut self, xs: &[u64], mut sink: impl FnMut(u64, u64, u64)) {
-        debug_assert!(!self.conservative);
+    /// Point query: an overestimate of the frequency of `x`.
+    pub fn query(&self, x: u64) -> u64 {
+        self.hashes
+            .iter()
+            .enumerate()
+            .map(|(r, h)| self.counters[r * self.width + h.hash_range(x, self.width)])
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// Whether `other` can merge into `self`: same width and row hash
+    /// functions (hence depth).
+    pub fn check_merge(&self, other: &CountMin) -> Result<(), Mismatch> {
+        Mismatch::unless(self.width == other.width, "CountMin width")?;
+        Mismatch::unless(self.hashes == other.hashes, "CountMin hash functions")
+    }
+
+    /// Merge another sketch built with the same dimensions and seed.
+    ///
+    /// # Panics
+    /// When [`CountMin::check_merge`] fails.
+    pub fn merge(&mut self, other: &CountMin) {
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
+        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
+            *a += b;
+        }
+        self.total += other.total;
+    }
+}
+
+/// Theorem 6's sketch: the threshold is `α·n`, which only grows, and the
+/// estimate never falls below the true count, so an item whose frequency
+/// reaches the *final* threshold was estimated at least that high at its
+/// last arrival, above the threshold then in force: recall is preserved.
+impl PointSketch for CountMin {
+    const MOMENT: u32 = 1;
+
+    fn with_point_error(eps: f64, delta: f64, seed: u64) -> Self {
+        Self::with_error(eps, delta, seed)
+    }
+
+    /// At most `1/α` items can be α-heavy in `F_1`; keep slack.
+    fn tracker_capacity(alpha: f64) -> usize {
+        (4.0 / alpha).ceil() as usize
+    }
+
+    fn total(&self) -> u64 {
+        self.total
+    }
+
+    fn space_words(&self) -> usize {
+        CountMin::space_words(self)
+    }
+
+    fn threshold(&self, alpha: f64) -> f64 {
+        alpha * self.total as f64
+    }
+
+    fn update_estimate(&mut self, x: u64) -> f64 {
+        self.update(x, 1);
+        self.query(x) as f64
+    }
+
+    /// Hashes every item once and checks each item's post-update point
+    /// query inline against `α` times the stream length up to that item.
+    fn update_batch_admit(&mut self, xs: &[u64], alpha: f64, mut sink: impl FnMut(u64, f64)) {
         let w = self.width;
         let d = self.hashes.len();
         let Self {
@@ -259,45 +245,29 @@ impl CountMin {
                     *c += 1;
                     est = est.min(*c);
                 }
-                sink(x, *total + i as u64 + 1, est);
+                let n_after = *total + i as u64 + 1;
+                if (est as f64) >= alpha * n_after as f64 {
+                    sink(x, est as f64);
+                }
             }
             *total += len as u64;
         }
     }
 
-    /// Point query: an overestimate of the frequency of `x`.
-    pub fn query(&self, x: u64) -> u64 {
-        self.hashes
-            .iter()
-            .enumerate()
-            .map(|(r, h)| self.counters[r * self.width + h.hash_range(x, self.width)])
-            .min()
-            .unwrap_or(0)
+    fn reoffer_estimate(&self, x: u64) -> Option<f64> {
+        Some(self.query(x) as f64)
     }
 
-    /// Whether `other` can merge into `self`: same width and row hash
-    /// functions (hence depth), and neither side conservative —
-    /// conservative update is order-dependent, so its counters do not
-    /// add.
-    pub fn check_merge(&self, other: &CountMin) -> Result<(), Mismatch> {
-        Mismatch::unless(self.width == other.width, "CountMin width")?;
-        Mismatch::unless(self.hashes == other.hashes, "CountMin hash functions")?;
-        Mismatch::unless(
-            !self.conservative && !other.conservative,
-            "CountMin conservative update (not mergeable)",
-        )
+    fn reported(&self, x: u64) -> u64 {
+        self.query(x)
     }
 
-    /// Merge another sketch built with the same dimensions and seed.
-    ///
-    /// # Panics
-    /// When [`CountMin::check_merge`] fails.
-    pub fn merge(&mut self, other: &CountMin) {
-        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
-        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-            *a += b;
-        }
-        self.total += other.total;
+    fn check_merge(&self, other: &Self) -> Result<(), Mismatch> {
+        CountMin::check_merge(self, other)
+    }
+
+    fn merge(&mut self, other: &Self) {
+        CountMin::merge(self, other);
     }
 }
 
@@ -312,23 +282,27 @@ impl WireCodec for CountMin {
         put_packed_u64s(out, &self.counters);
         self.hashes.encode_into(out);
         put_varint_u64(out, self.total);
-        self.conservative.encode_into(out);
+        // The retired conservative-update flag keeps its byte.
+        false.encode_into(out);
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let (width, counters, hashes, total, conservative);
+        let (width, counters, hashes, total);
         if r.v2() {
             width = r.varint_u64()? as usize;
             counters = r.packed_u64s()?;
             hashes = Vec::<PairwiseHash>::decode(r)?;
             total = r.varint_u64()?;
-            conservative = r.bool()?;
         } else {
             width = usize::decode(r)?;
             counters = Vec::<u64>::decode(r)?;
             hashes = Vec::<PairwiseHash>::decode(r)?;
             total = r.u64()?;
-            conservative = r.bool()?;
+        }
+        if r.bool()? {
+            return Err(CodecError::Invalid {
+                what: "CountMin conservative update is not supported",
+            });
         }
         if width == 0
             || hashes.is_empty()
@@ -343,7 +317,6 @@ impl WireCodec for CountMin {
             counters,
             hashes,
             total,
-            conservative,
             scratch: BatchScratch::default(),
         })
     }
@@ -408,36 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn conservative_update_never_underestimates_and_is_tighter() {
-        let mut plain = CountMin::new(3, 32, 7);
-        let mut cons = CountMin::new(3, 32, 7).conservative();
-        let mut rng = Xoshiro256pp::new(8);
-        let mut truth = std::collections::HashMap::new();
-        for _ in 0..20_000 {
-            // Skewed: item 0 is hot.
-            let x = if rng.next_bool(0.5) {
-                0
-            } else {
-                rng.next_below(2000)
-            };
-            plain.update(x, 1);
-            cons.update(x, 1);
-            *truth.entry(x).or_insert(0u64) += 1;
-        }
-        let mut plain_err = 0u64;
-        let mut cons_err = 0u64;
-        for (&x, &f) in &truth {
-            assert!(cons.query(x) >= f);
-            plain_err += plain.query(x) - f;
-            cons_err += cons.query(x) - f;
-        }
-        assert!(
-            cons_err <= plain_err,
-            "cons {cons_err} vs plain {plain_err}"
-        );
-    }
-
-    #[test]
     fn merge_equals_concatenation() {
         let mut a = CountMin::new(4, 128, 9);
         let mut b = CountMin::new(4, 128, 9);
@@ -457,8 +400,8 @@ mod tests {
         }
     }
 
-    // Batch-vs-scalar equivalence (plain and conservative) is pinned by
-    // the shared battery in tests/batch_equiv.rs (crate::equiv harness).
+    // Batch-vs-scalar equivalence is pinned by the shared battery in
+    // tests/batch_equiv.rs (crate::equiv harness).
 
     #[test]
     #[should_panic(expected = "incompatible")]

@@ -18,6 +18,7 @@ use sss_codec::{put_packed_i64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{FourWiseSign, PairwiseHash, SplitMix64};
 
 use crate::batch::{BatchScratch, BATCH_CHUNK};
+use crate::topk::PointSketch;
 use crate::Mismatch;
 
 /// CountSketch over `u64` items with `i64` counters.
@@ -124,14 +125,7 @@ impl CountSketch {
     ) -> Self {
         debug_assert_eq!(counters.len(), width * bucket_hashes.len());
         debug_assert_eq!(bucket_hashes.len(), sign_hashes.len());
-        let row_sumsq: Vec<u128> = counters
-            .chunks_exact(width)
-            .map(|row| {
-                row.iter()
-                    .map(|&c| ((c as i128) * (c as i128)) as u128)
-                    .sum()
-            })
-            .collect();
+        let row_sumsq = row_sums_of_squares(&counters, width);
         Self {
             width,
             counters,
@@ -205,11 +199,93 @@ impl CountSketch {
         }
     }
 
-    /// Batch update (one occurrence per item) that admits `F_2` heavy
-    /// hitters: `sink(x, est)` runs, in stream order, for every item whose
+    /// Point query: median over rows of the signed counter — an unbiased
+    /// frequency estimate.
+    pub fn query(&self, x: u64) -> i64 {
+        let mut ests: Vec<i64> = (0..self.depth())
+            .map(|r| {
+                let b = self.bucket_hashes[r].hash_range(x, self.width);
+                self.sign_hashes[r].sign(x) * self.counters[r * self.width + b]
+            })
+            .collect();
+        median_i64(&mut ests)
+    }
+
+    /// Estimate `F_2` of the ingested stream: median over rows of Σc².
+    /// Each row is an AMS-style unbiased estimator with relative standard
+    /// deviation `√(2/w)`.
+    pub fn f2_estimate(&self) -> f64 {
+        let mut rows: Vec<u128> = self.row_sumsq.clone();
+        median_u128_as_f64(&mut rows)
+    }
+
+    /// Whether `other` can merge into `self`: same width, bucket hash
+    /// functions (hence depth) and sign functions.
+    pub fn check_merge(&self, other: &CountSketch) -> Result<(), Mismatch> {
+        Mismatch::unless(self.width == other.width, "CountSketch width")?;
+        Mismatch::unless(
+            self.bucket_hashes == other.bucket_hashes,
+            "CountSketch hash functions",
+        )?;
+        Mismatch::unless(
+            self.sign_hashes == other.sign_hashes,
+            "CountSketch sign functions",
+        )
+    }
+
+    /// Merge another sketch with identical dimensions and seeds.
+    ///
+    /// # Panics
+    /// When [`CountSketch::check_merge`] fails.
+    pub fn merge(&mut self, other: &CountSketch) {
+        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
+        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
+            *a += b;
+        }
+        self.total += other.total;
+        // Recompute row sums (merging breaks the incremental identity).
+        self.row_sumsq = row_sums_of_squares(&self.counters, self.width);
+    }
+}
+
+/// Theorem 7's sketch. Its threshold `α·√F̂₂` carries no monotonicity:
+/// an increment of sign `s` on a cell holding `c` changes that row's Σc²
+/// by `2sc + 1`, which is negative when `sc < 0`, so `F̂₂` — and with it
+/// the threshold — can fall, and a point estimate can fall too. The true
+/// `F_2` only grows, so the reporter's recall rests on the sketch's
+/// `±ε√F_2` accuracy (Theorem 7's `ε`), not on a monotone threshold.
+impl PointSketch for CountSketch {
+    const MOMENT: u32 = 2;
+
+    fn with_point_error(eps: f64, delta: f64, seed: u64) -> Self {
+        Self::with_error(eps, delta, seed)
+    }
+
+    /// At most `1/α²` items can be α-heavy in `F_2`; keep slack.
+    fn tracker_capacity(alpha: f64) -> usize {
+        (4.0 / (alpha * alpha)).ceil().min(1e6) as usize
+    }
+
+    fn total(&self) -> u64 {
+        self.total
+    }
+
+    fn space_words(&self) -> usize {
+        CountSketch::space_words(self)
+    }
+
+    fn threshold(&self, alpha: f64) -> f64 {
+        alpha * self.f2_estimate().sqrt()
+    }
+
+    fn update_estimate(&mut self, x: u64) -> f64 {
+        self.update(x, 1);
+        self.query(x) as f64
+    }
+
+    /// Runs `sink(x, est)`, in stream order, for every item whose
     /// post-update point query reaches `alpha·√F̂₂` — exactly `update(x, 1)`
     /// then `query(x) as f64 >= alpha * f2_estimate().sqrt()` per item.
-    /// This is the `F_2` heavy-hitter admission kernel.
     ///
     /// **Row-major sweep.** A row's counters and its Σc² evolve
     /// independently of the other rows, so each chunk sweeps the grid one
@@ -230,12 +306,7 @@ impl CountSketch {
     /// `(hi as f64) < alpha·√(lo as f64)` proves `est as f64 < alpha·√f2`
     /// and the item is rejected without either median. Only the items the
     /// bound leaves open gather their rows and take the two medians.
-    pub(crate) fn update_batch_admit(
-        &mut self,
-        xs: &[u64],
-        alpha: f64,
-        mut sink: impl FnMut(u64, i64),
-    ) {
+    fn update_batch_admit(&mut self, xs: &[u64], alpha: f64, mut sink: impl FnMut(u64, f64)) {
         debug_assert!(alpha > 0.0, "the admission skip bound needs alpha > 0");
         let w = self.width;
         let d = self.bucket_hashes.len();
@@ -304,64 +375,30 @@ impl CountSketch {
                 item_sumsq.clear();
                 item_sumsq.extend((0..d).map(|r| sumsq[r * len + i]));
                 if est as f64 >= alpha * median_u128_as_f64(item_sumsq).sqrt() {
-                    sink(x, est);
+                    sink(x, est as f64);
                 }
             }
             *total = total.wrapping_add(len as u64);
         }
     }
 
-    /// Point query: median over rows of the signed counter — an unbiased
-    /// frequency estimate.
-    pub fn query(&self, x: u64) -> i64 {
-        let mut ests: Vec<i64> = (0..self.depth())
-            .map(|r| {
-                let b = self.bucket_hashes[r].hash_range(x, self.width);
-                self.sign_hashes[r].sign(x) * self.counters[r * self.width + b]
-            })
-            .collect();
-        median_i64(&mut ests)
+    /// Positive estimates only: a candidate whose merged or quiesced
+    /// estimate collapses to ≤ 0 leaves the table.
+    fn reoffer_estimate(&self, x: u64) -> Option<f64> {
+        let est = self.query(x);
+        (est > 0).then_some(est as f64)
     }
 
-    /// Estimate `F_2` of the ingested stream: median over rows of Σc².
-    /// Each row is an AMS-style unbiased estimator with relative standard
-    /// deviation `√(2/w)`.
-    pub fn f2_estimate(&self) -> f64 {
-        let mut rows: Vec<u128> = self.row_sumsq.clone();
-        median_u128_as_f64(&mut rows)
+    fn reported(&self, x: u64) -> u64 {
+        self.query(x).max(0) as u64
     }
 
-    /// Whether `other` can merge into `self`: same width, bucket hash
-    /// functions (hence depth) and sign functions.
-    pub fn check_merge(&self, other: &CountSketch) -> Result<(), Mismatch> {
-        Mismatch::unless(self.width == other.width, "CountSketch width")?;
-        Mismatch::unless(
-            self.bucket_hashes == other.bucket_hashes,
-            "CountSketch hash functions",
-        )?;
-        Mismatch::unless(
-            self.sign_hashes == other.sign_hashes,
-            "CountSketch sign functions",
-        )
+    fn check_merge(&self, other: &Self) -> Result<(), Mismatch> {
+        CountSketch::check_merge(self, other)
     }
 
-    /// Merge another sketch with identical dimensions and seeds.
-    ///
-    /// # Panics
-    /// When [`CountSketch::check_merge`] fails.
-    pub fn merge(&mut self, other: &CountSketch) {
-        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
-        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-            *a += b;
-        }
-        self.total += other.total;
-        // Recompute row sums (merging breaks the incremental identity).
-        for r in 0..self.depth() {
-            self.row_sumsq[r] = self.counters[r * self.width..(r + 1) * self.width]
-                .iter()
-                .map(|&c| ((c as i128) * (c as i128)) as u128)
-                .sum();
-        }
+    fn merge(&mut self, other: &Self) {
+        CountSketch::merge(self, other);
     }
 }
 
@@ -407,14 +444,7 @@ impl WireCodec for CountSketch {
                 what: "CountSketch counter grid does not match depth x width",
             });
         }
-        let row_sumsq: Vec<u128> = counters
-            .chunks_exact(width)
-            .map(|row| {
-                row.iter()
-                    .map(|&c| ((c as i128) * (c as i128)) as u128)
-                    .sum()
-            })
-            .collect();
+        let row_sumsq = row_sums_of_squares(&counters, width);
         Ok(CountSketch {
             width,
             counters,
@@ -425,6 +455,20 @@ impl WireCodec for CountSketch {
             scratch: BatchScratch::default(),
         })
     }
+}
+
+/// Each row's Σc², recomputed from a row-major grid (the derived state
+/// that merge, decode and the atomic quiesce rebuild). Exact integer
+/// arithmetic, so it equals the incrementally maintained sums bit for bit.
+fn row_sums_of_squares(counters: &[i64], width: usize) -> Vec<u128> {
+    counters
+        .chunks_exact(width)
+        .map(|row| {
+            row.iter()
+                .map(|&c| ((c as i128) * (c as i128)) as u128)
+                .sum()
+        })
+        .collect()
 }
 
 /// Median of row aggregates, as `f64`: sorts in place, averages the two
@@ -535,13 +579,7 @@ mod tests {
         for &x in &stream {
             cs.update(x, 1);
         }
-        for r in 0..cs.depth() {
-            let direct: u128 = cs.counters[r * cs.width..(r + 1) * cs.width]
-                .iter()
-                .map(|&c| ((c as i128) * (c as i128)) as u128)
-                .sum();
-            assert_eq!(cs.row_sumsq[r], direct, "row {r}");
-        }
+        assert_eq!(cs.row_sumsq, row_sums_of_squares(&cs.counters, cs.width));
     }
 
     #[test]
@@ -588,13 +626,7 @@ mod tests {
         for chunk in stream.chunks(401) {
             bat.update_batch(chunk);
         }
-        for r in 0..bat.depth() {
-            let direct: u128 = bat.counters[r * bat.width..(r + 1) * bat.width]
-                .iter()
-                .map(|&c| ((c as i128) * (c as i128)) as u128)
-                .sum();
-            assert_eq!(bat.row_sumsq[r], direct, "row {r}");
-        }
+        assert_eq!(bat.row_sumsq, row_sums_of_squares(&bat.counters, bat.width));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use sss_codec::{put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{PairwiseHash, RngCore64, SplitMix64};
 
 use crate::countsketch::CountSketch;
-use crate::topk::{positive_estimate, TopKTracker};
+use crate::topk::{PointSketch, TopKTracker};
 use crate::Mismatch;
 
 /// Configuration for a [`LevelSetEstimator`].
@@ -222,7 +222,7 @@ impl LevelSetEstimator {
             mine.cs.merge(&theirs.cs);
             mine.updates += theirs.updates;
             mine.tracker
-                .reoffer_union(&theirs.tracker, |item| positive_estimate(&mine.cs, item));
+                .reoffer_union(&theirs.tracker, |item| mine.cs.reoffer_estimate(item));
         }
         self.n += other.n;
     }

@@ -12,8 +12,8 @@
 //! | [`kmv`] | bottom-k distinct sketch | the `(1/2, δ)` `F_0(L)` estimate of Algorithm 2 |
 //! | [`levelset`] | Indyk–Woodruff level sets | `C̃_ℓ(L)` for Algorithm 1 (Thm 2) |
 //! | [`entropy`] | CCM suffix-count estimator | multiplicative `H(g)` for Thm 5 |
-//! | [`topk`] | candidate heavy-hitter trackers | turning point-query sketches into `O(1/α)`-item reporters |
-//! | [`atomic`] | shared-atomic CountMin/CountSketch heavy-hitter reporters | lock-free multi-threaded ingestion into one grid |
+//! | [`topk`] | candidate tracker and one reporter, [`HeavyHitters<S>`], generic over its [`PointSketch`] | turning CountMin (Thm 6) or CountSketch (Thm 7) into an `O(1/α)`-item reporter |
+//! | [`atomic`] | shared-atomic grids behind the two reporters, sharing the reporter's admission and quiesce steps | lock-free multi-threaded ingestion into one grid |
 //!
 //! **Merge contract.** Every mergeable sketch has one
 //! `check_merge(&self, other) -> Result<(), Mismatch>` covering
@@ -43,7 +43,7 @@ pub use entropy::EntropyEstimator;
 pub use kmv::{KmvSketch, MedianF0};
 pub use levelset::LevelSetEstimator;
 pub use misra_gries::MisraGries;
-pub use topk::{CmHeavyHitters, CsHeavyHitters, TopKTracker};
+pub use topk::{CmHeavyHitters, CsHeavyHitters, HeavyHitters, PointSketch, TopKTracker};
 
 /// Why two sketches cannot merge: the first configuration field that
 /// differs, named with its sketch type (`"CountMin hash functions"`).

@@ -8,16 +8,13 @@
 //! it to a bounded candidate table. At query time candidates are
 //! re-estimated and filtered against the final threshold.
 //!
-//! For CountMin's `α·n` the threshold only grows and the estimate never
-//! falls below the true count, so an item whose frequency reaches the
-//! *final* threshold was estimated at least that high at its last arrival,
-//! above the threshold then in force: recall is preserved. CountSketch's
-//! `α·√F̂₂` carries no such guarantee. An increment of sign `s` on a cell
-//! holding `c` changes that row's Σc² by `2sc + 1`, which is negative when
-//! `sc < 0`, so `F̂₂` — and with it the threshold — can fall, and a point
-//! estimate can fall too. The true `F_2` only grows, so the `F_2`
-//! reporter's recall rests on the sketch's `±ε√F_2` accuracy (Theorem 7's
-//! `ε`), not on a monotone threshold.
+//! That construction is written once, as [`HeavyHitters<S>`], generic over
+//! its [`PointSketch`]. The sketch's impl carries what differs between the
+//! theorems: sizing, tracker capacity, the threshold (`α·n` for CountMin,
+//! `α·√F̂₂` for CountSketch), the batch admission kernel, and the estimates
+//! a merge re-offers and a report returns. Each impl's doc says why its
+//! threshold preserves recall. [`CmHeavyHitters`] and [`CsHeavyHitters`]
+//! name the two instantiations.
 
 use sss_codec::{put_packed_sorted_u64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{fp_hash_map, FpHashMap};
@@ -25,19 +22,6 @@ use sss_hash::{fp_hash_map, FpHashMap};
 use crate::countmin::CountMin;
 use crate::countsketch::CountSketch;
 use crate::Mismatch;
-
-/// Reporting fractions agree: equal up to float noise from deriving `α`
-/// from shard rates that differ in the last ulp. NaN never agrees.
-fn same_alpha(a: f64, b: f64) -> bool {
-    (a - b).abs() < 1e-15
-}
-
-/// `x`'s CountSketch estimate when positive: candidates whose estimate
-/// collapses to ≤ 0 leave the table on re-offer.
-pub(crate) fn positive_estimate(cs: &CountSketch, x: u64) -> Option<f64> {
-    let est = cs.query(x);
-    (est > 0).then_some(est as f64)
-}
 
 /// A bounded table of candidate heavy hitters keyed by estimated frequency.
 #[derive(Debug, Clone)]
@@ -57,15 +41,9 @@ impl TopKTracker {
     }
 
     /// Insert or refresh a candidate with its current estimate. The table
-    /// lazily prunes to the top `cap` whenever it doubles.
-    pub fn offer(&mut self, item: u64, estimate: f64) {
-        let _ = self.offer_pruned(item, estimate);
-    }
-
-    /// [`Self::offer`], reporting whether the insert triggered a prune —
-    /// the signal the batch paths' offer coalescer needs to invalidate
-    /// its membership cache.
-    pub(crate) fn offer_pruned(&mut self, item: u64, estimate: f64) -> bool {
+    /// lazily prunes to the top `cap` whenever it doubles; returns whether
+    /// this insert pruned it.
+    pub fn offer(&mut self, item: u64, estimate: f64) -> bool {
         self.est.insert(item, estimate);
         if self.est.len() >= 2 * self.cap {
             self.prune();
@@ -82,6 +60,23 @@ impl TopKTracker {
         self.est = v.into_iter().collect();
     }
 
+    /// Hand a batch's admitted candidates to the table: `feed` calls
+    /// [`Admissions::offer`] once per admission, in admission order. The
+    /// table ends bit for bit as one [`Self::offer`] per admission would
+    /// leave it. The batch paths of [`HeavyHitters`] and of the atomic
+    /// reporters both go through here.
+    pub(crate) fn admit(&mut self, feed: impl FnOnce(&mut Admissions<'_>)) {
+        let mut pending = Admissions {
+            tracker: self,
+            items: [0; 8],
+            ests: [0.0; 8],
+            dirty: [false; 8],
+            len: 0,
+        };
+        feed(&mut pending);
+        pending.flush();
+    }
+
     /// All current candidates (unpruned view), in ascending item order.
     ///
     /// The order is deliberately canonical, not the hash map's: merge
@@ -96,23 +91,23 @@ impl TopKTracker {
         v.into_iter()
     }
 
-    /// Re-offer the candidate union — own candidates ascending, then
-    /// `other`'s ascending — at the estimates `est` gives against the
-    /// merged (or quiesced) sketch; `None` skips an item. Stored estimates
-    /// are stale shard-sized values, and leaving them would let capacity
-    /// pruning evict a union-heavy item.
+    /// Re-estimate the candidate union — own candidates ascending, then
+    /// `other`'s ascending — against the merged (or quiesced) sketch:
+    /// each is offered at `est(item)`, and one whose `est` is `None`
+    /// leaves the table. Stored estimates are stale shard-sized values;
+    /// keeping them would let capacity pruning evict a union-heavy item,
+    /// or a candidate whose merged estimate collapsed outlive a real one.
+    /// Merge, the atomic quiesce and the level sets' merge all re-offer
+    /// through here.
     pub(crate) fn reoffer_union(&mut self, other: &TopKTracker, est: impl Fn(u64) -> Option<f64>) {
         let union: Vec<u64> = self.candidates().chain(other.candidates()).collect();
         for item in union {
             if let Some(e) = est(item) {
                 self.offer(item, e);
+            } else {
+                self.est.remove(&item);
             }
         }
-    }
-
-    /// The pruning capacity (used by the atomic quiesce rebuild).
-    pub(crate) fn cap(&self) -> usize {
-        self.cap
     }
 
     /// Whether `other`'s candidates can be re-offered into `self`: same
@@ -132,8 +127,9 @@ impl TopKTracker {
     }
 }
 
-/// Batch-path write coalescer for [`TopKTracker`]: defers repeated offers
-/// of items known to be in the table.
+/// Batch-path write coalescer for [`TopKTracker`] (see
+/// [`TopKTracker::admit`]): defers repeated offers of items known to be in
+/// the table.
 ///
 /// Correctness relies on two facts about the tracker. Offers of an
 /// already-present item never change the table's size, so they can never
@@ -145,25 +141,18 @@ impl TopKTracker {
 /// membership cache. Net effect: identical tracker state to per-item
 /// offers, with the hot repeated admissions costing an 8-entry linear
 /// scan instead of a hash-map insert.
-struct OfferCoalescer {
+pub(crate) struct Admissions<'a> {
+    tracker: &'a mut TopKTracker,
     items: [u64; 8],
     ests: [f64; 8],
     dirty: [bool; 8],
     len: usize,
 }
 
-impl OfferCoalescer {
-    fn new() -> Self {
-        Self {
-            items: [0; 8],
-            ests: [0.0; 8],
-            dirty: [false; 8],
-            len: 0,
-        }
-    }
-
+impl Admissions<'_> {
+    /// Offer admitted candidate `x` at estimate `est`.
     #[inline]
-    fn offer(&mut self, tracker: &mut TopKTracker, x: u64, est: f64) {
+    pub(crate) fn offer(&mut self, x: u64, est: f64) {
         for j in 0..self.len {
             if self.items[j] == x {
                 self.ests[j] = est;
@@ -173,8 +162,8 @@ impl OfferCoalescer {
         }
         // Unknown membership: materialize pending writes so the table is
         // in per-item-path state, then forward this offer for real.
-        self.flush(tracker);
-        if tracker.offer_pruned(x, est) {
+        self.flush();
+        if self.tracker.offer(x, est) {
             self.len = 0;
         } else if self.len < self.items.len() {
             self.items[self.len] = x;
@@ -185,36 +174,105 @@ impl OfferCoalescer {
     }
 
     #[inline]
-    fn flush(&mut self, tracker: &mut TopKTracker) {
+    fn flush(&mut self) {
         for j in 0..self.len {
             if self.dirty[j] {
                 // Present item: no size change, so never a prune.
-                tracker.offer(self.items[j], self.ests[j]);
+                self.tracker.offer(self.items[j], self.ests[j]);
                 self.dirty[j] = false;
             }
         }
     }
 }
 
-/// CountMin-backed `F_1` heavy-hitter reporter: report every item whose
-/// estimated frequency is at least `α·n`, with per-item `(1 ± ε·F_1/f)`
-/// frequency estimates.
+/// A point-query sketch that [`HeavyHitters`] turns into a reporter: what
+/// differs between Theorem 6's CountMin and Theorem 7's CountSketch.
+pub trait PointSketch: Clone + std::fmt::Debug + WireCodec {
+    /// The `k` of the threshold's norm: the reporter returns items whose
+    /// frequency is at least `α·F_k^{1/k}` (1 for CountMin, 2 for
+    /// CountSketch).
+    const MOMENT: u32;
+
+    /// Sketch whose point queries err by at most `eps·F_k^{1/k}` with
+    /// failure probability `delta`.
+    fn with_point_error(eps: f64, delta: f64, seed: u64) -> Self;
+
+    /// Candidate-table capacity for reporting fraction `alpha`.
+    fn tracker_capacity(alpha: f64) -> usize;
+
+    /// Stream length ingested.
+    fn total(&self) -> u64;
+
+    /// Space in 64-bit words.
+    fn space_words(&self) -> usize;
+
+    /// The admission and report threshold `α·F̂_k^{1/k}` as it stands.
+    fn threshold(&self, alpha: f64) -> f64;
+
+    /// Add one occurrence of `x`; its post-update point estimate.
+    fn update_estimate(&mut self, x: u64) -> f64;
+
+    /// The batch admission kernel: one occurrence of each of `xs`, and
+    /// `sink(x, est)` in stream order for every item whose post-update
+    /// estimate reaches `threshold(alpha)` as it stands after that item —
+    /// the same admissions, bit for bit, as [`Self::update_estimate`] per
+    /// item.
+    fn update_batch_admit(&mut self, xs: &[u64], alpha: f64, sink: impl FnMut(u64, f64));
+
+    /// `x`'s estimate when a merge or quiesce re-offers it; `None` takes
+    /// it out of the candidate table.
+    fn reoffer_estimate(&self, x: u64) -> Option<f64>;
+
+    /// `x`'s reported frequency.
+    fn reported(&self, x: u64) -> u64;
+
+    /// Whether `other` can merge into `self` (the sketch's own check).
+    fn check_merge(&self, other: &Self) -> Result<(), Mismatch>;
+
+    /// Merge a sketch that passed [`Self::check_merge`].
+    fn merge(&mut self, other: &Self);
+}
+
+/// Heavy-hitter reporter over the point-query sketch `S`: report every
+/// item whose estimated frequency is at least `S::threshold(α)`, with the
+/// sketch's point estimates as frequencies.
 #[derive(Debug, Clone)]
-pub struct CmHeavyHitters {
-    cm: CountMin,
+pub struct HeavyHitters<S> {
+    sketch: S,
     tracker: TopKTracker,
     alpha: f64,
 }
 
-impl CmHeavyHitters {
-    /// Reporter for the threshold `α·F_1` using a CountMin with point-query
-    /// error `eps·F_1` and failure probability `delta`.
+/// CountMin-backed `F_1` heavy-hitter reporter: every item whose estimated
+/// frequency is at least `α·n`, with per-item `(1 ± ε·F_1/f)` estimates.
+pub type CmHeavyHitters = HeavyHitters<CountMin>;
+
+/// CountSketch-backed `F_2` heavy-hitter reporter: every item whose
+/// estimated frequency is at least `α·√F̂_2`.
+pub type CsHeavyHitters = HeavyHitters<CountSketch>;
+
+impl<S: PointSketch> HeavyHitters<S> {
+    /// Reporter for the threshold `α·F_k^{1/k}` using a sketch with point
+    /// error `eps·F_k^{1/k}` and failure probability `delta`.
     pub fn new(alpha: f64, eps: f64, delta: f64, seed: u64) -> Self {
         assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-        let cap = (4.0 / alpha).ceil() as usize;
         Self {
-            cm: CountMin::with_error(eps, delta, seed),
-            tracker: TopKTracker::new(cap),
+            sketch: S::with_point_error(eps, delta, seed),
+            tracker: TopKTracker::new(S::tracker_capacity(alpha)),
+            alpha,
+        }
+    }
+
+    /// Reassemble a reporter around a quiesced sketch, rebuilding the
+    /// candidate table by re-offering `candidates` against it (the atomic
+    /// reporters' quiesce step): stale mid-race estimates cannot survive
+    /// into reports.
+    pub(crate) fn quiesced(sketch: S, candidates: &TopKTracker, alpha: f64) -> Self {
+        let mut tracker = TopKTracker::new(candidates.cap);
+        tracker.reoffer_union(candidates, |item| sketch.reoffer_estimate(item));
+        Self {
+            sketch,
+            tracker,
             alpha,
         }
     }
@@ -224,9 +282,9 @@ impl CmHeavyHitters {
         self.alpha
     }
 
-    /// The backing sketch (shared with the atomic variant).
-    pub(crate) fn cm(&self) -> &CountMin {
-        &self.cm
+    /// The backing sketch (shared with the atomic variants).
+    pub(crate) fn sketch(&self) -> &S {
+        &self.sketch
     }
 
     /// The candidate table.
@@ -234,202 +292,95 @@ impl CmHeavyHitters {
         &self.tracker
     }
 
-    /// Reassemble a reporter from raw parts — the atomic variant's
-    /// quiesce path.
-    pub(crate) fn from_parts(cm: CountMin, tracker: TopKTracker, alpha: f64) -> Self {
-        Self { cm, tracker, alpha }
-    }
-
     /// Stream length ingested.
     pub fn n(&self) -> u64 {
-        self.cm.total()
+        self.sketch.total()
     }
 
     /// Space in 64-bit words (sketch + candidate table).
     pub fn space_words(&self) -> usize {
-        self.cm.space_words() + 2 * self.tracker.len()
+        self.sketch.space_words() + 2 * self.tracker.len()
     }
 
     /// Ingest one occurrence of `x`.
     pub fn update(&mut self, x: u64) {
-        self.cm.update(x, 1);
-        let est = self.cm.query(x);
-        if (est as f64) >= self.alpha * self.cm.total() as f64 {
-            self.tracker.offer(x, est as f64);
+        let est = self.sketch.update_estimate(x);
+        if est >= self.sketch.threshold(self.alpha) {
+            self.tracker.offer(x, est);
         }
     }
 
     /// Ingest a batch of occurrences — same candidate admissions, bit for
-    /// bit, as the per-item path. The sketch's fused batch kernel hashes
-    /// every item once and streams each item's post-update estimate through
-    /// the admission check inline; the threshold replays the per-item
-    /// stream length, so offers happen in the same order at the same
-    /// values.
+    /// bit, as the per-item path: the sketch's admission kernel
+    /// ([`PointSketch::update_batch_admit`]) admits in stream order, so
+    /// offers happen in the same order at the same values.
     pub fn update_batch(&mut self, xs: &[u64]) {
-        let Self { cm, tracker, alpha } = self;
-        let alpha = *alpha;
-        let mut pending = OfferCoalescer::new();
-        cm.update_batch_fold(xs, |x, n_after, est| {
-            if (est as f64) >= alpha * n_after as f64 {
-                pending.offer(tracker, x, est as f64);
-            }
+        let Self {
+            sketch,
+            tracker,
+            alpha,
+        } = self;
+        tracker.admit(|admitted| {
+            sketch.update_batch_admit(xs, *alpha, |x, est| admitted.offer(x, est))
         });
-        pending.flush(tracker);
     }
 
-    /// Whether `other` can merge into `self`: same `α`, CountMin and
-    /// tracker capacity.
-    pub fn check_merge(&self, other: &CmHeavyHitters) -> Result<(), Mismatch> {
-        Mismatch::unless(same_alpha(self.alpha, other.alpha), "CmHeavyHitters alpha")?;
-        self.cm.check_merge(&other.cm)?;
+    /// Whether `other` can merge into `self`: same `α` (up to float noise
+    /// from deriving it from shard rates that differ in the last ulp; NaN
+    /// never agrees), sketch and tracker capacity.
+    pub fn check_merge(&self, other: &Self) -> Result<(), Mismatch> {
+        let same_alpha = (self.alpha - other.alpha).abs() < 1e-15;
+        Mismatch::unless(same_alpha, "HeavyHitters alpha")?;
+        self.sketch.check_merge(&other.sketch)?;
         self.tracker.check_merge(&other.tracker)
     }
 
     /// Merge another reporter with the same parameters and sketch seed:
-    /// counter-wise CountMin merge, then *both* sides' candidates
-    /// re-offered at their post-merge estimates: stale shard-sized
-    /// estimates would let capacity pruning evict a union-heavy item.
+    /// the sketches merge, then *both* sides' candidates are re-offered at
+    /// their post-merge estimates, and one the sketch declines
+    /// ([`PointSketch::reoffer_estimate`]) leaves the table.
     ///
     /// # Panics
-    /// When [`CmHeavyHitters::check_merge`] fails.
-    pub fn merge(&mut self, other: &CmHeavyHitters) {
+    /// When [`HeavyHitters::check_merge`] fails.
+    pub fn merge(&mut self, other: &Self) {
         self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
-        self.cm.merge(&other.cm);
+        self.sketch.merge(&other.sketch);
         self.tracker
-            .reoffer_union(&other.tracker, |item| Some(self.cm.query(item) as f64));
+            .reoffer_union(&other.tracker, |item| self.sketch.reoffer_estimate(item));
     }
 
     /// Report `(item, estimated frequency)` for every candidate whose final
-    /// estimate is at least `α·n`, sorted by decreasing estimate.
+    /// estimate is at least the final threshold, sorted by decreasing
+    /// estimate.
     pub fn report(&self) -> Vec<(u64, u64)> {
-        let threshold = self.alpha * self.cm.total() as f64;
+        let threshold = self.sketch.threshold(self.alpha);
         let mut out: Vec<(u64, u64)> = self
             .tracker
             .candidates()
-            .map(|i| (i, self.cm.query(i)))
+            .map(|i| (i, self.sketch.reported(i)))
             .filter(|&(_, e)| e as f64 >= threshold)
             .collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
     }
-}
 
-/// CountSketch-backed `F_2` heavy-hitter reporter: report every item whose
-/// estimated frequency is at least `α·√F̂_2`.
-#[derive(Debug, Clone)]
-pub struct CsHeavyHitters {
-    cs: CountSketch,
-    tracker: TopKTracker,
-    alpha: f64,
-}
+    /// Payload shared by both instantiations: `alpha ‖ sketch ‖ tracker`
+    /// (each keeps its own wire tag: the sketch is part of the identity).
+    fn encode_fields(&self, out: &mut Vec<u8>) {
+        self.alpha.encode_into(out);
+        self.sketch.encode_into(out);
+        self.tracker.encode_into(out);
+    }
 
-impl CsHeavyHitters {
-    /// Reporter for the threshold `α·√F_2` using a CountSketch with
-    /// point-query error `eps·√F_2` and failure probability `delta`.
-    pub fn new(alpha: f64, eps: f64, delta: f64, seed: u64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-        // At most 1/α² items can be α-heavy in F_2; keep slack.
-        let cap = (4.0 / (alpha * alpha)).ceil().min(1e6) as usize;
-        Self {
-            cs: CountSketch::with_error(eps, delta, seed),
-            tracker: TopKTracker::new(cap),
+    fn decode_fields(r: &mut Reader) -> Result<Self, CodecError> {
+        let alpha = r.prob_open()?;
+        let sketch = S::decode(r)?;
+        let tracker = TopKTracker::decode(r)?;
+        Ok(Self {
+            sketch,
+            tracker,
             alpha,
-        }
-    }
-
-    /// The reporting fraction `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The backing sketch (shared with the atomic variant).
-    pub(crate) fn cs(&self) -> &CountSketch {
-        &self.cs
-    }
-
-    /// The candidate table.
-    pub(crate) fn tracker(&self) -> &TopKTracker {
-        &self.tracker
-    }
-
-    /// Reassemble a reporter from raw parts — the atomic variant's
-    /// quiesce path.
-    pub(crate) fn from_parts(cs: CountSketch, tracker: TopKTracker, alpha: f64) -> Self {
-        Self { cs, tracker, alpha }
-    }
-
-    /// Stream length ingested.
-    pub fn n(&self) -> u64 {
-        self.cs.total()
-    }
-
-    /// Current `√F̂_2` threshold base.
-    pub fn f2_sqrt(&self) -> f64 {
-        self.cs.f2_estimate().sqrt()
-    }
-
-    /// Space in 64-bit words.
-    pub fn space_words(&self) -> usize {
-        self.cs.space_words() + 2 * self.tracker.len()
-    }
-
-    /// Ingest one occurrence of `x`.
-    pub fn update(&mut self, x: u64) {
-        self.cs.update(x, 1);
-        let est = self.cs.query(x);
-        if est as f64 >= self.alpha * self.f2_sqrt() {
-            self.tracker.offer(x, est as f64);
-        }
-    }
-
-    /// Ingest a batch of occurrences — same admissions, bit for bit, as
-    /// the per-item path. The sketch's admission kernel sweeps the grid
-    /// row-major and skips both medians for every item its exact bound
-    /// rejects (see `CountSketch::update_batch_admit`); admitted items
-    /// arrive in stream order, so offers happen in the same order at the
-    /// same values.
-    pub fn update_batch(&mut self, xs: &[u64]) {
-        let Self { cs, tracker, alpha } = self;
-        let mut pending = OfferCoalescer::new();
-        cs.update_batch_admit(xs, *alpha, |x, est| {
-            pending.offer(tracker, x, est as f64);
-        });
-        pending.flush(tracker);
-    }
-
-    /// Whether `other` can merge into `self`: same `α`, CountSketch and
-    /// tracker capacity.
-    pub fn check_merge(&self, other: &CsHeavyHitters) -> Result<(), Mismatch> {
-        Mismatch::unless(same_alpha(self.alpha, other.alpha), "CsHeavyHitters alpha")?;
-        self.cs.check_merge(&other.cs)?;
-        self.tracker.check_merge(&other.tracker)
-    }
-
-    /// Merge another reporter with the same parameters and sketch seed.
-    /// Both sides' candidates are re-offered at their post-merge
-    /// estimates (see [`CmHeavyHitters::merge`]).
-    ///
-    /// # Panics
-    /// When [`CsHeavyHitters::check_merge`] fails.
-    pub fn merge(&mut self, other: &CsHeavyHitters) {
-        self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
-        self.cs.merge(&other.cs);
-        self.tracker
-            .reoffer_union(&other.tracker, |item| positive_estimate(&self.cs, item));
-    }
-
-    /// Report `(item, estimated frequency)` for candidates above the final
-    /// `α·√F̂_2` threshold, sorted by decreasing estimate.
-    pub fn report(&self) -> Vec<(u64, u64)> {
-        let threshold = self.alpha * self.f2_sqrt();
-        let mut out: Vec<(u64, u64)> = self
-            .tracker
-            .candidates()
-            .map(|i| (i, self.cs.query(i).max(0) as u64))
-            .filter(|&(_, e)| e as f64 >= threshold)
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
+        })
     }
 }
 
@@ -498,26 +449,15 @@ impl WireCodec for TopKTracker {
     }
 }
 
-/// Shared payload shape of the sketch-backed heavy-hitter reporters:
-/// `alpha ‖ sketch ‖ tracker`.
-fn decode_alpha(r: &mut Reader) -> Result<f64, CodecError> {
-    r.prob_open()
-}
-
 impl WireCodec for CmHeavyHitters {
     const WIRE_TAG: u16 = 0x0209;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.alpha.encode_into(out);
-        self.cm.encode_into(out);
-        self.tracker.encode_into(out);
+        self.encode_fields(out);
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let alpha = decode_alpha(r)?;
-        let cm = CountMin::decode(r)?;
-        let tracker = TopKTracker::decode(r)?;
-        Ok(CmHeavyHitters { cm, tracker, alpha })
+        Self::decode_fields(r)
     }
 }
 
@@ -525,16 +465,11 @@ impl WireCodec for CsHeavyHitters {
     const WIRE_TAG: u16 = 0x020B;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.alpha.encode_into(out);
-        self.cs.encode_into(out);
-        self.tracker.encode_into(out);
+        self.encode_fields(out);
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let alpha = decode_alpha(r)?;
-        let cs = CountSketch::decode(r)?;
-        let tracker = TopKTracker::decode(r)?;
-        Ok(CsHeavyHitters { cs, tracker, alpha })
+        Self::decode_fields(r)
     }
 }
 
@@ -673,6 +608,33 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.n(), whole.n());
         assert_eq!(a.report(), whole.report());
+    }
+
+    /// A merge takes out a candidate whose merged estimate collapses to
+    /// ≤ 0, as the quiesce rebuild does. On this 5 × 8 grid item 517 shares
+    /// item 1's bucket with the opposite sign on 3 of the 5 rows, so item
+    /// 1's merged estimate is the median of {−90, −90, −90, 10, 10}.
+    #[test]
+    fn merge_drops_a_candidate_whose_merged_estimate_is_not_positive() {
+        let mut a = CsHeavyHitters::new(0.2, 0.9, 0.1, 3);
+        assert_eq!((a.sketch().depth(), a.sketch().width()), (5, 8));
+        let mut b = a.clone();
+        for _ in 0..10 {
+            a.update(1);
+        }
+        for _ in 0..100 {
+            b.update(517);
+        }
+        assert!(a.tracker().candidates().any(|i| i == 1));
+        a.merge(&b);
+        assert_eq!(a.sketch().query(1), -90);
+        let candidates: Vec<u64> = a.tracker().candidates().collect();
+        assert_eq!(candidates, vec![517], "item 1 must leave the table");
+        let rebuilt = CsHeavyHitters::quiesced(a.sketch().clone(), a.tracker(), a.alpha());
+        assert_eq!(
+            rebuilt.tracker().candidates().collect::<Vec<_>>(),
+            candidates
+        );
     }
 
     #[test]

@@ -115,18 +115,6 @@ fn count_min_plain() {
 }
 
 #[test]
-fn count_min_conservative() {
-    assert_batch_equals_scalar(
-        "CountMin(conservative)",
-        mixed,
-        |seed| CountMin::new(4, 128, seed).conservative(),
-        |s, x| s.update(x, 1),
-        |s, xs| s.update_batch(xs),
-        |s| (0..64).map(|x| s.query(x) as f64).collect(),
-    );
-}
-
-#[test]
 fn count_sketch() {
     assert_batch_equals_scalar(
         "CountSketch",

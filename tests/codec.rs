@@ -243,15 +243,6 @@ fn sketch_substrates_roundtrip_and_continue() {
         assert_eq!(cm.query(x), cm2.query(x));
     }
 
-    let mut cons = CountMin::new(3, 32, 5).conservative();
-    cons.update_batch(head);
-    let mut cons2 = roundtrip(&cons);
-    cons.update_batch(tail);
-    cons2.update_batch(tail);
-    for x in 0..500u64 {
-        assert_eq!(cons.query(x), cons2.query(x));
-    }
-
     let mut cs = CountSketch::new(5, 128, 6);
     cs.update_batch(head);
     let mut cs2 = roundtrip(&cs);
@@ -769,6 +760,23 @@ fn v2_packed_payload_corruption_is_typed_even_without_the_envelope() {
         Err(CodecError::Invalid {
             what: "varint encodes more than 64 bits"
         })
+    );
+}
+
+/// The conservative-update CountMin is retired, but its flag byte stays
+/// on the wire: encode writes `false`, and decode refuses `true`.
+#[test]
+fn count_min_decode_rejects_the_retired_conservative_flag() {
+    let mut cm = CountMin::new(3, 32, 5);
+    cm.update_batch(&stream(2_000, 3));
+    let mut bytes = cm.encode();
+    assert_eq!(bytes.pop(), Some(0), "the flag is the payload's last byte");
+    bytes.push(1);
+    assert_eq!(
+        CountMin::decode_slice(&bytes).unwrap_err(),
+        CodecError::Invalid {
+            what: "CountMin conservative update is not supported"
+        }
     );
 }
 
