@@ -3,17 +3,9 @@
 //! Everything a monitor deployment ships across a process boundary —
 //! sketch snapshots mailed from remote shards to a collector, monitor
 //! checkpoints written before a restart — travels through the
-//! [`WireCodec`] trait defined here. The format is deliberately boring:
-//!
-//! * **fixed-width little-endian integers** (no varints: encoding is
-//!   branch-free, sizes are predictable, and the numbers being shipped
-//!   are sketch counters, not text),
-//! * **`u64` length prefixes** for every variable-length section,
-//! * **`f64` as IEEE-754 bit patterns** (`to_bits`/`from_bits`), so
-//!   round-trips are bitwise exact including negative zero and NaN
-//!   payloads,
-//! * a **framed envelope** for top-level objects: magic, format version,
-//!   type tag, payload length (see [`WireCodec::encode_framed`]).
+//! [`WireCodec`] trait defined here. `f64`s travel as IEEE-754 bit
+//! patterns in every version, so round-trips are bitwise exact
+//! including negative zero and NaN payloads.
 //!
 //! The contract every implementation upholds (and the workspace test
 //! battery pins): `decode(encode(x))` is *observationally identical* to
@@ -22,23 +14,30 @@
 //! and corrupt or mismatched buffers surface as typed [`CodecError`]s,
 //! never panics or unbounded allocations.
 //!
-//! ## Format version 2: compact integer packing
+//! ## Layouts
 //!
-//! Version 2 keeps the envelope and every tag, but re-encodes the big
-//! counter sections with
+//! This module alone decides how each format version lays out a count,
+//! a column, a keyed table, a section or a frame, so a type's codec is a
+//! plain list of fields. Version 1 writes fixed-width little-endian
+//! integers and `u64` lengths; version 2 packs integers. Readers take
+//! the version their [`Reader`] carries; writers write version 2.
 //!
-//! * **canonical LEB128 varints** ([`put_varint_u64`] /
-//!   [`Reader::varint_u64`], zigzag for `i64`) for lengths and small
-//!   scalars — overlong encodings and encodings above 64 bits are
-//!   rejected, so every value has exactly one wire image,
-//! * **frame-of-reference bit packing** ([`put_packed_u64s`] /
-//!   [`Reader::packed_u64s`]) for counter grids: `min` plus a fixed bit
-//!   width sized to `max − min`, then a little-endian bit stream,
-//! * **sorted-delta packing** ([`put_packed_sorted_u64s`]) for the
-//!   strictly-increasing key columns of counter maps: first key, then
-//!   FoR-packed gaps.
+//! | layout | reader | writer | v2 | v1 |
+//! |---|---|---|---|---|
+//! | count, dimension | [`Reader::count_u64`], [`Reader::count_usize`] | [`put_varint_u64`] | canonical LEB128 varint | `u64` |
+//! | `u64` / `i64` column | [`Reader::u64_column`], [`Reader::i64_column`] | [`put_packed_u64s`], [`put_packed_i64s`] | `varint len ‖ varint min ‖ u8 width ‖ bit-packed offsets` (`i64` zigzagged first) | `u64 len ‖ values` |
+//! | ascending `u64` set | [`Reader::ascending_u64s`] | [`put_packed_sorted_u64s`] | `varint len ‖ varint first ‖ varint gaps ≥ 1` | `u64 len ‖ values` in any order |
+//! | keyed table | [`Reader::keyed_u64s`], [`Reader::keyed_f64s`], [`Reader::keyed_table`] | [`put_keyed_u64s`], [`put_keyed_f64s`] | keys as a set, then `varint len ‖ varint values` or one `f64` per key | `u64 len ‖ (u64 key, value)` rows in any order |
+//! | section | [`Reader::section`] | [`put_section`] | `u64 len ‖ payload` on the parent's version | same |
+//! | frame | [`WireCodec::decode_framed`] | [`put_frame`] | `magic ‖ version ‖ tag ‖ u64 len ‖ fnv1a64 ‖ payload` | same |
 //!
-//! `f64` stays a fixed IEEE-754 bit pattern in every version.
+//! Sets and tables decode strictly ascending: v1 rows are sorted, and a
+//! repeated key or a value column of another length is
+//! [`CodecError::Invalid`]. A v1 length is checked against its rows'
+//! fixed width before anything is allocated. Varints are canonical
+//! (overlong and above-64-bit encodings are rejected). Key gaps and map
+//! values stay byte-aligned varints so an insertion shifts later bytes
+//! by whole bytes, which the byte-level delta checkpoints still match.
 //!
 //! ## Versioning policy
 //!
@@ -219,7 +218,9 @@ impl<'a> Reader<'a> {
         self.version
     }
 
-    /// Whether this reader decodes the compact version-2 layouts.
+    /// Whether this reader decodes the compact version-2 layouts. The
+    /// layout readers below route on it; a codec elsewhere branches on
+    /// it only where no shared layout fits its v1 bytes.
     #[inline]
     pub fn v2(&self) -> bool {
         self.version >= 2
@@ -532,6 +533,108 @@ impl<'a> Reader<'a> {
         }
         Ok(out)
     }
+
+    /// A scalar count or dimension: a varint in v2, a `u64` in v1.
+    pub fn count_u64(&mut self) -> Result<u64, CodecError> {
+        if self.v2() {
+            self.varint_u64()
+        } else {
+            self.u64()
+        }
+    }
+
+    /// [`Reader::count_u64`] as a `usize`.
+    pub fn count_usize(&mut self) -> Result<usize, CodecError> {
+        usize::try_from(self.count_u64()?).map_err(|_| CodecError::Invalid {
+            what: "usize value exceeds this platform's pointer width",
+        })
+    }
+
+    /// A `u64` column: [`Reader::packed_u64s`] in v2, a `u64` length and
+    /// fixed values in v1.
+    pub fn u64_column(&mut self) -> Result<Vec<u64>, CodecError> {
+        if self.v2() {
+            self.packed_u64s()
+        } else {
+            Vec::decode(self)
+        }
+    }
+
+    /// An `i64` column: [`Reader::packed_i64s`] in v2, a `u64` length and
+    /// fixed values in v1.
+    pub fn i64_column(&mut self) -> Result<Vec<i64>, CodecError> {
+        if self.v2() {
+            self.packed_i64s()
+        } else {
+            Vec::decode(self)
+        }
+    }
+
+    /// A strictly ascending `u64` set: [`Reader::packed_sorted_u64s`] in
+    /// v2; in v1 a `u64` length and values in any order, returned sorted.
+    /// A repeated value is [`CodecError::Invalid`].
+    pub fn ascending_u64s(&mut self) -> Result<Vec<u64>, CodecError> {
+        if self.v2() {
+            return self.packed_sorted_u64s();
+        }
+        let mut set = Vec::<u64>::decode(self)?;
+        set.sort_unstable();
+        no_repeats(&set)?;
+        Ok(set)
+    }
+
+    /// A keyed table: strictly ascending keys and their index-aligned
+    /// values. v2 writes the keys as [`Reader::packed_sorted_u64s`], then
+    /// the value column that `v2_values` reads, given the key count. v1
+    /// writes a `u64` length, then `(u64 key, V)` rows in any order,
+    /// returned sorted. A repeated key, or a value column of another
+    /// length, is [`CodecError::Invalid`].
+    pub fn keyed_table<V: WireCodec>(
+        &mut self,
+        v2_values: impl FnOnce(&mut Self, usize) -> Result<Vec<V>, CodecError>,
+    ) -> Result<(Vec<u64>, Vec<V>), CodecError> {
+        let (keys, values) = if self.v2() {
+            let keys = self.packed_sorted_u64s()?;
+            let values = v2_values(self, keys.len())?;
+            (keys, values)
+        } else {
+            let mut rows = Vec::<(u64, V)>::decode(self)?;
+            rows.sort_unstable_by_key(|row| row.0);
+            let (keys, values): (Vec<u64>, Vec<V>) = rows.into_iter().unzip();
+            no_repeats(&keys)?;
+            (keys, values)
+        };
+        if values.len() != keys.len() {
+            return Err(CodecError::Invalid {
+                what: "keyed table value column length differs from its keys",
+            });
+        }
+        Ok((keys, values))
+    }
+
+    /// A keyed table of varint `u64` values ([`put_keyed_u64s`]).
+    pub fn keyed_u64s(&mut self) -> Result<(Vec<u64>, Vec<u64>), CodecError> {
+        self.keyed_table(|r, _| r.varint_u64s())
+    }
+
+    /// A keyed table of raw `f64` values ([`put_keyed_f64s`]).
+    pub fn keyed_f64s(&mut self) -> Result<(Vec<u64>, Vec<f64>), CodecError> {
+        self.keyed_table(|r, n| (0..n).map(|_| r.f64()).collect())
+    }
+
+    /// A section written by [`put_section`]: a `u64` length, then a
+    /// payload that `read` decodes under this reader's version and must
+    /// consume exactly.
+    pub fn section<T>(
+        &mut self,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, CodecError>,
+    ) -> Result<T, CodecError> {
+        let len = self.len_prefix(1)?;
+        let mut section = Reader::with_version(self.take(len)?, self.version);
+        let value = read(&mut section)?;
+        section.expect_empty()?;
+        Ok(value)
+    }
 }
 
 /// Hard cap on the element count a packed slice may claim (the width-0
@@ -644,10 +747,12 @@ pub fn put_packed_i64s(out: &mut Vec<u8>, vals: &[i64]) {
 /// every element byte-aligned, so an insertion shifts the suffix by
 /// whole bytes and the rolling-hash diff still matches it.
 pub fn put_varint_u64s(out: &mut Vec<u8>, vals: &[u64]) {
+    put_varints(out, vals.iter().copied());
+}
+
+fn put_varints(out: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = u64>) {
     put_varint_u64(out, vals.len() as u64);
-    for &v in vals {
-        put_varint_u64(out, v);
-    }
+    vals.for_each(|v| put_varint_u64(out, v));
 }
 
 /// Append a strictly-increasing `u64` slice as first value + varint
@@ -660,17 +765,83 @@ pub fn put_varint_u64s(out: &mut Vec<u8>, vals: &[u64]) {
 /// Debug-asserts strict monotonicity; release builds would produce a
 /// stream the (strict) decoder rejects.
 pub fn put_packed_sorted_u64s(out: &mut Vec<u8>, vals: &[u64]) {
+    put_ascending(out, vals.iter().copied());
+}
+
+fn put_ascending(out: &mut Vec<u8>, mut vals: impl ExactSizeIterator<Item = u64>) {
     put_varint_u64(out, vals.len() as u64);
-    let Some((&first, rest)) = vals.split_first() else {
+    let Some(first) = vals.next() else {
         return;
     };
     put_varint_u64(out, first);
     let mut prev = first;
-    for &v in rest {
+    for v in vals {
         debug_assert!(v > prev, "put_packed_sorted_u64s input not sorted");
         put_varint_u64(out, v.wrapping_sub(prev));
         prev = v;
     }
+}
+
+/// Append a keyed table of `u64` values, its rows in ascending key
+/// order: the keys as [`put_packed_sorted_u64s`], then the values as
+/// [`put_varint_u64s`]. [`Reader::keyed_u64s`] reads it back.
+pub fn put_keyed_u64s(out: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = (u64, u64)> + Clone) {
+    put_ascending(out, rows.clone().map(|(key, _)| key));
+    put_varints(out, rows.map(|(_, v)| v));
+}
+
+/// Append a keyed table of `f64` values, its rows in ascending key
+/// order: the keys as [`put_packed_sorted_u64s`], then one IEEE-754 bit
+/// pattern per key (floats do not pack). [`Reader::keyed_f64s`] reads it
+/// back.
+pub fn put_keyed_f64s(out: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = (u64, f64)> + Clone) {
+    put_ascending(out, rows.clone().map(|(key, _)| key));
+    rows.for_each(|(_, v)| put_u64(out, v.to_bits()));
+}
+
+/// Append a section: a fixed 8-byte length, then the payload `put`
+/// writes in place, whose length is backpatched once it is written.
+/// [`Reader::section`] reads it back.
+pub fn put_section(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u64(out, 0);
+    put(out);
+    let len = out.len() - at - 8;
+    patch_u64(out, at, len as u64);
+}
+
+/// Append a framed object of type `tag`:
+/// `magic(4) ‖ version(2) ‖ tag(2) ‖ payload_len(8) ‖ fnv1a64(8) ‖ payload`.
+/// `put` writes the payload in place; its length and checksum are
+/// backpatched into the header once it is written.
+pub fn put_frame(out: &mut Vec<u8>, tag: u16, put: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&WIRE_MAGIC);
+    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.resize(at + FRAME_HEADER_BYTES, 0);
+    put(out);
+    let payload = out.get(at + FRAME_HEADER_BYTES..).unwrap_or(&[]);
+    let (len, checksum) = (payload.len() as u64, fnv1a64(payload));
+    patch_u64(out, at + 8, len);
+    patch_u64(out, at + 16, checksum);
+}
+
+/// Overwrite the 8-byte placeholder at `at` with `x`.
+fn patch_u64(out: &mut [u8], at: usize, x: u64) {
+    if let Some(slot) = out.get_mut(at..at + 8) {
+        slot.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// [`CodecError::Invalid`] if sorted `keys` repeat one.
+fn no_repeats(keys: &[u64]) -> Result<(), CodecError> {
+    if keys.windows(2).any(|w| matches!(w, [a, b] if a == b)) {
+        return Err(CodecError::Invalid {
+            what: "v1 rows repeat a key",
+        });
+    }
+    Ok(())
 }
 
 /// A type with a versioned binary wire representation.
@@ -711,21 +882,20 @@ pub trait WireCodec: Sized {
         Ok(v)
     }
 
-    /// Encode with the self-describing envelope:
-    /// `magic(4) ‖ version(2) ‖ tag(2) ‖ payload_len(8) ‖ fnv1a64(8) ‖ payload`.
+    /// Encode with the self-describing envelope ([`put_frame`]).
     ///
     /// The checksum covers the payload only (the header fields are
     /// individually validated), so any single corrupted byte anywhere in
     /// the frame is guaranteed to surface as a typed error.
     fn encode_framed(&self) -> Vec<u8> {
+        // The frame is allocated at its final size: callers keep
+        // checkpoints as delta bases, and a frame grown in place keeps
+        // up to twice its length allocated.
         let payload = self.encode();
         let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-        out.extend_from_slice(&WIRE_MAGIC);
-        out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        out.extend_from_slice(&Self::WIRE_TAG.to_le_bytes());
-        put_len(&mut out, payload.len());
-        put_u64(&mut out, fnv1a64(&payload));
-        out.extend_from_slice(&payload);
+        put_frame(&mut out, Self::WIRE_TAG, |out| {
+            out.extend_from_slice(&payload)
+        });
         out
     }
 
@@ -736,7 +906,7 @@ pub trait WireCodec: Sized {
     /// section) to the matching layout.
     fn decode_framed(buf: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(buf);
-        r.version = check_version(read_magic_version(&mut r)?)?;
+        r.version = read_magic_version(&mut r)?;
         let tag = r.u16()?;
         if tag != Self::WIRE_TAG {
             return Err(CodecError::TagMismatch {
@@ -810,7 +980,7 @@ pub struct FrameHeader {
 /// a socket transport runs before allocating the payload buffer.
 pub fn parse_frame_header(header: &[u8; FRAME_HEADER_BYTES]) -> Result<FrameHeader, CodecError> {
     let mut r = Reader::new(header);
-    let version = check_version(read_magic_version(&mut r)?)?;
+    let version = read_magic_version(&mut r)?;
     let tag = r.u16()?;
     let payload_len = r.u64()? as usize;
     let checksum = r.u64()?;
@@ -822,39 +992,22 @@ pub fn parse_frame_header(header: &[u8; FRAME_HEADER_BYTES]) -> Result<FrameHead
     })
 }
 
-/// Read the `(version, tag, payload_len)` of a framed buffer without
-/// decoding the payload — what a collector uses to route incoming
-/// snapshots. Unlike [`parse_frame_header`] this reports the version
-/// found without rejecting foreign ones, so callers can log what an
-/// incompatible peer sent.
-pub fn peek_frame(buf: &[u8]) -> Result<(u16, u16, usize), CodecError> {
-    let mut r = Reader::new(buf);
-    let version = read_magic_version(&mut r)?;
-    let tag = r.u16()?;
-    let len = r.u64()? as usize;
-    Ok((version, tag, len))
-}
-
-/// Read a frame's magic, rejecting a foreign one, then its format
-/// version as found: the head every frame reader starts with.
+/// Read a frame's magic and format version, rejecting a foreign magic
+/// and a version this build does not decode: the head every frame
+/// reader starts with.
 fn read_magic_version(r: &mut Reader) -> Result<u16, CodecError> {
     let magic: [u8; 4] = r.take_array()?;
     if magic != WIRE_MAGIC {
         return Err(CodecError::BadMagic { found: magic });
     }
-    r.u16()
-}
-
-/// `version`, if this build decodes it.
-fn check_version(version: u16) -> Result<u16, CodecError> {
-    if (WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
-        Ok(version)
-    } else {
-        Err(CodecError::UnsupportedVersion {
+    let version = r.u16()?;
+    if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
+        return Err(CodecError::UnsupportedVersion {
             found: version,
             supported: WIRE_VERSION,
-        })
+        });
     }
+    Ok(version)
 }
 
 macro_rules! impl_primitive {
@@ -1128,7 +1281,12 @@ mod tests {
         let bytes = x.encode_framed();
         assert_eq!(&bytes[..4], &WIRE_MAGIC);
         assert_eq!(Framed::decode_framed(&bytes).unwrap(), x);
-        assert_eq!(peek_frame(&bytes).unwrap(), (WIRE_VERSION, 0x7777, 8));
+        let header: [u8; FRAME_HEADER_BYTES] = bytes[..FRAME_HEADER_BYTES].try_into().unwrap();
+        let fh = parse_frame_header(&header).unwrap();
+        assert_eq!(
+            (fh.version, fh.tag, fh.payload_len),
+            (WIRE_VERSION, 0x7777, 8)
+        );
 
         // Bad magic.
         let mut b = bytes.clone();
@@ -1422,7 +1580,6 @@ mod tests {
         assert_eq!(Framed::decode_framed(&frame).unwrap(), Framed(123));
         let header: [u8; FRAME_HEADER_BYTES] = frame[..FRAME_HEADER_BYTES].try_into().unwrap();
         assert_eq!(parse_frame_header(&header).unwrap().version, 1);
-        assert_eq!(peek_frame(&frame).unwrap().0, 1);
         // A version outside [MIN, CURRENT] is rejected by both paths.
         let mut bad = frame.clone();
         bad[4] = 0x07;
@@ -1446,5 +1603,131 @@ mod tests {
         assert!(CodecError::UnknownTag { found: 0x0404 }
             .to_string()
             .contains("0x0404"));
+    }
+
+    /// v1 `(u64 key, V)` rows: a `u64` row count, then the rows.
+    fn v1_rows<V: WireCodec>(rows: &[(u64, V)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_len(&mut out, rows.len());
+        for (key, v) in rows {
+            put_u64(&mut out, *key);
+            v.encode_into(&mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn v1_keyed_rows_in_any_order_come_back_ascending() {
+        let bytes = v1_rows(&[(9u64, 2u64), (1, 7), (u64::MAX, 3), (4, 1)]);
+        let mut r = Reader::with_version(&bytes, 1);
+        assert_eq!(
+            r.keyed_u64s().unwrap(),
+            (vec![1, 4, 9, u64::MAX], vec![7, 1, 2, 3])
+        );
+        r.expect_empty().unwrap();
+
+        let bytes = v1_rows(&[(5u64, -0.5f64), (2, 1.5)]);
+        let mut r = Reader::with_version(&bytes, 1);
+        assert_eq!(r.keyed_f64s().unwrap(), (vec![2, 5], vec![1.5, -0.5]));
+
+        let bytes = v1_rows(&[(8u64, 1u32), (3, u32::MAX)]);
+        let mut r = Reader::with_version(&bytes, 1);
+        let (keys, held) = r.keyed_table(|_, _| Ok(Vec::<u32>::new())).unwrap();
+        assert_eq!((keys, held), (vec![3, 8], vec![u32::MAX, 1]));
+
+        let bytes = vec![9u64, 1, 4].encode();
+        let mut r = Reader::with_version(&bytes, 1);
+        assert_eq!(r.ascending_u64s().unwrap(), vec![1, 4, 9]);
+
+        // The v2 images of the same rows read back unchanged.
+        let mut out = Vec::new();
+        put_keyed_u64s(&mut out, [(1u64, 7u64), (4, 1), (9, 2)].into_iter());
+        put_keyed_f64s(&mut out, [(2u64, 1.5f64), (5, -0.5)].into_iter());
+        let mut r = Reader::new(&out);
+        assert_eq!(r.keyed_u64s().unwrap(), (vec![1, 4, 9], vec![7, 1, 2]));
+        assert_eq!(r.keyed_f64s().unwrap(), (vec![2, 5], vec![1.5, -0.5]));
+        r.expect_empty().unwrap();
+    }
+
+    #[test]
+    fn repeated_keys_and_misaligned_value_columns_are_invalid() {
+        let repeat = CodecError::Invalid {
+            what: "v1 rows repeat a key",
+        };
+        let bytes = v1_rows(&[(9u64, 2u64), (1, 1), (9, 5)]);
+        assert_eq!(
+            Reader::with_version(&bytes, 1).keyed_u64s(),
+            Err(repeat.clone())
+        );
+        let bytes = vec![4u64, 2, 4].encode();
+        assert_eq!(
+            Reader::with_version(&bytes, 1).ascending_u64s(),
+            Err(repeat)
+        );
+
+        // Two keys, three values.
+        let mut out = Vec::new();
+        put_packed_sorted_u64s(&mut out, &[3, 8]);
+        put_varint_u64s(&mut out, &[1, 2, 3]);
+        assert_eq!(
+            Reader::new(&out).keyed_u64s(),
+            Err(CodecError::Invalid {
+                what: "keyed table value column length differs from its keys"
+            })
+        );
+    }
+
+    #[test]
+    fn v1_row_count_above_the_remaining_bytes_is_truncated_before_allocating() {
+        // 2^60 claimed rows over 32 bytes: the count is refused against
+        // each row width before a single row is read.
+        for row_bytes in [8usize, 12, 16] {
+            let mut bytes = Vec::new();
+            put_u64(&mut bytes, 1 << 60);
+            bytes.extend_from_slice(&[0u8; 32]);
+            let mut r = Reader::with_version(&bytes, 1);
+            let got = match row_bytes {
+                8 => r.ascending_u64s().map(|_| ()),
+                12 => r.keyed_table(|_, _| Ok(Vec::<u32>::new())).map(|_| ()),
+                _ => r.keyed_u64s().map(|_| ()),
+            };
+            assert_eq!(
+                got,
+                Err(CodecError::Truncated {
+                    needed: (1usize << 60).saturating_mul(row_bytes),
+                    available: 32
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn sections_are_consumed_exactly_on_the_parent_version() {
+        let mut out = Vec::new();
+        put_section(&mut out, |o| put_u64(o, 7));
+        put_section(&mut out, |o| o.extend_from_slice(&[1, 2, 3]));
+        assert_eq!(&out[..8], &8u64.to_le_bytes());
+        let mut r = Reader::with_version(&out, 1);
+        assert_eq!(r.section(|s| s.count_u64()), Ok(7));
+        assert_eq!(
+            r.section(|s| s.u8()),
+            Err(CodecError::TrailingBytes { count: 2 })
+        );
+    }
+
+    #[test]
+    fn frame_writer_matches_a_hand_built_frame() {
+        let payload = [5u8, 0, 0xFF, 42];
+        let mut want = b"xy".to_vec();
+        want.extend_from_slice(&WIRE_MAGIC);
+        want.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+        want.extend_from_slice(&0x0ABCu16.to_le_bytes());
+        put_len(&mut want, payload.len());
+        put_u64(&mut want, fnv1a64(&payload));
+        want.extend_from_slice(&payload);
+
+        let mut out = b"xy".to_vec();
+        put_frame(&mut out, 0x0ABC, |o| o.extend_from_slice(&payload));
+        assert_eq!(out, want);
     }
 }

@@ -29,7 +29,7 @@
 //! observes several times fewer elements than the fixed rate that reaches
 //! the same accuracy (experiment `exp_adaptive`).
 
-use sss_codec::{put_packed_sorted_u64s, CodecError, Reader, WireCodec};
+use sss_codec::{put_keyed_f64s, CodecError, Reader, WireCodec};
 use sss_hash::{fp_hash_map, FpHashMap};
 
 use crate::estimate::{Estimate, Guarantee, Statistic, SubsampledEstimator};
@@ -168,18 +168,13 @@ impl WireCodec for AdaptiveF2Estimator {
     const WIRE_TAG: u16 = 0x040A;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        // v2 layout: sorted-delta-packed item ids, then the weight
-        // column as raw IEEE-754 bit patterns.
         self.current_p.encode_into(out);
         self.c2_hat.encode_into(out);
         self.f1_hat.encode_into(out);
         self.samples.encode_into(out);
         let mut rows: Vec<(u64, f64)> = self.weighted.iter().map(|(&i, &w)| (i, w)).collect();
         rows.sort_unstable_by_key(|&(i, _)| i);
-        put_packed_sorted_u64s(out, &rows.iter().map(|&(i, _)| i).collect::<Vec<_>>());
-        for &(_, w) in &rows {
-            w.encode_into(out);
-        }
+        put_keyed_f64s(out, rows.iter().copied());
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
@@ -187,29 +182,13 @@ impl WireCodec for AdaptiveF2Estimator {
         let c2_hat = r.f64()?;
         let f1_hat = r.f64()?;
         let samples = r.u64()?;
-        let rows: Vec<(u64, f64)> = if r.v2() {
-            let items = r.packed_sorted_u64s()?;
-            let mut v = Vec::with_capacity(items.len());
-            for item in items {
-                v.push((item, r.f64()?));
-            }
-            v
-        } else {
-            let len = r.len_prefix(16)?;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push((r.u64()?, r.f64()?));
-            }
-            v
-        };
-        let mut weighted = fp_hash_map();
-        for (item, w) in rows {
-            if w.is_nan() || w <= 0.0 || weighted.insert(item, w).is_some() {
-                return Err(CodecError::Invalid {
-                    what: "AdaptiveF2Estimator weighted row invalid",
-                });
-            }
+        let (items, weights) = r.keyed_f64s()?;
+        if weights.iter().any(|&w| w.is_nan() || w <= 0.0) {
+            return Err(CodecError::Invalid {
+                what: "AdaptiveF2Estimator weighted row invalid",
+            });
         }
+        let weighted = items.into_iter().zip(weights).collect();
         Ok(AdaptiveF2Estimator {
             current_p,
             weighted,

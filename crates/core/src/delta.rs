@@ -186,7 +186,7 @@ impl SnapshotDelta {
         Ok(out)
     }
 
-    /// Wire bytes of the copy/literal op stream alone (diagnostics).
+    /// Number of copy/literal ops in the op stream (diagnostics).
     pub fn op_count(&self) -> usize {
         self.ops.len()
     }

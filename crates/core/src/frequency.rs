@@ -15,7 +15,7 @@
 
 use std::cmp::Ordering;
 
-use sss_codec::{put_packed_sorted_u64s, put_varint_u64, put_varint_u64s, CodecError, Reader};
+use sss_codec::{put_keyed_u64s, put_varint_u64, CodecError, Reader};
 use sss_hash::{fp_hash_map, FpHashMap};
 
 /// Counts below this are tallied in a dense array by
@@ -207,55 +207,27 @@ impl FrequencyMap {
             .fold(0.0, |acc, &(g, n_g)| acc + n_g as f64 * term(g))
     }
 
-    /// v2 layout: `varint n ‖ sorted-delta ids ‖ varint counts`.
+    /// `n`, then the rows as a keyed table.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         put_varint_u64(out, self.n);
         match &self.rows {
             Rows::Counting(map) => {
                 let mut rows: Vec<(u64, u64)> = map.iter().map(|(&x, &g)| (x, g)).collect();
                 rows.sort_unstable();
-                let (keys, counts): (Vec<u64>, Vec<u64>) = rows.into_iter().unzip();
-                put_packed_sorted_u64s(out, &keys);
-                put_varint_u64s(out, &counts);
+                put_keyed_u64s(out, rows.iter().copied());
             }
             Rows::Sorted { keys, counts } => {
-                put_packed_sorted_u64s(out, keys);
-                put_varint_u64s(out, counts);
+                put_keyed_u64s(out, keys.iter().copied().zip(counts.iter().copied()));
             }
         }
     }
 
-    /// Decode the v2 layout, or v1's `u64 n ‖ len ‖ (u64 id, u64 count)*`
-    /// with rows in any order, into the sorted form, rejecting zero
-    /// counts, duplicate ids and counts that do not sum to `n`.
+    /// Decode into the sorted form, rejecting zero counts and counts that
+    /// do not sum to `n`.
     pub(crate) fn decode(r: &mut Reader) -> Result<Self, CodecError> {
         let invalid = |what| CodecError::Invalid { what };
-        let (n, keys, counts) = if r.v2() {
-            // `packed_sorted_u64s` rejects keys that are not strictly
-            // ascending, so the key column arrives sorted and unique.
-            let n = r.varint_u64()?;
-            let keys = r.packed_sorted_u64s()?;
-            let counts = r.varint_u64s()?;
-            if counts.len() != keys.len() {
-                return Err(invalid("frequency map column length mismatch"));
-            }
-            (n, keys, counts)
-        } else {
-            let n = r.u64()?;
-            let len = r.len_prefix(16)?;
-            let mut rows = Vec::with_capacity(len);
-            for _ in 0..len {
-                rows.push((r.u64()?, r.u64()?));
-            }
-            // Sorted, a repeated id sits next to its twin.
-            rows.sort_unstable_by_key(|&(x, _)| x);
-            rows.dedup_by_key(|&mut (x, _)| x);
-            if rows.len() != len {
-                return Err(invalid("frequency map row invalid"));
-            }
-            let (keys, counts) = rows.into_iter().unzip();
-            (n, keys, counts)
-        };
+        let n = r.count_u64()?;
+        let (keys, counts) = r.keyed_u64s()?;
         let mut sum = 0u64;
         for &g in &counts {
             if g == 0 {

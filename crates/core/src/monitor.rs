@@ -41,7 +41,7 @@
 
 use std::any::Any;
 
-use sss_codec::{put_len, CodecError, Reader, WireCodec};
+use sss_codec::{put_len, put_section, CodecError, Reader, WireCodec};
 use sss_hash::{split_seed, SplitMix64};
 use sss_obs::MetricId;
 use sss_sketch::levelset::LevelSetConfig;
@@ -717,14 +717,11 @@ impl WireCodec for Monitor {
         for e in &self.entries {
             e.label.encode_into(out);
             e.est.wire_tag().encode_into(out);
-            // Length-prefixed estimator section: a corrupt estimator
-            // payload cannot bleed into the next entry. (Decode still
-            // fails the whole monitor on an unknown tag — skip-and-
-            // continue is the cross-version follow-on in the ROADMAP.)
-            let mut payload = Vec::new();
-            e.est.encode_wire(&mut payload);
-            put_len(out, payload.len());
-            out.extend_from_slice(&payload);
+            // A section per estimator: a corrupt estimator payload cannot
+            // bleed into the next entry. (Decode still fails the whole
+            // monitor on an unknown tag — skip-and-continue is the
+            // cross-version follow-on in the ROADMAP.)
+            put_section(out, |out| e.est.encode_wire(out));
         }
     }
 
@@ -742,13 +739,7 @@ impl WireCodec for Monitor {
                 });
             }
             let tag = r.u16()?;
-            let len = r.len_prefix(1)?;
-            // The section reader inherits the frame's format version so
-            // nested estimator payloads decode under the layout the
-            // envelope announced.
-            let mut section = Reader::with_version(r.take(len)?, r.version());
-            let est = decode_estimator(tag, &mut section)?;
-            section.expect_empty()?;
+            let est = r.section(|s| decode_estimator(tag, s))?;
             entries.push(Entry { label, est });
         }
         Ok(Monitor {

@@ -258,7 +258,7 @@ pub fn check_no_panic(file: &SourceFile, out: &mut Vec<Violation>) {
 // ---------------------------------------------------------------------
 
 /// Reader methods that yield attacker-controlled integers.
-const RAW_READS: [&str; 8] = [
+const RAW_READS: [&str; 10] = [
     "u8",
     "u16",
     "u32",
@@ -267,6 +267,8 @@ const RAW_READS: [&str; 8] = [
     "i64",
     "varint_u64",
     "varint_i64",
+    "count_u64",
+    "count_usize",
 ];
 
 fn stmt_has_raw_read(toks: &[Token]) -> bool {

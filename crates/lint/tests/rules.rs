@@ -60,6 +60,25 @@ fn bounded_alloc_clean_is_clean() {
 }
 
 #[test]
+fn bounded_alloc_counts_the_version_routed_count_readers_as_decoded() {
+    let v = lint_one("sss-demo", "bounded_alloc_count_bad.rs");
+    assert!(!v.is_empty());
+    assert!(
+        v.iter()
+            .all(|x| x.rule == "bounded_decode_alloc" && x.line == 3),
+        "{v:?}"
+    );
+    assert!(
+        v.iter()
+            .any(|x| x.message.contains("sized by decoded value `width`")),
+        "{v:?}"
+    );
+    // Bounded by a decoded column's `.len()` and by a MAX_* constant.
+    let v = lint_one("sss-demo", "bounded_alloc_count_clean.rs");
+    assert!(v.is_empty(), "{v:?}");
+}
+
+#[test]
 fn nan_ordering_bad_fires_on_comparator_and_unwrap() {
     let v = lint_one("sss-demo", "nan_ordering_bad.rs");
     assert_eq!(v.len(), 2, "{v:?}");

@@ -199,6 +199,8 @@ impl WireCodec for AmsF2 {
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
         let (copies, z, signs, total, seed);
+        // Version-routed here: v1 orders the fields differently
+        // (`copies ‖ z ‖ signs ‖ total`) and has no seed form.
         if r.v2() {
             copies = r.varint_u64()? as usize;
             total = r.varint_u64()?;

@@ -287,18 +287,10 @@ impl WireCodec for CountMin {
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let (width, counters, hashes, total);
-        if r.v2() {
-            width = r.varint_u64()? as usize;
-            counters = r.packed_u64s()?;
-            hashes = Vec::<PairwiseHash>::decode(r)?;
-            total = r.varint_u64()?;
-        } else {
-            width = usize::decode(r)?;
-            counters = Vec::<u64>::decode(r)?;
-            hashes = Vec::<PairwiseHash>::decode(r)?;
-            total = r.u64()?;
-        }
+        let width = r.count_usize()?;
+        let counters = r.u64_column()?;
+        let hashes = Vec::<PairwiseHash>::decode(r)?;
+        let total = r.count_u64()?;
         if r.bool()? {
             return Err(CodecError::Invalid {
                 what: "CountMin conservative update is not supported",

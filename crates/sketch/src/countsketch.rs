@@ -420,20 +420,11 @@ impl WireCodec for CountSketch {
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let (width, counters, bucket_hashes, sign_hashes, total);
-        if r.v2() {
-            width = r.varint_u64()? as usize;
-            counters = r.packed_i64s()?;
-            bucket_hashes = Vec::<PairwiseHash>::decode(r)?;
-            sign_hashes = Vec::<FourWiseSign>::decode(r)?;
-            total = r.varint_u64()?;
-        } else {
-            width = usize::decode(r)?;
-            counters = Vec::<i64>::decode(r)?;
-            bucket_hashes = Vec::<PairwiseHash>::decode(r)?;
-            sign_hashes = Vec::<FourWiseSign>::decode(r)?;
-            total = r.u64()?;
-        }
+        let width = r.count_usize()?;
+        let counters = r.i64_column()?;
+        let bucket_hashes = Vec::<PairwiseHash>::decode(r)?;
+        let sign_hashes = Vec::<FourWiseSign>::decode(r)?;
+        let total = r.count_u64()?;
         let depth = bucket_hashes.len();
         if width == 0
             || depth == 0

@@ -41,10 +41,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sss_codec::{
-    put_packed_sorted_u64s, put_packed_u64s, put_varint_u64, put_varint_u64s, CodecError, Reader,
-    WireCodec,
-};
+use sss_codec::{put_keyed_u64s, put_packed_u64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{fp_hash_map, FpHashMap, RngCore64, SplitMix64, Xoshiro256pp};
 
 use crate::misra_gries::MisraGries;
@@ -499,11 +496,10 @@ impl WireCodec for SuffixReservoir {
         // v2 layout: every section is columnar and packed — slot items
         // (FoR; a reservoir full of u64::MAX sentinels is a width-0
         // run), slot offsets and due positions (small integers near the
-        // replay position), tracker/holder maps as sorted-delta keys
-        // plus packed value columns. Heap entries keep the heap's
-        // internal order: re-heapifying a valid heap is the identity,
-        // so the decoded reservoir replays bit for bit *and* re-encodes
-        // byte-identically.
+        // replay position), tracker/holder maps as keyed tables. Heap
+        // entries keep the heap's internal order: re-heapifying a valid
+        // heap is the identity, so the decoded reservoir replays bit for
+        // bit *and* re-encodes byte-identically.
         put_varint_u64(out, self.slots.len() as u64);
         let items: Vec<u64> = self.slots.iter().map(|s| s.item).collect();
         let offsets: Vec<u64> = self.slots.iter().map(|s| s.offset).collect();
@@ -519,50 +515,35 @@ impl WireCodec for SuffixReservoir {
         put_packed_u64s(out, &due_idx);
         let mut rows: Vec<(u64, u64)> = self.tracker.iter().map(|(&i, &c)| (i, c)).collect();
         rows.sort_unstable();
-        put_packed_sorted_u64s(out, &rows.iter().map(|&(i, _)| i).collect::<Vec<_>>());
-        put_varint_u64s(out, &rows.iter().map(|&(_, c)| c).collect::<Vec<_>>());
+        put_keyed_u64s(out, rows.iter().copied());
         // Holders ship verbatim rather than being rebuilt from the slots:
         // a slot holding the literal item u64::MAX is indistinguishable
         // from an empty slot, so slot-side inference would reject (or
         // corrupt) honest states containing that id.
         let mut held: Vec<(u64, u32)> = self.holders.iter().map(|(&i, &h)| (i, h)).collect();
         held.sort_unstable();
-        put_packed_sorted_u64s(out, &held.iter().map(|&(i, _)| i).collect::<Vec<_>>());
-        put_varint_u64s(
-            out,
-            &held.iter().map(|&(_, h)| h as u64).collect::<Vec<_>>(),
-        );
+        put_keyed_u64s(out, held.iter().map(|&(i, h)| (i, u64::from(h))));
         put_varint_u64(out, self.n);
         self.rng.encode_into(out);
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        // Read the raw columns (layout differs per version), then run
-        // the shared structural validation below.
-        let (slots, raw_due, tracker_rows, holder_rows, n, rng);
-        if r.v2() {
+        // The slot and due columns stay version-routed: v2 writes each as
+        // two packed columns, v1 as rows of mixed widths (`(u64, u64)`
+        // slots, `(u64, u32)` due entries).
+        let (slots, raw_due): (Vec<Slot>, Vec<(u64, u32)>) = if r.v2() {
             // No per-slot byte floor here: packed columns can spend
             // well under a byte per slot. The count is only *compared*
             // against the column lengths (which carry their own
             // allocation guards), never allocated from.
-            let slot_count = r.varint_u64()? as usize;
-            if slot_count == 0 || slot_count > u32::MAX as usize {
-                return Err(CodecError::Invalid {
-                    what: "SuffixReservoir slot count outside 1..=u32::MAX",
-                });
-            }
+            let slot_count = r.varint_u64()?;
             let items = r.packed_u64s()?;
             let offsets = r.packed_u64s()?;
-            if items.len() != slot_count || offsets.len() != slot_count {
+            if items.len() as u64 != slot_count || offsets.len() as u64 != slot_count {
                 return Err(CodecError::Invalid {
                     what: "SuffixReservoir slot column length mismatch",
                 });
             }
-            slots = items
-                .into_iter()
-                .zip(offsets)
-                .map(|(item, offset)| Slot { item, offset })
-                .collect::<Vec<_>>();
             let due_pos = r.packed_u64s()?;
             let due_idx = r.packed_u64s()?;
             if due_pos.len() != due_idx.len() {
@@ -570,74 +551,47 @@ impl WireCodec for SuffixReservoir {
                     what: "SuffixReservoir due column length mismatch",
                 });
             }
-            let mut d = Vec::with_capacity(due_pos.len());
+            let mut due = Vec::with_capacity(due_pos.len());
             for (pos, idx) in due_pos.into_iter().zip(due_idx) {
                 let idx = u32::try_from(idx).map_err(|_| CodecError::Invalid {
                     what: "SuffixReservoir due index above u32",
                 })?;
-                d.push((pos, idx));
+                due.push((pos, idx));
             }
-            raw_due = d;
-            let t_items = r.packed_sorted_u64s()?;
-            let t_counts = r.varint_u64s()?;
-            if t_counts.len() != t_items.len() {
-                return Err(CodecError::Invalid {
-                    what: "SuffixReservoir tracker column length mismatch",
-                });
-            }
-            tracker_rows = t_items.into_iter().zip(t_counts).collect::<Vec<_>>();
-            let h_items = r.packed_sorted_u64s()?;
-            let h_counts = r.varint_u64s()?;
-            if h_counts.len() != h_items.len() {
-                return Err(CodecError::Invalid {
-                    what: "SuffixReservoir holder column length mismatch",
-                });
-            }
-            let mut h = Vec::with_capacity(h_items.len());
-            for (item, held) in h_items.into_iter().zip(h_counts) {
-                let held = u32::try_from(held).map_err(|_| CodecError::Invalid {
-                    what: "SuffixReservoir holder count above u32",
-                })?;
-                h.push((item, held));
-            }
-            holder_rows = h;
-            n = r.varint_u64()?;
-            rng = Xoshiro256pp::decode(r)?;
+            let slots = items.into_iter().zip(offsets);
+            let slots = slots.map(|(item, offset)| Slot { item, offset }).collect();
+            (slots, due)
         } else {
             let slot_count = r.len_prefix(16)?;
-            if slot_count == 0 || slot_count > u32::MAX as usize {
-                return Err(CodecError::Invalid {
-                    what: "SuffixReservoir slot count outside 1..=u32::MAX",
-                });
-            }
-            let mut s = Vec::with_capacity(slot_count);
+            let mut slots = Vec::with_capacity(slot_count);
             for _ in 0..slot_count {
-                s.push(Slot {
+                slots.push(Slot {
                     item: r.u64()?,
                     offset: r.u64()?,
                 });
             }
-            slots = s;
             let due_count = r.len_prefix(12)?;
-            let mut d = Vec::with_capacity(due_count);
+            let mut due = Vec::with_capacity(due_count);
             for _ in 0..due_count {
-                d.push((r.u64()?, r.u32()?));
+                due.push((r.u64()?, r.u32()?));
             }
-            raw_due = d;
-            let tracker_count = r.len_prefix(16)?;
-            let mut t = Vec::with_capacity(tracker_count);
-            for _ in 0..tracker_count {
-                t.push((r.u64()?, r.u64()?));
-            }
-            tracker_rows = t;
-            let holder_count = r.len_prefix(12)?;
-            let mut h = Vec::with_capacity(holder_count);
-            for _ in 0..holder_count {
-                h.push((r.u64()?, r.u32()?));
-            }
-            holder_rows = h;
-            n = r.u64()?;
-            rng = Xoshiro256pp::decode(r)?;
+            (slots, due)
+        };
+        let (tracked, counts) = r.keyed_u64s()?;
+        let (held, holds) = r.keyed_table(|r, _| {
+            let column = r.varint_u64s()?.into_iter().map(u32::try_from);
+            column
+                .collect::<Result<_, _>>()
+                .map_err(|_| CodecError::Invalid {
+                    what: "SuffixReservoir holder count above u32",
+                })
+        })?;
+        let n = r.count_u64()?;
+        let rng = Xoshiro256pp::decode(r)?;
+        if slots.is_empty() || slots.len() > u32::MAX as usize {
+            return Err(CodecError::Invalid {
+                what: "SuffixReservoir slot count outside 1..=u32::MAX",
+            });
         }
         let slot_count = slots.len();
         if raw_due.len() != slot_count {
@@ -658,22 +612,18 @@ impl WireCodec for SuffixReservoir {
             }
             due_entries.push(Reverse((pos, idx)));
         }
-        let mut tracker: FpHashMap<u64, u64> = fp_hash_map();
-        for (item, count) in tracker_rows {
-            if count == 0 || tracker.insert(item, count).is_some() {
-                return Err(CodecError::Invalid {
-                    what: "SuffixReservoir tracker row invalid",
-                });
-            }
+        if counts.contains(&0) || holds.contains(&0) {
+            return Err(CodecError::Invalid {
+                what: "SuffixReservoir tracker or holder row invalid",
+            });
         }
-        let mut holders: FpHashMap<u64, u32> = fp_hash_map();
-        for (item, h) in holder_rows {
-            if h == 0 || !tracker.contains_key(&item) || holders.insert(item, h).is_some() {
-                return Err(CodecError::Invalid {
-                    what: "SuffixReservoir holder row invalid",
-                });
-            }
+        if held != tracked {
+            return Err(CodecError::Invalid {
+                what: "SuffixReservoir tracker/holder key sets differ",
+            });
         }
+        let tracker: FpHashMap<u64, u64> = tracked.into_iter().zip(counts).collect();
+        let holders: FpHashMap<u64, u32> = held.into_iter().zip(holds).collect();
         // Cross-check slots against the maps so continued ingestion and
         // mean_x cannot hit a missing key or an underflowing suffix count:
         // every held (non-sentinel) item must be tracked with a count
@@ -682,11 +632,6 @@ impl WireCodec for SuffixReservoir {
         // item is the u64::MAX sentinel are skipped: an empty slot and a
         // slot that adopted the literal id u64::MAX behave identically in
         // the live structure — neither is released or read.)
-        if holders.len() != tracker.len() {
-            return Err(CodecError::Invalid {
-                what: "SuffixReservoir tracker/holder key sets differ",
-            });
-        }
         let mut shown: FpHashMap<u64, u32> = fp_hash_map();
         for s in &slots {
             if s.item == u64::MAX {

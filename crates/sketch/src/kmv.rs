@@ -279,46 +279,20 @@ impl WireCodec for KmvSketch {
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let (k, hash, vals);
-        if r.v2() {
-            k = r.varint_u64()? as usize;
-            if k < 3 {
-                return Err(CodecError::Invalid {
-                    what: "KmvSketch k < 3",
-                });
-            }
-            hash = PairwiseHash::decode(r)?;
-            // Strict monotonicity is enforced by the decoder, so the
-            // values are unique by construction.
-            vals = r.packed_sorted_u64s()?;
-        } else {
-            k = usize::decode(r)?;
-            if k < 3 {
-                return Err(CodecError::Invalid {
-                    what: "KmvSketch k < 3",
-                });
-            }
-            hash = PairwiseHash::decode(r)?;
-            let len = r.len_prefix(8)?;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(r.u64()?);
-            }
-            vals = v;
+        let k = r.count_usize()?;
+        if k < 3 {
+            return Err(CodecError::Invalid {
+                what: "KmvSketch k < 3",
+            });
         }
+        let hash = PairwiseHash::decode(r)?;
+        let vals = r.ascending_u64s()?;
         if vals.len() > k {
             return Err(CodecError::Invalid {
                 what: "KmvSketch holds more than k values",
             });
         }
-        let mut smallest = BTreeSet::new();
-        for h in vals {
-            if !smallest.insert(h) {
-                return Err(CodecError::Invalid {
-                    what: "KmvSketch duplicate hash value",
-                });
-            }
-        }
+        let smallest: BTreeSet<u64> = vals.into_iter().collect();
         Ok(KmvSketch { k, hash, smallest })
     }
 }

@@ -74,13 +74,12 @@ impl LevelSetConfig {
     }
 }
 
-/// One subsampling level: a CountSketch and its candidate tracker.
+/// One subsampling level: a CountSketch and its candidate tracker. The
+/// sketch's total counts the stream updates reaching the level.
 #[derive(Debug, Clone)]
 struct Level {
     cs: CountSketch,
     tracker: TopKTracker,
-    /// Number of stream updates reaching this level.
-    updates: u64,
 }
 
 /// Indyk–Woodruff level-set estimator over an insert-only stream.
@@ -119,7 +118,6 @@ impl LevelSetEstimator {
             .map(|_| Level {
                 cs: CountSketch::new(config.depth, config.width, sm.derive()),
                 tracker: TopKTracker::new(config.track.max(1)),
-                updates: 0,
             })
             .collect();
         let level_hash = PairwiseHash::new(sm.derive());
@@ -165,7 +163,6 @@ impl LevelSetEstimator {
         let deepest = (self.level_hash.level(x) as usize).min(self.levels.len() - 1);
         for j in 0..=deepest {
             let level = &mut self.levels[j];
-            level.updates += 1;
             level.cs.update(x, 1);
             let est = level.cs.query(x);
             if est > 0 {
@@ -220,7 +217,6 @@ impl LevelSetEstimator {
         self.check_merge(other).unwrap_or_else(|e| panic!("{e}"));
         for (mine, theirs) in self.levels.iter_mut().zip(&other.levels) {
             mine.cs.merge(&theirs.cs);
-            mine.updates += theirs.updates;
             mine.tracker
                 .reoffer_union(&theirs.tracker, |item| mine.cs.reoffer_estimate(item));
         }
@@ -307,24 +303,28 @@ impl LevelSetEstimator {
 
 impl WireCodec for Level {
     // The v2 lower bound: varint-headed CountSketch + TopKTracker +
-    // updates — bounds the pre-allocation a corrupt Vec<Level> length
-    // can request (a valid v2 level can be far smaller than its v1
-    // fixed-width image, so the old 64-byte floor would reject honest
-    // frames).
+    // update count — bounds the pre-allocation a corrupt Vec<Level>
+    // length can request (a valid v2 level can be far smaller than its
+    // v1 fixed-width image, so the old 64-byte floor would reject
+    // honest frames).
     const MIN_WIRE_BYTES: usize = 8;
 
+    /// The update count slot repeats the sketch's total.
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.cs.encode_into(out);
         self.tracker.encode_into(out);
-        put_varint_u64(out, self.updates);
+        put_varint_u64(out, self.cs.total());
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        Ok(Level {
-            cs: CountSketch::decode(r)?,
-            tracker: TopKTracker::decode(r)?,
-            updates: if r.v2() { r.varint_u64()? } else { r.u64()? },
-        })
+        let cs = CountSketch::decode(r)?;
+        let tracker = TopKTracker::decode(r)?;
+        if r.count_u64()? != cs.total() {
+            return Err(CodecError::Invalid {
+                what: "LevelSetEstimator level update count differs from its sketch total",
+            });
+        }
+        Ok(Level { cs, tracker })
     }
 }
 
@@ -636,6 +636,36 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_a_level_update_count_other_than_its_sketch_total() {
+        let cfg = LevelSetConfig::for_universe(1 << 10, 64);
+        let mut ls = LevelSetEstimator::new(&cfg, 5);
+        ls.update_batch(&(0..500u64).map(|i| i % 97).collect::<Vec<_>>());
+        assert!(LevelSetEstimator::decode_framed(&ls.encode_framed()).is_ok());
+
+        // Level 0's update count slot follows the level vector's u64
+        // length, its sketch and its tracker; write one more than its
+        // sketch total there, and frame the payload again.
+        let mut payload = ls.encode();
+        let level = &ls.levels[0];
+        let at = 8 + level.cs.encode().len() + level.tracker.encode().len();
+        let (mut slot, mut bumped) = (Vec::new(), Vec::new());
+        put_varint_u64(&mut slot, level.cs.total());
+        put_varint_u64(&mut bumped, level.cs.total() + 1);
+        assert_eq!(payload[at..at + slot.len()], slot[..]);
+        payload.splice(at..at + slot.len(), bumped);
+        let mut frame = Vec::new();
+        sss_codec::put_frame(&mut frame, LevelSetEstimator::WIRE_TAG, |out| {
+            out.extend_from_slice(&payload)
+        });
+        assert_eq!(
+            LevelSetEstimator::decode_framed(&frame).unwrap_err(),
+            CodecError::Invalid {
+                what: "LevelSetEstimator level update count differs from its sketch total"
+            }
+        );
+    }
+
+    #[test]
     fn update_touches_expected_number_of_levels() {
         // Σ_j 2^{-j} < 2: total level updates ≈ 2n.
         let cfg = LevelSetConfig::for_universe(1 << 16, 64);
@@ -644,7 +674,7 @@ mod tests {
         for x in 0..n {
             ls.update(x);
         }
-        let total_updates: u64 = ls.levels.iter().map(|l| l.updates).sum();
+        let total_updates: u64 = ls.levels.iter().map(|l| l.cs.total()).sum();
         let per_item = total_updates as f64 / n as f64;
         assert!(
             per_item > 1.9 && per_item < 2.1,

@@ -6,9 +6,7 @@
 //! insert-only alternative to CountMin for `F_1` heavy hitters (§6); here
 //! it is the dominant-element detector inside the entropy estimator.
 
-use sss_codec::{
-    put_packed_sorted_u64s, put_varint_u64, put_varint_u64s, CodecError, Reader, WireCodec,
-};
+use sss_codec::{put_keyed_u64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{fp_hash_map, FpHashMap};
 
 use crate::Mismatch;
@@ -123,71 +121,33 @@ impl WireCodec for MisraGries {
     const WIRE_TAG: u16 = 0x0206;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        // v2 layout: columnar — sorted-delta-packed item ids, then the
-        // FoR-packed count column (deterministic order: sorted by id).
         put_varint_u64(out, self.k as u64);
         put_varint_u64(out, self.n);
         let mut rows: Vec<(u64, u64)> = self.counters.iter().map(|(&i, &c)| (i, c)).collect();
         rows.sort_unstable();
-        let items: Vec<u64> = rows.iter().map(|&(i, _)| i).collect();
-        let counts: Vec<u64> = rows.iter().map(|&(_, c)| c).collect();
-        put_packed_sorted_u64s(out, &items);
-        put_varint_u64s(out, &counts);
+        put_keyed_u64s(out, rows.iter().copied());
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let (k, n, items, counts);
-        if r.v2() {
-            k = r.varint_u64()? as usize;
-            n = r.varint_u64()?;
-            if k == 0 {
-                return Err(CodecError::Invalid {
-                    what: "MisraGries k == 0",
-                });
-            }
-            items = r.packed_sorted_u64s()?;
-            counts = r.varint_u64s()?;
-            if counts.len() != items.len() {
-                return Err(CodecError::Invalid {
-                    what: "MisraGries count column length mismatch",
-                });
-            }
-        } else {
-            k = usize::decode(r)?;
-            n = r.u64()?;
-            if k == 0 {
-                return Err(CodecError::Invalid {
-                    what: "MisraGries k == 0",
-                });
-            }
-            let len = r.len_prefix(16)?;
-            let mut is = Vec::with_capacity(len);
-            let mut cs = Vec::with_capacity(len);
-            for _ in 0..len {
-                is.push(r.u64()?);
-                cs.push(r.u64()?);
-            }
-            items = is;
-            counts = cs;
+        let k = r.count_usize()?;
+        let n = r.count_u64()?;
+        if k == 0 {
+            return Err(CodecError::Invalid {
+                what: "MisraGries k == 0",
+            });
         }
+        let (items, counts) = r.keyed_u64s()?;
         if items.len() > k {
             return Err(CodecError::Invalid {
                 what: "MisraGries holds more than k counters",
             });
         }
-        let mut counters = fp_hash_map();
-        for (item, count) in items.into_iter().zip(counts) {
-            if count == 0 {
-                return Err(CodecError::Invalid {
-                    what: "MisraGries zero counter",
-                });
-            }
-            if counters.insert(item, count).is_some() {
-                return Err(CodecError::Invalid {
-                    what: "MisraGries duplicate item",
-                });
-            }
+        if counts.contains(&0) {
+            return Err(CodecError::Invalid {
+                what: "MisraGries zero counter",
+            });
         }
+        let counters = items.into_iter().zip(counts).collect();
         Ok(MisraGries { k, counters, n })
     }
 }

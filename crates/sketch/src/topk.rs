@@ -16,7 +16,7 @@
 //! threshold preserves recall. [`CmHeavyHitters`] and [`CsHeavyHitters`]
 //! name the two instantiations.
 
-use sss_codec::{put_packed_sorted_u64s, put_varint_u64, CodecError, Reader, WireCodec};
+use sss_codec::{put_keyed_f64s, put_varint_u64, CodecError, Reader, WireCodec};
 use sss_hash::{fp_hash_map, FpHashMap};
 
 use crate::countmin::CountMin;
@@ -388,63 +388,26 @@ impl WireCodec for TopKTracker {
     const WIRE_TAG: u16 = 0x0208;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        // v2 layout: sorted-delta-packed candidate ids, then their
-        // estimates as raw IEEE-754 bit patterns (floats do not pack).
         put_varint_u64(out, self.cap as u64);
         let mut rows: Vec<(u64, f64)> = self.est.iter().map(|(&i, &e)| (i, e)).collect();
         rows.sort_unstable_by_key(|&(i, _)| i);
-        let items: Vec<u64> = rows.iter().map(|&(i, _)| i).collect();
-        put_packed_sorted_u64s(out, &items);
-        for &(_, e) in &rows {
-            e.encode_into(out);
-        }
+        put_keyed_f64s(out, rows.iter().copied());
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let (cap, items, ests);
-        if r.v2() {
-            cap = r.varint_u64()? as usize;
-            if cap == 0 {
-                return Err(CodecError::Invalid {
-                    what: "TopKTracker capacity == 0",
-                });
-            }
-            items = r.packed_sorted_u64s()?;
-            let mut es = Vec::with_capacity(items.len());
-            for _ in 0..items.len() {
-                es.push(r.f64()?);
-            }
-            ests = es;
-        } else {
-            cap = usize::decode(r)?;
-            if cap == 0 {
-                return Err(CodecError::Invalid {
-                    what: "TopKTracker capacity == 0",
-                });
-            }
-            let len = r.len_prefix(16)?;
-            let mut is = Vec::with_capacity(len);
-            let mut es = Vec::with_capacity(len);
-            for _ in 0..len {
-                is.push(r.u64()?);
-                es.push(r.f64()?);
-            }
-            items = is;
-            ests = es;
+        let cap = r.count_usize()?;
+        if cap == 0 {
+            return Err(CodecError::Invalid {
+                what: "TopKTracker capacity == 0",
+            });
         }
+        let (items, ests) = r.keyed_f64s()?;
         if items.len() >= cap.saturating_mul(2) {
             return Err(CodecError::Invalid {
                 what: "TopKTracker exceeds its pruning bound",
             });
         }
-        let mut est = fp_hash_map();
-        for (item, e) in items.into_iter().zip(ests) {
-            if est.insert(item, e).is_some() {
-                return Err(CodecError::Invalid {
-                    what: "TopKTracker duplicate item",
-                });
-            }
-        }
+        let est = items.into_iter().zip(ests).collect();
         Ok(TopKTracker { cap, est })
     }
 }

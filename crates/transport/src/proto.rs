@@ -34,7 +34,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use sss_codec::{
-    parse_frame_header, put_len, CodecError, FrameHeader, Reader, WireCodec, FRAME_HEADER_BYTES,
+    parse_frame_header, put_frame, put_len, CodecError, FrameHeader, Reader, WireCodec,
+    FRAME_HEADER_BYTES,
 };
 
 use sss_obs::MetricsSnapshot;
@@ -112,6 +113,7 @@ impl WireCodec for Hello {
             proto_version: r.u16()?,
             site_id: r.u64()?,
             site_name: String::decode(r)?,
+            // v1 hellos have no such field: they offer no features.
             features: if r.v2() { r.u64()? } else { 0 },
         })
     }
@@ -157,6 +159,7 @@ impl WireCodec for HelloAck {
             proto_version: r.u16()?,
             resume_seq: r.u64()?,
             reason: String::decode(r)?,
+            // v1 acks have no such field: they grant no features.
             features: if r.v2() { r.u64()? } else { 0 },
         })
     }
@@ -182,10 +185,7 @@ impl WireCodec for SnapshotPush {
     const WIRE_TAG: u16 = TAG_SNAPSHOT_PUSH;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.site_id.encode_into(out);
-        self.seq.encode_into(out);
-        put_len(out, self.snapshot.len());
-        out.extend_from_slice(&self.snapshot);
+        put_push(out, self.site_id, self.seq, &self.snapshot);
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
@@ -370,36 +370,22 @@ impl WireCodec for SnapshotAck {
 /// Encode a [`SnapshotPush`] frame directly from a borrowed snapshot
 /// buffer — byte-identical to building the owned struct and calling
 /// `encode_framed()`, without the extra copy of the (multi-MiB for a
-/// full monitor) snapshot into the struct first.
+/// full monitor) snapshot into the struct first. The frame is allocated
+/// at its final size.
 pub fn encode_push_frame(site_id: u64, seq: u64, snapshot: &[u8]) -> Vec<u8> {
-    struct PushRef<'a> {
-        site_id: u64,
-        seq: u64,
-        snapshot: &'a [u8],
-    }
-    impl WireCodec for PushRef<'_> {
-        const WIRE_TAG: u16 = TAG_SNAPSHOT_PUSH;
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + 24 + snapshot.len());
+    put_frame(&mut out, TAG_SNAPSHOT_PUSH, |out| {
+        put_push(out, site_id, seq, snapshot)
+    });
+    out
+}
 
-        fn encode_into(&self, out: &mut Vec<u8>) {
-            self.site_id.encode_into(out);
-            self.seq.encode_into(out);
-            put_len(out, self.snapshot.len());
-            out.extend_from_slice(self.snapshot);
-        }
-
-        fn decode(_: &mut Reader) -> Result<Self, CodecError> {
-            // Borrowing encoder only — frames decode via `SnapshotPush`.
-            Err(CodecError::Invalid {
-                what: "PushRef does not decode; use SnapshotPush",
-            })
-        }
-    }
-    PushRef {
-        site_id,
-        seq,
-        snapshot,
-    }
-    .encode_framed()
+/// A [`SnapshotPush`] payload: `site_id ‖ seq ‖ u64 len ‖ snapshot`.
+fn put_push(out: &mut Vec<u8>, site_id: u64, seq: u64, snapshot: &[u8]) {
+    site_id.encode_into(out);
+    seq.encode_into(out);
+    put_len(out, snapshot.len());
+    out.extend_from_slice(snapshot);
 }
 
 /// Graceful close: the site is done pushing; the collector marks the

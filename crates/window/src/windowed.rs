@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use sss_codec::{put_len, CodecError, Reader, WireCodec};
+use sss_codec::{put_len, put_section, CodecError, Reader, WireCodec};
 use sss_core::{Estimate, MergeError, Monitor, Statistic};
 use sss_obs::{EventKind, MetricId};
 
@@ -610,23 +610,6 @@ impl WindowedMonitor {
     }
 }
 
-fn decode_monitor_section(r: &mut Reader) -> Result<Monitor, CodecError> {
-    let len = r.len_prefix(1)?;
-    // The section reader inherits the frame's format version so nested
-    // monitor payloads decode under the layout the envelope announced.
-    let mut section = Reader::with_version(r.take(len)?, r.version());
-    let m = Monitor::decode(&mut section)?;
-    section.expect_empty()?;
-    Ok(m)
-}
-
-fn encode_monitor_section(out: &mut Vec<u8>, m: &Monitor) {
-    let mut payload = Vec::new();
-    m.encode_into(&mut payload);
-    put_len(out, payload.len());
-    out.extend_from_slice(&payload);
-}
-
 impl WireCodec for WindowedMonitor {
     const WIRE_TAG: u16 = 0x0601;
 
@@ -638,11 +621,11 @@ impl WireCodec for WindowedMonitor {
         self.late_dropped.encode_into(out);
         self.retired.encode_into(out);
         self.total_ingested.encode_into(out);
-        encode_monitor_section(out, &self.prototype);
+        put_section(out, |out| self.prototype.encode_into(out));
         put_len(out, self.buckets.len());
         for b in &self.buckets {
             b.epoch.encode_into(out);
-            encode_monitor_section(out, &b.monitor);
+            put_section(out, |out| b.monitor.encode_into(out));
         }
         put_len(out, self.queries.len());
         for q in &self.queries {
@@ -673,7 +656,7 @@ impl WireCodec for WindowedMonitor {
         let late_dropped = r.u64()?;
         let retired = r.u64()?;
         let total_ingested = r.u64()?;
-        let prototype = decode_monitor_section(r)?;
+        let prototype = r.section(Monitor::decode)?;
         if prototype.samples_seen() != 0 {
             return Err(CodecError::Invalid {
                 what: "window prototype must be pristine",
@@ -704,7 +687,7 @@ impl WireCodec for WindowedMonitor {
                     what: "bucket epochs must be strictly ascending",
                 });
             }
-            let monitor = decode_monitor_section(r)?;
+            let monitor = r.section(Monitor::decode)?;
             if prototype.check_mergeable(&monitor).is_err() {
                 return Err(CodecError::Invalid {
                     what: "window bucket does not merge with the prototype",

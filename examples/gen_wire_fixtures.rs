@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use subsampled_streams::codec::WireCodec;
+use subsampled_streams::codec::{parse_frame_header, FrameHeader, WireCodec, FRAME_HEADER_BYTES};
 use subsampled_streams::core::{
     AdaptiveF2Estimator, MonitorBuilder, NaiveScaledF0, NaiveScaledFk, RusuDobraF2,
     SampledEntropyEstimator, SampledF0Estimator, SampledF1HeavyHitters, SampledF2HeavyHitters,
@@ -169,8 +169,11 @@ fn main() {
     );
     let mut total = 0usize;
     for f in &fixtures {
-        let (version, tag, _) =
-            subsampled_streams::codec::peek_frame(&f.bytes).expect("own frame peeks");
+        let header = f.bytes[..FRAME_HEADER_BYTES]
+            .try_into()
+            .expect("own frame header");
+        let FrameHeader { version, tag, .. } =
+            parse_frame_header(header).expect("own frame header parses");
         assert_eq!(version, subsampled_streams::codec::WIRE_VERSION);
         std::fs::write(dir.join(format!("{}.bin", f.name)), &f.bytes).expect("write fixture");
         writeln!(

@@ -519,7 +519,9 @@ fn v1_frequency_map_rows_decode_in_any_order() {
     let duplicate_id = [(9, 2), (1, 1), (4, 1), (9, 1)];
     assert_eq!(
         decode_v1(&v1_naive_f2(&duplicate_id)).unwrap_err(),
-        row_invalid
+        CodecError::Invalid {
+            what: "v1 rows repeat a key",
+        }
     );
     let zero_count = [(9, 2), (1, 0), (4, 1)];
     assert_eq!(
@@ -953,4 +955,176 @@ fn restored_monitor_rejects_incompatible_merges_like_a_live_one() {
         ra.try_merge(&rb).is_err(),
         "rate mismatch must survive the wire"
     );
+}
+
+/// How a fuzzed type merges and reads: a merge check against another
+/// decode, the merge it guards, and every estimate or report it answers.
+struct Ops<T> {
+    check: fn(&T, &T) -> bool,
+    merge: fn(&mut T, &T),
+    read: fn(&T),
+}
+
+fn estimator_ops<E: SubsampledEstimator>() -> Ops<E> {
+    Ops {
+        check: |a, b| a.merge_compatible(b).is_ok(),
+        merge: |a, b| a.merge(b),
+        read: |e| {
+            let _ = e.estimate();
+        },
+    }
+}
+
+/// Mutants per committed fixture and version: about 4 s in a debug
+/// build. Each decodes, and on success merges, reads and twice
+/// re-encodes, a frame of at most 207 KB; a width-0 packed run whose
+/// length a mutation raised may allocate up to `PACKED_MAX_RUN` values
+/// before its decoder refuses the column.
+const MUTANTS: u64 = 32;
+
+/// A copy of `frame` with one or two of its payload bytes changed — a
+/// bit flip, ±1 on a varint's low seven bits, or a packed column's
+/// width value (0, 1, 7, 63, 64 or 65) at any position — and a fresh
+/// checksum, so the envelope passes and the payload decoders see the
+/// damage.
+fn mutate(frame: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
+    use subsampled_streams::codec::{fnv1a64, FRAME_HEADER_BYTES};
+    let mut m = frame.to_vec();
+    let payload = (m.len() - FRAME_HEADER_BYTES) as u64;
+    for _ in 0..1 + rng.next_u64() % 2 {
+        let at = FRAME_HEADER_BYTES + (rng.next_u64() % payload) as usize;
+        let b = m[at];
+        m[at] = match rng.next_u64() % 3 {
+            0 => b ^ (1 << (rng.next_u64() % 8)),
+            1 if rng.next_u64() & 1 == 0 => (b & 0x80) | (b.wrapping_add(1) & 0x7F),
+            1 => (b & 0x80) | (b.wrapping_sub(1) & 0x7F),
+            _ => [0, 1, 7, 63, 64, 65][(rng.next_u64() % 6) as usize],
+        };
+    }
+    let checksum = fnv1a64(&m[FRAME_HEADER_BYTES..]);
+    m[16..24].copy_from_slice(&checksum.to_le_bytes());
+    m
+}
+
+/// Decode the mutant of `frame` drawn from `seed`. When it decodes, its
+/// merge check against `original`, the merges that check admits, its
+/// reads and a re-encode → decode → re-encode round trip must not panic,
+/// and the round trip must give the same bytes.
+fn fuzz_one<T: WireCodec + Clone>(
+    label: &str,
+    original: &T,
+    frame: &[u8],
+    seed: u64,
+    ops: &Ops<T>,
+) {
+    let mutant = mutate(frame, &mut SplitMix64::new(seed));
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let Ok(decoded) = T::decode_framed(&mutant) else {
+            return;
+        };
+        if (ops.check)(original, &decoded) {
+            let mut into_original = original.clone();
+            (ops.merge)(&mut into_original, &decoded);
+            (ops.read)(&into_original);
+            let mut into_mutant = decoded.clone();
+            (ops.merge)(&mut into_mutant, original);
+            (ops.read)(&into_mutant);
+        }
+        (ops.read)(&decoded);
+        let once = decoded.encode_framed();
+        let again = T::decode_framed(&once).expect("a re-encoded mutant decodes");
+        assert!(again.encode_framed() == once, "re-encode is not stable");
+    }));
+    if run.is_err() {
+        panic!("{label}: the mutant from seed {seed:#x} panicked");
+    }
+}
+
+fn fuzz_fixture<T: WireCodec + Clone>(label: &str, frame: &[u8], seeds: &[u64], ops: Ops<T>) {
+    let original = T::decode_framed(frame).expect("committed fixture decodes");
+    for &seed in seeds {
+        fuzz_one(label, &original, frame, seed, &ops);
+    }
+}
+
+/// Route a committed fixture to its type's decoder.
+fn fuzz_named(name: &str, version: u16, frame: &[u8], seeds: &[u64]) {
+    use subsampled_streams::window::WindowedMonitor;
+    let label = format!("wire_v{version}/{name}");
+    let label = label.as_str();
+    match name {
+        "f0" => fuzz_fixture::<SampledF0Estimator>(label, frame, seeds, estimator_ops()),
+        "fk_exact" => {
+            fuzz_fixture::<SampledFkEstimator<subsampled_streams::core::ExactCollisions>>(
+                label,
+                frame,
+                seeds,
+                estimator_ops(),
+            )
+        }
+        "fk_sketched" => fuzz_fixture::<
+            SampledFkEstimator<subsampled_streams::core::LevelSetCollisions>,
+        >(label, frame, seeds, estimator_ops()),
+        "entropy" => fuzz_fixture::<SampledEntropyEstimator>(label, frame, seeds, estimator_ops()),
+        "hh_f1" => fuzz_fixture::<SampledF1HeavyHitters>(label, frame, seeds, estimator_ops()),
+        "hh_f2" => fuzz_fixture::<SampledF2HeavyHitters>(label, frame, seeds, estimator_ops()),
+        "rusu_dobra_f2" => fuzz_fixture::<RusuDobraF2>(label, frame, seeds, estimator_ops()),
+        "naive_fk" => fuzz_fixture::<NaiveScaledFk>(label, frame, seeds, estimator_ops()),
+        "naive_f0" => fuzz_fixture::<NaiveScaledF0>(label, frame, seeds, estimator_ops()),
+        "adaptive_f2" => fuzz_fixture::<AdaptiveF2Estimator>(label, frame, seeds, estimator_ops()),
+        "monitor_full" => fuzz_fixture::<Monitor>(
+            label,
+            frame,
+            seeds,
+            Ops {
+                check: |a, b| a.check_mergeable(b).is_ok(),
+                merge: |a, b| a.merge(b),
+                read: |m| {
+                    let _ = m.report();
+                },
+            },
+        ),
+        "windowed_monitor" => fuzz_fixture::<WindowedMonitor>(
+            label,
+            frame,
+            seeds,
+            Ops {
+                check: |a, b| a.clone().try_merge(b).is_ok(),
+                merge: |a, b| a.merge(b),
+                read: |w| {
+                    let _ = w.report();
+                },
+            },
+        ),
+        other => panic!("fixture '{other}' has no fuzz target — add one"),
+    }
+}
+
+#[test]
+fn mutated_fixture_payloads_decode_typed_past_the_checksum() {
+    // The frame checksum stops every flip in the fuzz above before a
+    // decoder runs. Here each mutant gets a fresh checksum, so every
+    // payload decoder in both committed corpora meets structured
+    // garbage: it must fail typed or yield a state that merges, reads
+    // and round-trips without panicking.
+    for version in [1u16, 2] {
+        let dir = format!(
+            "{}/tests/fixtures/wire_v{version}",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("fixture dir")
+            .filter_map(|e| {
+                let name = e.expect("dir entry").file_name().into_string().ok()?;
+                name.strip_suffix(".bin").map(str::to_string)
+            })
+            .collect();
+        names.sort();
+        for (i, name) in names.iter().enumerate() {
+            let frame = std::fs::read(format!("{dir}/{name}.bin")).expect("committed fixture");
+            let base = (u64::from(version) << 40) | ((i as u64) << 20);
+            let seeds: Vec<u64> = (0..MUTANTS).map(|j| base | j).collect();
+            fuzz_named(name, version, &frame, &seeds);
+        }
+    }
 }

@@ -15,7 +15,7 @@
 //! run, and the continuous-query surface fires (and round-trips)
 //! deterministically.
 
-use subsampled_streams::codec::WireCodec;
+use subsampled_streams::codec::{parse_frame_header, FrameHeader, WireCodec, FRAME_HEADER_BYTES};
 use subsampled_streams::core::{Estimate, Monitor, MonitorBuilder, Statistic};
 use subsampled_streams::stream::{
     BernoulliSampler, NetFlowStream, PlantedHeavyHitters, StreamGen, TimedStream, ZipfStream,
@@ -355,7 +355,10 @@ fn windowed_snapshot_frames_carry_the_0x06_tag_range() {
         }
     }
     let bytes = w.checkpoint().expect("checkpoint");
-    let (version, tag, _) = subsampled_streams::codec::peek_frame(&bytes).expect("frame header");
+    let header = bytes[..FRAME_HEADER_BYTES]
+        .try_into()
+        .expect("frame header");
+    let FrameHeader { version, tag, .. } = parse_frame_header(header).expect("frame header");
     assert_eq!(version, subsampled_streams::codec::WIRE_VERSION);
     assert_eq!(tag, WindowedMonitor::WIRE_TAG);
     assert_eq!(tag >> 8, 0x06, "window tags live in the 0x06xx range");

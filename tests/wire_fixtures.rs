@@ -19,7 +19,10 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use subsampled_streams::codec::{peek_frame, WireCodec, WIRE_VERSION, WIRE_VERSION_MIN};
+use subsampled_streams::codec::{
+    parse_frame_header, CodecError, FrameHeader, WireCodec, FRAME_HEADER_BYTES, WIRE_VERSION,
+    WIRE_VERSION_MIN,
+};
 use subsampled_streams::core::{
     AdaptiveF2Estimator, ExactCollisions, LevelSetCollisions, Monitor, NaiveScaledF0,
     NaiveScaledFk, RusuDobraF2, SampledEntropyEstimator, SampledF0Estimator, SampledF1HeavyHitters,
@@ -61,6 +64,14 @@ fn manifest(version: u16) -> BTreeMap<String, ManifestRow> {
         );
     }
     rows
+}
+
+/// The validated header of a framed buffer.
+fn frame_header(bytes: &[u8]) -> Result<FrameHeader, CodecError> {
+    let header = bytes
+        .get(..FRAME_HEADER_BYTES)
+        .expect("a whole frame header");
+    parse_frame_header(header.try_into().expect("header-sized slice"))
 }
 
 /// Decode a fixture by family name; return `(estimate bits, samples
@@ -127,15 +138,19 @@ fn check_corpus(version: u16, check_reencoded: impl Fn(&str, &[u8], Vec<u8>)) {
             .expect("committed fixture");
         assert_eq!(bytes.len(), row.bytes, "{name}: committed size changed");
 
-        let (found_version, tag, payload) = peek_frame(&bytes).expect("frame header");
-        assert_eq!(found_version, version, "{name}: corpus carries its version");
-        assert!(
-            (WIRE_VERSION_MIN..=WIRE_VERSION).contains(&found_version),
-            "{name}: version {found_version} fell out of the supported window \
-             [{WIRE_VERSION_MIN}, {WIRE_VERSION}] — old frames must stay decodable"
+        let header = match frame_header(&bytes) {
+            Err(CodecError::UnsupportedVersion { found, .. }) => panic!(
+                "{name}: version {found} fell out of the supported window \
+                 [{WIRE_VERSION_MIN}, {WIRE_VERSION}] — old frames must stay decodable"
+            ),
+            other => other.expect("frame header"),
+        };
+        assert_eq!(
+            header.version, version,
+            "{name}: corpus carries its version"
         );
-        assert_eq!(tag, row.tag, "{name}: wire tag changed");
-        assert!(payload > 0);
+        assert_eq!(header.tag, row.tag, "{name}: wire tag changed");
+        assert!(header.payload_len > 0);
 
         let (estimate_bits, samples_seen, reencoded) = decode_fixture(name, &bytes);
         assert_eq!(
@@ -154,9 +169,9 @@ fn committed_v1_corpus_decodes_under_the_v2_codec() {
         // the result must be a valid current-version frame that decodes
         // back to the same pinned estimate — the full v1 → v2 migration
         // path, exercised on every committed family.
-        let (version, _, _) = peek_frame(&reencoded).expect("re-encoded frame header");
+        let header = frame_header(&reencoded).expect("re-encoded frame header");
         assert_eq!(
-            version, WIRE_VERSION,
+            header.version, WIRE_VERSION,
             "{name}: re-encode must write the current version"
         );
         let (bits_a, samples_a, _) = decode_fixture(name, &reencoded);
