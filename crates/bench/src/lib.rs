@@ -37,9 +37,10 @@ pub mod schema {
     /// `BENCH_obs.json` (written by `bench_obs`).
     pub const OBS: u32 = 1;
     /// `BENCH_concurrent.json` (written by `bench_concurrent`). v2
-    /// renames the `sharded_*` control columns to `replicated_*`: the
-    /// control arm is now `ParallelStrategy::Replicated`.
-    pub const CONCURRENT: u32 = 2;
+    /// renamed the `sharded_*` control columns to `replicated_*`. v3 has
+    /// one curve (`ns_per_elem`, `speedup_vs_t1`) and the replicas'
+    /// bytes (`replica_sketch_bytes`): the pipeline has one mechanism.
+    pub const CONCURRENT: u32 = 3;
 }
 
 pub use stats::{mean, quantile, std_dev, Summary};

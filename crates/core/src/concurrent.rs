@@ -1,4 +1,5 @@
-//! Multi-threaded ingestion: N workers, **one** shared sketch state.
+//! Multi-threaded ingestion: N workers, each with its own replica,
+//! folded by the merge algebra.
 //!
 //! The single-threaded [`Monitor`] consumes one Bernoulli-sampled stream.
 //! At production rates the bottleneck is ingestion itself, so a
@@ -9,48 +10,35 @@
 //!
 //! ```text
 //!            raw chunks (round-robin, bounded queues)
-//!   ingest ──┬──────────► worker 0: sample(p, seed₀) ─┐  shared-atomic grids
-//!            ├──────────► worker 1: sample(p, seed₁) ─┼─► key-sharded parts   ─► fold ─► Monitor
-//!            └──────────► worker N−1: sample(p, seedₙ) ┘  replicated locals
+//!   ingest ──┬──────────► worker 0: sample(p, seed₀) → fork_shard(0) ─┐
+//!            ├──────────► worker 1: sample(p, seed₁) → fork_shard(1) ─┼─► merge_all ─► Monitor
+//!            └──────────► worker N−1: sample(p, seedₙ) → fork_shard(N−1) ┘
 //! ```
 //!
-//! Where the substrate allows it, workers do not replicate state: the
-//! heavy-hitter reporters' fixed-geometry counter grids (CountMin,
-//! CountSketch) become the shared-atomic variants of
-//! [`sss_sketch::atomic`], and every worker ingests into the *same*
-//! cells with relaxed `fetch_add`s. One grid, regardless of thread
-//! count. Not every estimator is a commutative counter grid, so each
-//! registered slot is routed to the cheapest strategy that preserves
-//! its answer:
+//! Worker `i` ingests into its own replica, `prototype.fork_shard(i)`,
+//! through [`Monitor::update_batch`] (the single-threaded batch kernels),
+//! and [`ConcurrentMonitor::snapshot`] and [`ConcurrentMonitor::finish`]
+//! fold the replicas with [`Monitor::merge_all`] onto a clone of the
+//! prototype: the fold a collector runs over its sites. The folded
+//! monitor is therefore the sharded deployment's, byte for byte: `N`
+//! `fork_shard` monitors, monitor `i` fed every `N`-th dispatched chunk
+//! through a `split_seed(sampler_seed, i)` sampler, merged in ascending
+//! order. It does not depend on thread timing.
 //!
-//! | Strategy | Slots | Why it is sound |
-//! |---|---|---|
-//! | shared-atomic | `F_1`/`F_2` heavy hitters | cell-wise integer adds commute; any interleaving quiesces to the sequential grid bit for bit |
-//! | key-sharded | `F_0`, `F_k` (exact and sketched), naive baselines | items are partitioned by key hash, so each part owns a disjoint sub-multiset and the existing merge is exact (disjoint maps, bottom-k union, linear sketches) |
-//! | replicated | entropy, Rusu–Dobra `F_2`, adaptive, unknown slots | entropy is *not* key-shardable (`H = Σ wᵢHᵢ + H(w)` loses the cross-partition term); thread-local replicas merge through `Monitor::merge`'s algebra, and AMS replicas keep the prototype's signs, so their linear merge is the sequential sketch |
+//! **Memory.** Ingest memory grows with the thread count, as `N` sites'
+//! memory does: every replica holds each fixed-size sketch grid whole.
+//! The folded monitor, and so its checkpoint, does not.
 //!
-//! [`ParallelStrategy::Replicated`] forces the last row onto every slot:
-//! N full replicas merged at the end, the control arm for benchmarks and
-//! equivalence tests.
+//! **Consistent cut.** Each worker holds its replica's mutex for the
+//! whole of every sampled batch. The fold locks every replica in
+//! ascending order, which pauses all writers at batch boundaries, so
+//! every slot of a snapshot reflects the same set of completed batches.
 //!
-//! **One fold, two callers.** Each worker keeps its replicated locals
-//! behind its own mutex and holds it for the whole of every sampled
-//! batch. [`ConcurrentMonitor::snapshot`] locks every worker mutex in
-//! ascending order — pausing all writers at batch boundaries — and folds
-//! the shared state into a plain [`Monitor`]: grids convert back to
-//! their plain estimators, key-shard parts and replicated locals merge.
-//! [`ConcurrentMonitor::finish`] joins the workers and runs the same
-//! fold. The lock order is always worker mutexes (ascending) before
-//! key-shard part mutexes, so a snapshot is a consistent cut: every
-//! slot reflects the same set of completed batches.
-//!
-//! **Seeding.** Shared-atomic and key-sharded slots keep the prototype's
-//! hash seeds (the grids *are* the prototype's grids; key-shard parts
-//! must agree with each other to merge). Replicated slots follow
-//! [`Monitor::fork_shard`]'s seed schedule exactly (one module owns it:
-//! worker `i` takes shard `i`'s per-entry seeds), and worker `i` samples
-//! with `split_seed(sampler_seed, i)`, so survival decisions across
-//! workers are independent.
+//! **Seeding.** Replicas follow [`Monitor::fork_shard`]'s seed schedule:
+//! merge-critical hash seeds stay the prototype's, shard-local
+//! randomness is re-derived per worker. Worker `i` samples with
+//! `split_seed(sampler_seed, i)`, so survival decisions across workers
+//! are independent.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,38 +46,19 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use sss_hash::{fingerprint64, split_seed};
+use sss_hash::split_seed;
 use sss_obs::MetricId;
-use sss_sketch::{
-    AtomicCmHeavyHitters, AtomicCsHeavyHitters, AtomicScratch, HeavyHitters, PointSketch,
-};
 use sss_stream::{BernoulliSampler, Item};
 
-use crate::heavy_hitters::SampledHeavyHitters;
-use crate::monitor::{
-    DynEstimator, Monitor, F0, FK_EXACT, FK_SKETCHED, HH_F1, HH_F2, NAIVE_F0, NAIVE_FK,
-};
+use crate::monitor::Monitor;
 
 /// Chunks a worker's queue holds before `ingest` blocks (backpressure
 /// instead of unbounded buffering).
 const QUEUE_DEPTH: usize = 4;
 /// Survivors per worker-side sampled batch: amortises the per-batch slot
-/// dispatch (and the worker-mutex acquire) without growing the survivor
+/// dispatch (and the replica-mutex acquire) without growing the survivor
 /// buffer past L1.
 const SAMPLE_BATCH: usize = 4096;
-
-/// How a [`ConcurrentMonitor`] maps estimator slots onto threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelStrategy {
-    /// Per-slot routing (the table in the module docs): shared-atomic
-    /// where the merge algebra is cell-wise addition, key-sharded where
-    /// a key partition merges exactly, replicated otherwise.
-    #[default]
-    Auto,
-    /// Force every slot onto thread-local replicas: worker `i` holds
-    /// `fork_shard(i)`-seeded estimators, merged ascending at the fold.
-    Replicated,
-}
 
 /// Tuning knobs for a [`ConcurrentMonitor`].
 #[derive(Debug, Clone)]
@@ -98,8 +67,6 @@ pub struct ConcurrentConfig {
     pub threads: usize,
     /// Raw elements per dispatched chunk.
     pub dispatch_chunk: usize,
-    /// Slot-to-thread mapping policy.
-    pub strategy: ParallelStrategy,
 }
 
 impl ConcurrentConfig {
@@ -109,7 +76,6 @@ impl ConcurrentConfig {
         Self {
             threads,
             dispatch_chunk: 1 << 16,
-            strategy: ParallelStrategy::Auto,
         }
     }
 }
@@ -130,66 +96,19 @@ impl Job {
     }
 }
 
-/// Shared per-slot ingestion state, index-aligned with the prototype's
-/// entries.
-enum SlotState {
-    /// `F_1` heavy hitters over a shared-atomic CountMin grid.
-    Cm(AtomicCmHeavyHitters),
-    /// `F_2` heavy hitters over a shared-atomic CountSketch grid.
-    Cs(AtomicCsHeavyHitters),
-    /// Disjoint key partition: part `j` owns the items with
-    /// `fingerprint64(x) % parts == j`. One mutex per part; workers
-    /// group a batch by part first, so each lock is taken at most once
-    /// per batch.
-    KeySharded(Vec<Mutex<Box<dyn DynEstimator>>>),
-    /// Thread-local replicas (in each worker's [`WorkerLocals`]).
-    Replicated,
-}
-
-/// A worker's thread-local replicas, in registration order: `None` for
-/// slots served entirely by shared state.
-type WorkerLocals = Vec<Option<Box<dyn DynEstimator>>>;
-
 struct Shared {
-    slots: Vec<SlotState>,
     /// Sampled elements ingested across all workers.
     samples: AtomicU64,
-    /// One per worker, index-aligned: its replicated locals. The worker
-    /// holds its mutex for the whole of each sampled batch, so holding
-    /// all of them pauses every writer at a batch boundary.
-    workers: Vec<Mutex<WorkerLocals>>,
+    /// Worker `i`'s replica, `fork_shard(i)`. The worker holds its mutex
+    /// for the whole of each sampled batch, so holding all of them
+    /// pauses every writer at a batch boundary.
+    replicas: Vec<Mutex<Monitor>>,
 }
 
-/// Lock a worker or part mutex. Poison means a worker panicked mid-batch
-/// and left that state half-updated, so nothing may fold it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock a replica. Poison means a worker panicked mid-batch and left its
+/// replica half-updated, so nothing may fold it.
+fn lock(m: &Mutex<Monitor>) -> MutexGuard<'_, Monitor> {
     m.lock().expect("a concurrent worker panicked mid-batch")
-}
-
-/// Route one prototype slot to its ingestion strategy, keyed by wire tag.
-fn route_slot(est: &dyn DynEstimator, strategy: ParallelStrategy, parts: usize) -> SlotState {
-    if strategy == ParallelStrategy::Replicated {
-        return SlotState::Replicated;
-    }
-    match est.wire_tag() {
-        HH_F1 => SlotState::Cm(AtomicCmHeavyHitters::from_plain(reporter(est))),
-        HH_F2 => SlotState::Cs(AtomicCsHeavyHitters::from_plain(reporter(est))),
-        F0 | FK_EXACT | FK_SKETCHED | NAIVE_FK | NAIVE_F0 => {
-            // Clones keep the prototype's seeds: parts must agree to
-            // merge, and a key partition is just a particular disjoint
-            // split, for which these merges are exact.
-            SlotState::KeySharded((0..parts).map(|_| Mutex::new(est.clone_box())).collect())
-        }
-        _ => SlotState::Replicated,
-    }
-}
-
-/// The heavy-hitter reporter inside a slot whose wire tag names it.
-fn reporter<S: PointSketch + 'static>(est: &dyn DynEstimator) -> &HeavyHitters<S> {
-    est.as_any()
-        .downcast_ref::<SampledHeavyHitters<S>>()
-        .expect("heavy-hitter tag on another slot type")
-        .inner()
 }
 
 /// The parallel ingestion pipeline: raw (unsampled) stream in, one plain
@@ -219,7 +138,7 @@ pub struct ConcurrentMonitor {
 
 impl ConcurrentMonitor {
     /// Spawn the worker pipeline. `prototype` must be freshly built
-    /// (pre-ingestion); its grids become the shared state.
+    /// (pre-ingestion); worker `i` ingests into its `fork_shard(i)`.
     ///
     /// # Panics
     /// If the prototype has already ingested samples (its state would be
@@ -238,35 +157,11 @@ impl ConcurrentMonitor {
         // Re-validate: the config fields are public, so
         // ConcurrentConfig::new's own assert can be bypassed by mutation.
         assert!(cfg.threads >= 1, "need at least one ingest thread");
-        let slots: Vec<SlotState> = prototype
-            .entries()
-            .iter()
-            .map(|e| route_slot(e.est.as_ref(), cfg.strategy, cfg.threads))
-            .collect();
-        let workers = (0..cfg.threads)
-            .map(|i| {
-                // Replicated slots follow fork_shard's schedule seed for
-                // seed; only the replicated ones clone.
-                let locals: WorkerLocals = prototype
-                    .entries()
-                    .iter()
-                    .zip(&slots)
-                    .zip(prototype.shard_seeds(i as u64))
-                    .map(|((e, slot), seed)| {
-                        matches!(slot, SlotState::Replicated).then(|| {
-                            let mut local = e.est.clone_box();
-                            local.reseed_shard_local(seed);
-                            local
-                        })
-                    })
-                    .collect();
-                Mutex::new(locals)
-            })
-            .collect();
         let shared = Arc::new(Shared {
-            slots,
             samples: AtomicU64::new(0),
-            workers,
+            replicas: (0..cfg.threads)
+                .map(|i| Mutex::new(prototype.fork_shard(i as u64)))
+                .collect(),
         });
         let mut txs = Vec::with_capacity(cfg.threads);
         let mut handles = Vec::with_capacity(cfg.threads);
@@ -274,10 +169,9 @@ impl ConcurrentMonitor {
             let (tx, rx) = sync_channel::<Job>(QUEUE_DEPTH);
             let sampler = BernoulliSampler::new(prototype.p(), split_seed(sampler_seed, i as u64));
             let state = Arc::clone(&shared);
-            let parts = cfg.threads;
             let handle = std::thread::Builder::new()
                 .name(format!("sss-conc-{i}"))
-                .spawn(move || worker_loop(i, sampler, rx, &state, parts))
+                .spawn(move || worker_loop(i, sampler, rx, &state))
                 .expect("spawn concurrent worker");
             txs.push(tx);
             handles.push(handle);
@@ -308,8 +202,8 @@ impl ConcurrentMonitor {
         self.dispatched
     }
 
-    /// Sampled elements ingested into the shared state so far (racy
-    /// read; trails dispatch by the in-flight queues).
+    /// Sampled elements ingested by the workers so far (a relaxed read;
+    /// trails dispatch by the in-flight queues).
     pub fn samples_ingested(&self) -> u64 {
         self.shared.samples.load(Ordering::Relaxed)
     }
@@ -318,7 +212,7 @@ impl ConcurrentMonitor {
         let n = job.as_slice().len() as u64;
         // Round-robin keeps worker loads *and distributions* aligned,
         // which is what makes the length-weighted entropy merge of the
-        // replicated slots consistent with the single-threaded estimate.
+        // replicas consistent with the single-threaded estimate.
         let worker = self.next_worker;
         self.next_worker = (self.next_worker + 1) % self.txs.len();
         self.txs[worker]
@@ -356,7 +250,7 @@ impl ConcurrentMonitor {
     }
 
     /// A consistent mid-run view without stopping ingestion: pauses every
-    /// worker at its next batch boundary, folds the shared state into a
+    /// worker at its next batch boundary, folds the replicas into a
     /// plain [`Monitor`] and lets the workers resume. Jobs still queued
     /// are not in it — [`ConcurrentMonitor::finish`] gives the final
     /// answer. `snapshot().checkpoint()` is what a site ships to a
@@ -365,8 +259,8 @@ impl ConcurrentMonitor {
         fold(self.prototype.clone(), &self.shared, "snapshot")
     }
 
-    /// Quiesce: drain the queues, join every worker, and fold the shared
-    /// state into the final plain [`Monitor`].
+    /// Drain the queues, join every worker, and fold the replicas into
+    /// the final plain [`Monitor`].
     pub fn finish(self) -> Monitor {
         let ConcurrentMonitor {
             txs,
@@ -379,105 +273,34 @@ impl ConcurrentMonitor {
         for h in handles {
             h.join().expect("concurrent worker panicked");
         }
-        fold(prototype, &shared, "quiesce")
+        fold(prototype, &shared, "finish")
     }
 }
 
-/// Install a quiesced heavy-hitter reporter back into its slot.
-fn reinstall<S: PointSketch + 'static>(est: &mut dyn DynEstimator, quiesced: HeavyHitters<S>) {
-    est.as_any_mut()
-        .downcast_mut::<SampledHeavyHitters<S>>()
-        .expect("heavy-hitter slot type changed under fold")
-        .replace_inner(quiesced);
-}
-
-/// The one conversion from shared state to a plain [`Monitor`], built on
-/// `base` (the pristine prototype): grids convert to their plain
-/// estimators, key-shard parts and replicated locals merge ascending.
-/// Holds every worker mutex (ascending) for the whole fold, then takes
-/// part mutexes, so the result is a consistent cut of completed batches.
+/// The one fold behind [`ConcurrentMonitor::snapshot`] and
+/// [`ConcurrentMonitor::finish`]: [`Monitor::merge_all`] of every replica,
+/// ascending, onto `base` (the pristine prototype). Holds every replica
+/// mutex for the whole fold, so the result is a consistent cut of
+/// completed batches.
 fn fold(mut base: Monitor, shared: &Shared, note: &'static str) -> Monitor {
-    let locals: Vec<MutexGuard<'_, WorkerLocals>> = shared.workers.iter().map(lock).collect();
-    let mut merges = 0u64;
-    for (i, slot) in shared.slots.iter().enumerate() {
-        let entry = &mut base.entries_mut()[i];
-        match slot {
-            SlotState::Cm(atomic) => reinstall(entry.est.as_mut(), atomic.to_plain()),
-            SlotState::Cs(atomic) => reinstall(entry.est.as_mut(), atomic.to_plain()),
-            SlotState::KeySharded(parts) => {
-                for part in parts {
-                    // Key-shard parts share the prototype's config.
-                    entry.est.merge_dyn(lock(part).as_any());
-                    merges += 1;
-                }
-            }
-            SlotState::Replicated => {
-                for worker in &locals {
-                    let local = worker[i]
-                        .as_ref()
-                        .expect("replicated slot missing its worker local");
-                    // Replicas share the prototype's config.
-                    entry.est.merge_dyn(local.as_any());
-                    merges += 1;
-                }
-            }
-        }
-    }
-    base.set_samples(shared.samples.load(Ordering::Relaxed));
-    drop(locals);
+    let replicas: Vec<MutexGuard<'_, Monitor>> = shared.replicas.iter().map(lock).collect();
+    let views: Vec<&Monitor> = replicas.iter().map(|r| &**r).collect();
+    base.merge_all(&views);
+    let merges = views.len() as u64;
     let obs = sss_obs::global();
     obs.add(MetricId::IngestMergesTotal, merges);
-    if merges > 0 {
-        obs.event(sss_obs::EventKind::MergePerformed, merges, 0, note);
-    }
+    obs.event(sss_obs::EventKind::MergePerformed, merges, 0, note);
     base
 }
 
-fn worker_loop(
-    worker: usize,
-    mut sampler: BernoulliSampler,
-    rx: Receiver<Job>,
-    shared: &Shared,
-    parts: usize,
-) {
-    let mut scratch = AtomicScratch::new();
-    // Per-part grouping buffers for key-sharded slots, reused across
-    // batches (one lock per non-empty part per batch, not per item).
-    let mut buckets: Vec<Vec<u64>> = (0..parts).map(|_| Vec::new()).collect();
+fn worker_loop(worker: usize, mut sampler: BernoulliSampler, rx: Receiver<Job>, shared: &Shared) {
+    let replica = &shared.replicas[worker];
     while let Ok(job) = rx.recv() {
         let mut items = 0u64;
         sampler.sample_batches(job.as_slice(), SAMPLE_BATCH, |batch| {
             // Held for the whole batch: a snapshot sees all of it or none.
-            let mut locals = lock(&shared.workers[worker]);
+            lock(replica).update_batch(batch);
             items += batch.len() as u64;
-            let mut grouped = false;
-            for (i, slot) in shared.slots.iter().enumerate() {
-                match slot {
-                    SlotState::Cm(atomic) => atomic.update_batch(batch, &mut scratch),
-                    SlotState::Cs(atomic) => atomic.update_batch(batch, &mut scratch),
-                    SlotState::KeySharded(slot_parts) => {
-                        if !grouped {
-                            for b in &mut buckets {
-                                b.clear();
-                            }
-                            for &x in batch {
-                                buckets[(fingerprint64(x) % parts as u64) as usize].push(x);
-                            }
-                            grouped = true;
-                        }
-                        for (part, bucket) in slot_parts.iter().zip(buckets.iter()) {
-                            if !bucket.is_empty() {
-                                lock(part).update_batch(bucket);
-                            }
-                        }
-                    }
-                    SlotState::Replicated => {
-                        if let Some(local) = &mut locals[i] {
-                            local.update_batch(batch);
-                        }
-                    }
-                }
-            }
             shared
                 .samples
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -486,10 +309,6 @@ fn worker_loop(
         obs.inc(MetricId::IngestJobsCompletedTotal);
         obs.gauge_add(MetricId::IngestQueueDepth, -1);
         obs.labeled_add(MetricId::IngestThreadItemsTotal, worker as u64, items);
-        let retries = scratch.take_cas_retries();
-        if retries > 0 {
-            obs.add(MetricId::IngestCasRetriesTotal, retries);
-        }
     }
 }
 
@@ -512,11 +331,11 @@ mod tests {
             .build()
     }
 
-    /// Shared-atomic grids keep the prototype's seeds, so at p = 1 and
-    /// any thread count the quiesced monitor's grid substrates must
-    /// match a sequential monitor bit for bit.
+    /// Replicas keep the prototype's hash seeds, so at p = 1 and any
+    /// thread count the fold's bottom-k `F_0` and collision `F_2` must
+    /// match a sequential monitor.
     #[test]
-    fn grid_substrates_quiesce_bitwise_at_p_one() {
+    fn exact_substrates_fold_exactly_at_p_one() {
         let stream = Arc::new(ZipfStream::new(2_000, 1.2).generate(50_000, 3));
         let mut single = proto(1.0);
         single.update_batch(&stream);
@@ -528,11 +347,11 @@ mod tests {
             cm.ingest_shared(&stream);
             let merged = cm.finish();
             assert_eq!(merged.samples_seen(), stream.len() as u64);
-            // Exact key-partition merges: F0 identical.
+            // Bottom-k union of disjoint slices: F0 identical.
             assert_eq!(
                 merged.estimate(Statistic::F0).unwrap().value,
                 single.estimate(Statistic::F0).unwrap().value,
-                "{threads} threads: F0 must partition exactly"
+                "{threads} threads: F0 must merge exactly"
             );
             let f2_a = merged.estimate(Statistic::Fk(2)).unwrap().value;
             let f2_b = single.estimate(Statistic::Fk(2)).unwrap().value;

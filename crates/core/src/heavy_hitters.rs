@@ -153,17 +153,6 @@ impl<S: PointSketch> SampledHeavyHitters<S> {
         self.alpha
     }
 
-    /// The underlying reporter (the concurrent pipeline promotes it to a
-    /// shared-atomic grid).
-    pub(crate) fn inner(&self) -> &HeavyHitters<S> {
-        &self.inner
-    }
-
-    /// Install a quiesced reporter back, keeping the theorem parameters.
-    pub(crate) fn replace_inner(&mut self, inner: HeavyHitters<S>) {
-        self.inner = inner;
-    }
-
     /// Memory footprint in 64-bit words. For Theorem 6 it is
     /// `O(ε⁻¹·log²(n/(αδ)))` bits, *independent of `p`* (the premise on
     /// `F_1(P)` is what moves with `p`); for Theorem 7 the `α′ ∝ √p` shift

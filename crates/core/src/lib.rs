@@ -66,7 +66,7 @@ pub mod stirling;
 pub use adaptive::{AdaptiveF2Estimator, TargetCollisionsPolicy};
 pub use baselines::{NaiveScaledF0, NaiveScaledFk, RusuDobraF2};
 pub use collisions::{CollisionOracle, ExactCollisions, LevelSetCollisions};
-pub use concurrent::{ConcurrentConfig, ConcurrentMonitor, ParallelStrategy};
+pub use concurrent::{ConcurrentConfig, ConcurrentMonitor};
 pub use delta::{apply_snapshot_delta, snapshot_delta, SnapshotDelta};
 pub use entropy::SampledEntropyEstimator;
 pub use estimate::{

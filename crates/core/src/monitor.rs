@@ -64,9 +64,8 @@ use crate::params::ApproxParams;
 /// checkpointed and shipped ([`Monitor::checkpoint`]). Every estimator
 /// in the tree is plain data (no interior mutability), so the `Sync`
 /// bound costs nothing.
-pub(crate) trait DynEstimator: SubsampledEstimator + Send + Sync {
+trait DynEstimator: SubsampledEstimator + Send + Sync {
     fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
     /// Whether `other` could merge into this slot (same concrete type and
     /// [`SubsampledEstimator::merge_compatible`]) — without mutating
     /// anything. Checked for *all* slots before any state is mutated, so
@@ -86,10 +85,6 @@ pub(crate) trait DynEstimator: SubsampledEstimator + Send + Sync {
 
 impl<T: SubsampledEstimator + Any + Clone + Send + Sync + WireCodec> DynEstimator for T {
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 
@@ -134,19 +129,18 @@ impl<T: SubsampledEstimator + Any + Clone + Send + Sync + WireCodec> DynEstimato
 }
 
 // The wire tag of every estimator the builder can register: the keys of
-// the decode registry below, and of `ConcurrentMonitor`'s slot routing,
-// so a slot the codec can name, the router can route.
-pub(crate) const F0: u16 = SampledF0Estimator::WIRE_TAG;
-pub(crate) const FK_EXACT: u16 =
+// the decode registry below.
+const F0: u16 = SampledF0Estimator::WIRE_TAG;
+const FK_EXACT: u16 =
     <SampledFkEstimator<crate::collisions::ExactCollisions> as WireCodec>::WIRE_TAG;
-pub(crate) const FK_SKETCHED: u16 =
+const FK_SKETCHED: u16 =
     <SampledFkEstimator<crate::collisions::LevelSetCollisions> as WireCodec>::WIRE_TAG;
 const ENTROPY: u16 = SampledEntropyEstimator::WIRE_TAG;
-pub(crate) const HH_F1: u16 = SampledF1HeavyHitters::WIRE_TAG;
-pub(crate) const HH_F2: u16 = SampledF2HeavyHitters::WIRE_TAG;
+const HH_F1: u16 = SampledF1HeavyHitters::WIRE_TAG;
+const HH_F2: u16 = SampledF2HeavyHitters::WIRE_TAG;
 const RUSU_DOBRA: u16 = crate::baselines::RusuDobraF2::WIRE_TAG;
-pub(crate) const NAIVE_FK: u16 = crate::baselines::NaiveScaledFk::WIRE_TAG;
-pub(crate) const NAIVE_F0: u16 = crate::baselines::NaiveScaledF0::WIRE_TAG;
+const NAIVE_FK: u16 = crate::baselines::NaiveScaledFk::WIRE_TAG;
+const NAIVE_F0: u16 = crate::baselines::NaiveScaledF0::WIRE_TAG;
 const ADAPTIVE: u16 = crate::adaptive::AdaptiveF2Estimator::WIRE_TAG;
 
 /// Whether [`decode_estimator`] can rebuild an estimator with this tag —
@@ -193,9 +187,9 @@ fn decode_estimator(tag: u16, r: &mut Reader) -> Result<Box<dyn DynEstimator>, C
     })
 }
 
-pub(crate) struct Entry {
-    pub(crate) label: String,
-    pub(crate) est: Box<dyn DynEstimator>,
+struct Entry {
+    label: String,
+    est: Box<dyn DynEstimator>,
 }
 
 /// Fold slot `i` of every one of `others` (which passed
@@ -575,19 +569,12 @@ impl Monitor {
         );
         let mut forked = self.clone();
         forked.seed = split_seed(self.seed, shard);
-        for (e, seed) in forked.entries.iter_mut().zip(self.shard_seeds(shard)) {
-            e.est.reseed_shard_local(seed);
+        // One shard-local seed per entry, in registration order.
+        let mut seeds = SplitMix64::new(forked.seed);
+        for e in &mut forked.entries {
+            e.est.reseed_shard_local(seeds.derive());
         }
         forked
-    }
-
-    /// Shard `shard`'s shard-local seeds, one per registered entry in
-    /// registration order: derived from `split_seed(builder seed, shard)`.
-    /// [`Monitor::fork_shard`] and the concurrent pipeline's replicas
-    /// both follow this one schedule.
-    pub(crate) fn shard_seeds(&self, shard: u64) -> impl Iterator<Item = u64> {
-        let mut seeds = SplitMix64::new(split_seed(self.seed, shard));
-        (0..self.entries.len()).map(move |_| seeds.derive())
     }
 
     /// The estimate registered under the default label of `stat`
@@ -674,25 +661,6 @@ impl Monitor {
             obs.add(MetricId::CodecDecodeBytesTotal, bytes.len() as u64);
         }
         decoded
-    }
-
-    /// The registered estimator slots, in registration order (the
-    /// concurrent pipeline's strategy router reads them).
-    pub(crate) fn entries(&self) -> &[Entry] {
-        &self.entries
-    }
-
-    /// Mutable slot access — the concurrent quiesce installs converted
-    /// shared-atomic state through this.
-    pub(crate) fn entries_mut(&mut self) -> &mut [Entry] {
-        &mut self.entries
-    }
-
-    /// Set the monitor-level sample count — the concurrent quiesce's
-    /// final accounting step, after per-slot state was installed
-    /// directly rather than through `update`/`merge`.
-    pub(crate) fn set_samples(&mut self, n: u64) {
-        self.samples = n;
     }
 
     /// `(label, wire tag)` rows of the registered estimators — the

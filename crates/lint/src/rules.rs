@@ -791,8 +791,8 @@ pub fn check_atomic_ordering(file: &SourceFile, out: &mut Vec<Violation>) {
             );
         }
     }
-    // Hot paths take only Relaxed: the quiesce join is the one
-    // happens-before edge the design relies on, so an acquire/release
+    // Hot paths take only Relaxed: mutexes and thread joins are the
+    // happens-before edges the design relies on, so an acquire/release
     // inside update/ingest bodies either does nothing or hides an
     // undocumented protocol. Matching the `Ordering::X` path (rather
     // than the bare ident) keeps prose and unrelated idents out.
@@ -817,7 +817,7 @@ pub fn check_atomic_ordering(file: &SourceFile, out: &mut Vec<Violation>) {
                     RULE_ATOMIC,
                     t.line,
                     format!(
-                        "`Ordering::{}` on the hot path `{}`; ingestion atomics are `Relaxed` (the quiesce join is the only synchronization edge) — document any exception with a pragma",
+                        "`Ordering::{}` on the hot path `{}`; ingestion atomics are `Relaxed` (mutexes and joins are the synchronization edges) — document any exception with a pragma",
                         t.text, f.name
                     ),
                 );

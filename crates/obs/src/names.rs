@@ -81,7 +81,6 @@ metric_table! {
     IngestBatchNanos => Histogram "sss_ingest_batch_nanos": "Whole-batch update latency in nanoseconds, sampled every 64th batch";
     IngestSlotSampledNanosTotal => Counter "sss_ingest_slot_sampled_nanos_total": "Per-statistic update nanoseconds from sampled batches, labeled by estimator slot";
     IngestSlotSampledItemsTotal => Counter "sss_ingest_slot_sampled_items_total": "Items covered by the sampled per-statistic timings, labeled by estimator slot";
-    IngestCasRetriesTotal => Counter "sss_ingest_cas_retries_total": "Compare-exchange retries in shared-atomic sketch updates (contention proxy)";
     IngestThreadItemsTotal => Counter "sss_ingest_thread_items_total": "Sampled items ingested by concurrent workers, labeled by thread index";
     // ── sampler: Bernoulli sub-sampling front end ────────────────
     SamplerRawItemsTotal => Counter "sss_sampler_raw_items_total": "Raw stream items offered to Bernoulli samplers";
@@ -89,7 +88,7 @@ metric_table! {
     IngestJobsDispatchedTotal => Counter "sss_ingest_jobs_dispatched_total": "Raw-stream jobs handed to concurrent worker queues";
     IngestJobsCompletedTotal => Counter "sss_ingest_jobs_completed_total": "Jobs fully ingested by concurrent workers";
     IngestQueueDepth => Gauge "sss_ingest_queue_depth": "Jobs in flight across all worker queues (dispatched minus completed)";
-    IngestMergesTotal => Counter "sss_ingest_merges_total": "Key-shard part and replica merges folded into snapshots and finishes";
+    IngestMergesTotal => Counter "sss_ingest_merges_total": "Worker replica merges folded into concurrent snapshots and finishes";
     // ── codec: encode/decode instrumented at call sites ──────────
     CodecEncodeBytesTotal => Counter "sss_codec_encode_bytes_total": "Bytes produced by checkpoint encodes";
     CodecEncodeNanos => Histogram "sss_codec_encode_nanos": "Checkpoint encode latency in nanoseconds";

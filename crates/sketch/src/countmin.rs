@@ -85,34 +85,6 @@ impl CountMin {
         self.counters.len()
     }
 
-    /// Row hash functions (shared with the atomic variant).
-    pub(crate) fn hashes(&self) -> &[PairwiseHash] {
-        &self.hashes
-    }
-
-    /// The raw row-major counter grid.
-    pub(crate) fn counters(&self) -> &[u64] {
-        &self.counters
-    }
-
-    /// Reassemble a sketch from raw parts — the atomic variant's quiesce
-    /// path. The grid must be `hashes.len() × width`.
-    pub(crate) fn from_parts(
-        width: usize,
-        counters: Vec<u64>,
-        hashes: Vec<PairwiseHash>,
-        total: u64,
-    ) -> Self {
-        debug_assert_eq!(counters.len(), width * hashes.len());
-        Self {
-            width,
-            counters,
-            hashes,
-            total,
-            scratch: BatchScratch::default(),
-        }
-    }
-
     /// Add `count` occurrences of `x`.
     pub fn update(&mut self, x: u64, count: u64) {
         self.total += count;

@@ -93,50 +93,6 @@ impl CountSketch {
         self.counters.len() + 2 * self.row_sumsq.len()
     }
 
-    /// Row bucket hashes (shared with the atomic variant).
-    pub(crate) fn bucket_hashes(&self) -> &[PairwiseHash] {
-        &self.bucket_hashes
-    }
-
-    /// Row sign hashes.
-    pub(crate) fn sign_hashes(&self) -> &[FourWiseSign] {
-        &self.sign_hashes
-    }
-
-    /// The raw row-major counter grid.
-    pub(crate) fn counters(&self) -> &[i64] {
-        &self.counters
-    }
-
-    /// Per-row Σc² aggregates.
-    pub(crate) fn row_sumsq(&self) -> &[u128] {
-        &self.row_sumsq
-    }
-
-    /// Reassemble a sketch from raw parts — the atomic variant's quiesce
-    /// path. `row_sumsq` is derived state recomputed from the grid,
-    /// exactly as merge and decode do.
-    pub(crate) fn from_parts(
-        width: usize,
-        counters: Vec<i64>,
-        bucket_hashes: Vec<PairwiseHash>,
-        sign_hashes: Vec<FourWiseSign>,
-        total: u64,
-    ) -> Self {
-        debug_assert_eq!(counters.len(), width * bucket_hashes.len());
-        debug_assert_eq!(bucket_hashes.len(), sign_hashes.len());
-        let row_sumsq = row_sums_of_squares(&counters, width);
-        Self {
-            width,
-            counters,
-            bucket_hashes,
-            sign_hashes,
-            row_sumsq,
-            total,
-            scratch: BatchScratch::default(),
-        }
-    }
-
     /// Add `count` occurrences of `x` (use negative for deletions; the
     /// sketch is a linear map so turnstile updates are supported).
     pub fn update(&mut self, x: u64, count: i64) {
@@ -382,8 +338,8 @@ impl PointSketch for CountSketch {
         }
     }
 
-    /// Positive estimates only: a candidate whose merged or quiesced
-    /// estimate collapses to ≤ 0 leaves the table.
+    /// Positive estimates only: a candidate whose merged estimate
+    /// collapses to ≤ 0 leaves the table.
     fn reoffer_estimate(&self, x: u64) -> Option<f64> {
         let est = self.query(x);
         (est > 0).then_some(est as f64)
@@ -449,7 +405,7 @@ impl WireCodec for CountSketch {
 }
 
 /// Each row's Σc², recomputed from a row-major grid (the derived state
-/// that merge, decode and the atomic quiesce rebuild). Exact integer
+/// that merge and decode rebuild). Exact integer
 /// arithmetic, so it equals the incrementally maintained sums bit for bit.
 fn row_sums_of_squares(counters: &[i64], width: usize) -> Vec<u128> {
     counters

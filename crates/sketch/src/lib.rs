@@ -13,7 +13,6 @@
 //! | [`levelset`] | Indyk–Woodruff level sets | `C̃_ℓ(L)` for Algorithm 1 (Thm 2) |
 //! | [`entropy`] | CCM suffix-count estimator | multiplicative `H(g)` for Thm 5 |
 //! | [`topk`] | candidate tracker and one reporter, [`HeavyHitters<S>`], generic over its [`PointSketch`] | turning CountMin (Thm 6) or CountSketch (Thm 7) into an `O(1/α)`-item reporter |
-//! | [`atomic`] | shared-atomic grids behind the two reporters, sharing the reporter's admission and quiesce steps | lock-free multi-threaded ingestion into one grid |
 //!
 //! **Merge contract.** Every mergeable sketch has one
 //! `check_merge(&self, other) -> Result<(), Mismatch>` covering
@@ -24,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ams;
-pub mod atomic;
 pub(crate) mod batch;
 pub mod countmin;
 pub mod countsketch;
@@ -36,7 +34,6 @@ pub mod misra_gries;
 pub mod topk;
 
 pub use ams::AmsF2;
-pub use atomic::{AtomicCmHeavyHitters, AtomicCsHeavyHitters, AtomicScratch};
 pub use countmin::CountMin;
 pub use countsketch::CountSketch;
 pub use entropy::EntropyEstimator;

@@ -63,8 +63,7 @@ impl TopKTracker {
     /// Hand a batch's admitted candidates to the table: `feed` calls
     /// [`Admissions::offer`] once per admission, in admission order. The
     /// table ends bit for bit as one [`Self::offer`] per admission would
-    /// leave it. The batch paths of [`HeavyHitters`] and of the atomic
-    /// reporters both go through here.
+    /// leave it. [`HeavyHitters::update_batch`] goes through here.
     pub(crate) fn admit(&mut self, feed: impl FnOnce(&mut Admissions<'_>)) {
         let mut pending = Admissions {
             tracker: self,
@@ -92,12 +91,12 @@ impl TopKTracker {
     }
 
     /// Re-estimate the candidate union — own candidates ascending, then
-    /// `other`'s ascending — against the merged (or quiesced) sketch:
+    /// `other`'s ascending — against the merged sketch:
     /// each is offered at `est(item)`, and one whose `est` is `None`
     /// leaves the table. Stored estimates are stale shard-sized values;
     /// keeping them would let capacity pruning evict a union-heavy item,
     /// or a candidate whose merged estimate collapsed outlive a real one.
-    /// Merge, the atomic quiesce and the level sets' merge all re-offer
+    /// The reporters' merge and the level sets' merge both re-offer
     /// through here.
     pub(crate) fn reoffer_union(&mut self, other: &TopKTracker, est: impl Fn(u64) -> Option<f64>) {
         let union: Vec<u64> = self.candidates().chain(other.candidates()).collect();
@@ -219,8 +218,8 @@ pub trait PointSketch: Clone + std::fmt::Debug + WireCodec {
     /// item.
     fn update_batch_admit(&mut self, xs: &[u64], alpha: f64, sink: impl FnMut(u64, f64));
 
-    /// `x`'s estimate when a merge or quiesce re-offers it; `None` takes
-    /// it out of the candidate table.
+    /// `x`'s estimate when a merge re-offers it; `None` takes it out of
+    /// the candidate table.
     fn reoffer_estimate(&self, x: u64) -> Option<f64>;
 
     /// `x`'s reported frequency.
@@ -263,33 +262,9 @@ impl<S: PointSketch> HeavyHitters<S> {
         }
     }
 
-    /// Reassemble a reporter around a quiesced sketch, rebuilding the
-    /// candidate table by re-offering `candidates` against it (the atomic
-    /// reporters' quiesce step): stale mid-race estimates cannot survive
-    /// into reports.
-    pub(crate) fn quiesced(sketch: S, candidates: &TopKTracker, alpha: f64) -> Self {
-        let mut tracker = TopKTracker::new(candidates.cap);
-        tracker.reoffer_union(candidates, |item| sketch.reoffer_estimate(item));
-        Self {
-            sketch,
-            tracker,
-            alpha,
-        }
-    }
-
     /// The reporting fraction `α`.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// The backing sketch (shared with the atomic variants).
-    pub(crate) fn sketch(&self) -> &S {
-        &self.sketch
-    }
-
-    /// The candidate table.
-    pub(crate) fn tracker(&self) -> &TopKTracker {
-        &self.tracker
     }
 
     /// Stream length ingested.
@@ -574,13 +549,13 @@ mod tests {
     }
 
     /// A merge takes out a candidate whose merged estimate collapses to
-    /// ≤ 0, as the quiesce rebuild does. On this 5 × 8 grid item 517 shares
-    /// item 1's bucket with the opposite sign on 3 of the 5 rows, so item
-    /// 1's merged estimate is the median of {−90, −90, −90, 10, 10}.
+    /// ≤ 0. On this 5 × 8 grid item 517 shares item 1's bucket with the
+    /// opposite sign on 3 of the 5 rows, so item 1's merged estimate is
+    /// the median of {−90, −90, −90, 10, 10}.
     #[test]
     fn merge_drops_a_candidate_whose_merged_estimate_is_not_positive() {
         let mut a = CsHeavyHitters::new(0.2, 0.9, 0.1, 3);
-        assert_eq!((a.sketch().depth(), a.sketch().width()), (5, 8));
+        assert_eq!((a.sketch.depth(), a.sketch.width()), (5, 8));
         let mut b = a.clone();
         for _ in 0..10 {
             a.update(1);
@@ -588,16 +563,11 @@ mod tests {
         for _ in 0..100 {
             b.update(517);
         }
-        assert!(a.tracker().candidates().any(|i| i == 1));
+        assert!(a.tracker.candidates().any(|i| i == 1));
         a.merge(&b);
-        assert_eq!(a.sketch().query(1), -90);
-        let candidates: Vec<u64> = a.tracker().candidates().collect();
+        assert_eq!(a.sketch.query(1), -90);
+        let candidates: Vec<u64> = a.tracker.candidates().collect();
         assert_eq!(candidates, vec![517], "item 1 must leave the table");
-        let rebuilt = CsHeavyHitters::quiesced(a.sketch().clone(), a.tracker(), a.alpha());
-        assert_eq!(
-            rebuilt.tracker().candidates().collect::<Vec<_>>(),
-            candidates
-        );
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! (different links of the same network). Each site runs a
 //! [`ConcurrentMonitor`]: the raw link traffic is partitioned across
 //! worker threads, every worker Bernoulli-samples its slice at rate `p`
-//! with an independently split seed and ingests into one shared sketch
-//! state; the site ships a **mid-run** snapshot (`snapshot()`, a
-//! consistent cut taken while ingestion continues) and, after
-//! `finish()`, its final checkpoint.
+//! with an independently split seed and ingests into its own replica of
+//! the site's monitor, and the replicas fold into one; the site ships a
+//! **mid-run** snapshot (`snapshot()`, a consistent cut taken while
+//! ingestion continues) and, after `finish()`, its final checkpoint.
 //!
 //! Nothing is handed over in memory any more: every snapshot crosses a
 //! loopback **TCP connection** as a versioned checksummed frame. The

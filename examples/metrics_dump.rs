@@ -38,10 +38,10 @@ fn main() {
         monitor.update_batch(chunk);
     }
 
-    // A concurrent pass over the raw stream, so the shared-atomic
-    // counters are live: per-thread ingest volumes
-    // (sss_ingest_thread_items_total, labeled by thread) and the
-    // CAS-retry contention proxy (sss_ingest_cas_retries_total).
+    // A concurrent pass over the raw stream, so the pipeline's counters
+    // are live: per-thread ingest volumes (sss_ingest_thread_items_total,
+    // labeled by thread) and the replica merges of the final fold
+    // (sss_ingest_merges_total).
     let proto = MonitorBuilder::with_seed(p, 7)
         .f1_heavy_hitters(0.05, 0.2, 0.05)
         .f2_heavy_hitters(0.4, 0.2, 0.05)

@@ -64,9 +64,9 @@
 //!   and exact ground truth,
 //! * [`sketch`] — the classic streaming substrates (CountMin,
 //!   CountSketch, Misra–Gries, AMS, KMV, Indyk–Woodruff level sets,
-//!   entropy estimation, and the shared-atomic grid variants), all
-//!   batch-capable; the mergeable ones expose a non-mutating
-//!   `check_merge` returning a typed [`Mismatch`](sketch::Mismatch),
+//!   entropy estimation), all batch-capable; the mergeable ones expose
+//!   a non-mutating `check_merge` returning a typed
+//!   [`Mismatch`](sketch::Mismatch),
 //! * [`core`] — the paper's estimators behind the unified trait, the
 //!   [`Monitor`] pipeline (one mergeability decision,
 //!   [`Monitor::check_mergeable`](core::Monitor::check_mergeable)) and its

@@ -1,23 +1,23 @@
-//! The equivalence battery shared by `tests/concurrent.rs` (`Auto`) and
-//! `tests/sharded.rs` (`Replicated`): the workloads, the monitor under
-//! test, the parallel runner and the three checks, each run for one
-//! `ParallelStrategy` across thread counts {1, 2, 4, 7} and the zipf,
-//! netflow and planted workloads.
+//! The equivalence battery shared by `tests/concurrent.rs` (the threaded
+//! `ConcurrentMonitor`) and `tests/sharded.rs` (its sequential reference,
+//! [`run_sharded`]): the workloads, the monitor under test and the three
+//! checks, each run for one [`Runner`] across thread counts {1, 2, 4, 7}
+//! and the zipf, netflow and planted workloads.
 
 use std::sync::Arc;
 
-use subsampled_streams::core::{
-    ConcurrentConfig, ConcurrentMonitor, Monitor, MonitorBuilder, ParallelStrategy, RusuDobraF2,
-    Statistic,
-};
+use subsampled_streams::core::{Monitor, MonitorBuilder, RusuDobraF2, Statistic};
+use subsampled_streams::hash::split_seed;
 use subsampled_streams::stream::{
-    ExactStats, NetFlowStream, PlantedHeavyHitters, StreamGen, ZipfStream,
+    BernoulliSampler, ExactStats, NetFlowStream, PlantedHeavyHitters, StreamGen, ZipfStream,
 };
 
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 pub const SAMPLER_SEED: u64 = 555;
 /// Several chunks per worker even on the small streams.
 pub const DISPATCH_CHUNK: usize = 8192;
+/// The pipeline's worker-side sampled batch size.
+pub const SAMPLE_BATCH: usize = 4096;
 
 pub fn workloads(n: u64) -> Vec<(&'static str, Vec<u64>)> {
     vec![
@@ -33,7 +33,8 @@ pub fn workloads(n: u64) -> Vec<(&'static str, Vec<u64>)> {
     ]
 }
 
-pub fn full_proto(p: f64) -> Monitor {
+/// The registrations of the monitor under test, before `build()`.
+pub fn full_builder(p: f64) -> MonitorBuilder {
     MonitorBuilder::with_seed(p, 2024)
         .f0(0.05)
         .fk(2)
@@ -41,39 +42,47 @@ pub fn full_proto(p: f64) -> Monitor {
         .f1_heavy_hitters(0.08, 0.2, 0.05)
         .f2_heavy_hitters(0.4, 0.2, 0.05)
         .register("F2_rd", RusuDobraF2::new(p, 3, 32, 2025))
-        .build()
 }
 
-pub fn config(threads: usize, strategy: ParallelStrategy) -> ConcurrentConfig {
-    let mut cfg = ConcurrentConfig::new(threads);
-    cfg.dispatch_chunk = DISPATCH_CHUNK;
-    cfg.strategy = strategy;
-    cfg
+pub fn full_proto(p: f64) -> Monitor {
+    full_builder(p).build()
 }
 
-pub fn run_concurrent(
-    proto: &Monitor,
-    stream: &Arc<Vec<u64>>,
-    threads: usize,
-    strategy: ParallelStrategy,
-) -> Monitor {
-    let mut cm = ConcurrentMonitor::launch(proto, SAMPLER_SEED, config(threads, strategy));
-    cm.ingest_shared(stream);
-    assert_eq!(cm.raw_dispatched(), stream.len() as u64);
-    cm.finish()
+/// Folds `stream` at `threads`-way parallelism into one monitor built
+/// on `proto`.
+pub type Runner = fn(&Monitor, &Arc<Vec<u64>>, usize) -> Monitor;
+
+/// The sharded deployment the pipeline runs, emulated sequentially:
+/// `threads` monitors `fork_shard(i)`, monitor `i` taking every
+/// `threads`-th `DISPATCH_CHUNK` slice through a
+/// `split_seed(SAMPLER_SEED, i)` sampler in `SAMPLE_BATCH`-survivor
+/// batches, folded onto a clone of the prototype with `merge_all` in
+/// ascending order.
+pub fn run_sharded(proto: &Monitor, stream: &Arc<Vec<u64>>, threads: usize) -> Monitor {
+    let mut shards: Vec<Monitor> = (0..threads).map(|i| proto.fork_shard(i as u64)).collect();
+    let mut samplers: Vec<BernoulliSampler> = (0..threads)
+        .map(|i| BernoulliSampler::new(proto.p(), split_seed(SAMPLER_SEED, i as u64)))
+        .collect();
+    for (c, chunk) in stream.chunks(DISPATCH_CHUNK).enumerate() {
+        let w = c % threads;
+        let shard = &mut shards[w];
+        samplers[w].sample_batches(chunk, SAMPLE_BATCH, |batch| shard.update_batch(batch));
+    }
+    let mut folded = proto.clone();
+    folded.merge_all(&shards.iter().collect::<Vec<_>>());
+    folded
 }
 
 /// At `p = 1` every worker ingests its whole slice, so the workers
-/// jointly see exactly the original multiset. Integer `fetch_add`s on
-/// the shared CountMin grid commute, and CountMin replicas with shared
-/// hashes merge linearly, so every heavy item the single monitor reports
-/// must appear with an *identical* sketch estimate. Rusu–Dobra's AMS
-/// replicas keep the prototype's signs, so their linear merge is the
+/// jointly see exactly the original multiset. CountMin replicas with
+/// shared hashes merge linearly, so every heavy item the single monitor
+/// reports must appear with an *identical* sketch estimate. Rusu–Dobra's
+/// AMS replicas keep the prototype's signs, so their linear merge is the
 /// sequential sketch and its estimate has the same bits. Bottom-k `F_0`
-/// and collision `F_k` are exact under the key partition and under the
-/// replica merge. Entropy merges as a length-weighted average of
-/// round-robin slices of the same mix and only promises a constant band.
-pub fn p_one_matches_single_monitor(strategy: ParallelStrategy) {
+/// and collision `F_k` merge exactly. Entropy merges as a
+/// length-weighted average of round-robin slices of the same mix and
+/// only promises a constant band.
+pub fn p_one_matches_single_monitor(run: Runner) {
     for (name, stream) in workloads(50_000) {
         let stream = Arc::new(stream);
         let mut single = full_proto(1.0);
@@ -85,8 +94,8 @@ pub fn p_one_matches_single_monitor(strategy: ParallelStrategy) {
         let rd_single = single.estimate_labeled("F2_rd").unwrap().value;
 
         for threads in THREAD_COUNTS {
-            let tag = format!("{name}/{strategy:?}/{threads}");
-            let merged = run_concurrent(&full_proto(1.0), &stream, threads, strategy);
+            let tag = format!("{name}/{threads}");
+            let merged = run(&full_proto(1.0), &stream, threads);
             assert_eq!(
                 merged.samples_seen(),
                 stream.len() as u64,
@@ -131,15 +140,15 @@ pub fn p_one_matches_single_monitor(strategy: ParallelStrategy) {
 /// Under real sampling the merged estimates stay within each typed
 /// `Estimate`'s documented guarantee of the exact truth, for every
 /// thread count and workload.
-pub fn sampled_estimates_within_documented_tolerance(strategy: ParallelStrategy) {
+pub fn sampled_estimates_within_documented_tolerance(run: Runner) {
     let p = 0.25;
     for (name, stream) in workloads(120_000) {
         let stream = Arc::new(stream);
         let exact = ExactStats::from_stream(stream.iter().copied());
 
         for threads in THREAD_COUNTS {
-            let tag = format!("{name}/{strategy:?}/{threads}");
-            let merged = run_concurrent(&full_proto(p), &stream, threads, strategy);
+            let tag = format!("{name}/{threads}");
+            let merged = run(&full_proto(p), &stream, threads);
 
             // F2 via exact collisions: Theorem 1 band (generous cushion).
             let f2 = merged.estimate(Statistic::Fk(2)).unwrap();
@@ -166,10 +175,9 @@ pub fn sampled_estimates_within_documented_tolerance(strategy: ParallelStrategy)
     }
 }
 
-/// Every planted heavy item must survive parallel ingestion and the fold
-/// at every thread count — racy shared-atomic admission is recall-safe,
-/// and so is the replicas' merge.
-pub fn planted_heavies_survive(strategy: ParallelStrategy) {
+/// Every planted heavy item must survive parallel ingestion and the
+/// replicas' merge at every thread count.
+pub fn planted_heavies_survive(run: Runner) {
     let n = 150_000;
     let p = 0.3;
     let gen = PlantedHeavyHitters::new(1 << 18, 3, 0.5);
@@ -177,12 +185,12 @@ pub fn planted_heavies_survive(strategy: ParallelStrategy) {
     let heavies = gen.heavy_items(29);
 
     for threads in THREAD_COUNTS {
-        let merged = run_concurrent(&full_proto(p), &stream, threads, strategy);
+        let merged = run(&full_proto(p), &stream, threads);
         let report = merged.estimate(Statistic::F1HeavyHitters).unwrap().report;
         for h in &heavies {
             assert!(
                 report.iter().any(|(i, _)| i == h),
-                "{strategy:?}/{threads} threads: planted heavy {h} missing after the fold"
+                "{threads} threads: planted heavy {h} missing after the fold"
             );
         }
     }
